@@ -100,7 +100,6 @@ class Reason(str, enum.Enum):
     BAD_EPOCH = "bad_epoch"
     WRONG_LEDGER_KIND = "wrong_ledger_kind"
     MALFORMED_BODY = "malformed_body"
-    POLICY_DENIED = "policy_denied"
 
     def __str__(self) -> str:  # transcripts want the bare code
         return self.value

@@ -4,6 +4,9 @@ A registration binds (user, device) to an identity verification key, exactly
 once, forever. The optional user info rides along either in the clear or as
 an HMAC commitment whose opening can be shown off-ledger to whoever needs it.
 
+The ledger keeps its bindings indexed (IdentityState), so a lookup costs
+the same however many identities are registered.
+
 Registration body layout:
 
     user_len(u32) || user || device_len(u32) || device || ivk(32)
@@ -18,7 +21,7 @@ from typing import Optional, Union
 from . import crypto
 from .encoding import Reader, lp, u8
 from .errors import EncodingError, InvalidTransaction, NotFound, Reason
-from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger
+from .ledger import Block, Ledger, LedgerKind, Transaction, TxTag, new_ledger
 
 MAX_NAME_BYTES = 64
 MAX_INFO_BYTES = 1024
@@ -135,14 +138,34 @@ def verify_userinfo(commitment: CommittedInfo, plaintext: bytes, blinding: bytes
     return crypto.constant_time_equal(expected, commitment.mac)
 
 
+class IdentityState:
+    """The identity ledger's bindings: (user, device) -> record, plus every ivk."""
+
+    def __init__(self) -> None:
+        self.records: dict[tuple[str, str], IdentityRecord] = {}
+        self.ivks: set[bytes] = set()
+
+    def admit(self, tx: Transaction, ledger: Ledger, block_index: int, pos: int) -> None:
+        self._add(validate_identity_tx(tx, ledger))
+
+    def rebuilt(self, blocks: list[Block]) -> "IdentityState":
+        state = IdentityState()
+        for block in blocks:
+            for tx in block.txs:
+                try:
+                    state._add(parse_identity_body(tx.body))
+                except EncodingError:
+                    continue  # an unparseable tx can never have been admitted
+        return state
+
+    def _add(self, record: IdentityRecord) -> None:
+        # bindings are unique; on a chain that breaks that, the first one holds
+        self.records.setdefault((record.user, record.device), record)
+        self.ivks.add(record.ivk)
+
+
 def find_identity(ledger: Ledger, user: str, device: str) -> Optional[IdentityRecord]:
-    for _, _, tx in ledger.iter_txs():
-        if tx.tag != TxTag.IDENTITY:
-            continue
-        record = parse_identity_body(tx.body)
-        if record.user == user and record.device == device:
-            return record  # bindings are unique, first hit is the only hit
-    return None
+    return ledger.state.records.get((user, device))
 
 
 def resolve_identity(ledger: Ledger, user: str, device: str) -> bytes:
@@ -153,13 +176,10 @@ def resolve_identity(ledger: Ledger, user: str, device: str) -> bytes:
 
 
 def ivk_registered(ledger: Ledger, ivk: bytes) -> bool:
-    return any(
-        tx.tag == TxTag.IDENTITY and parse_identity_body(tx.body).ivk == ivk
-        for _, _, tx in ledger.iter_txs()
-    )
+    return ivk in ledger.state.ivks
 
 
-def validate_identity_tx(tx: Transaction, ledger: Ledger) -> None:
+def validate_identity_tx(tx: Transaction, ledger: Ledger) -> IdentityRecord:
     """Admission rule for the identity ledger; raises InvalidTransaction."""
     try:
         record = parse_identity_body(tx.body)
@@ -173,7 +193,8 @@ def validate_identity_tx(tx: Transaction, ledger: Ledger) -> None:
         raise InvalidTransaction(
             Reason.DUPLICATE_BINDING, f"({record.user}, {record.device})"
         )
+    return record
 
 
 def new_identity_ledger() -> Ledger:
-    return new_ledger(LedgerKind.IDENTITY, validator=validate_identity_tx)
+    return new_ledger(LedgerKind.IDENTITY, state=IdentityState())

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional, Protocol
 
 from . import crypto
 from .encoding import Reader, lp, u8, u32, u64
@@ -128,9 +128,19 @@ def parse_block(data: bytes, stored_hash: Optional[bytes] = None) -> Block:
     return Block(index, prev_hash, timestamp, txs, block_hash)
 
 
-# a validator inspects one transaction in ledger context and raises
-# InvalidTransaction to refuse it
-Validator = Callable[[Transaction, "Ledger"], None]
+class ChainState(Protocol):
+    """What a ledger's transactions add up to, kept current as blocks land.
+
+    `admit` judges one transaction against the state (with the earlier
+    transactions of its block already folded in) and folds it in, or raises
+    InvalidTransaction and leaves the state as it was. `rebuilt` folds the
+    given blocks into a fresh state of the same configuration without
+    judging them again.
+    """
+
+    def admit(self, tx: Transaction, ledger: "Ledger", block_index: int, pos: int) -> None: ...
+
+    def rebuilt(self, blocks: list[Block]) -> "ChainState": ...
 
 
 @dataclass
@@ -139,7 +149,9 @@ class Ledger:
     blocks: list[Block] = field(default_factory=list)
     # (index, hash) of the newest pruned-away block, if any
     checkpoint: Optional[tuple[int, bytes]] = None
-    validator: Optional[Validator] = None
+    # advanced by append_block, the only writer; None keeps no state and
+    # judges nothing beyond the ledger kind
+    state: Optional[ChainState] = None
 
     @property
     def head(self) -> Block:
@@ -155,16 +167,24 @@ class Ledger:
                 f"{timestamp} < head timestamp {self.head.timestamp}"
             )
         allowed = ALLOWED_TAGS[self.kind]
-        for tx in txs:
-            if tx.tag not in allowed:
-                raise InvalidTransaction(
-                    Reason.WRONG_LEDGER_KIND,
-                    f"tag {tx.tag} not allowed on {self.kind.value} ledger",
-                )
-            if self.validator is not None:
-                self.validator(tx, self)
+        index = self.head.index + 1
+        for pos, tx in enumerate(txs):
+            try:
+                if tx.tag not in allowed:
+                    raise InvalidTransaction(
+                        Reason.WRONG_LEDGER_KIND,
+                        f"tag {tx.tag} not allowed on {self.kind.value} ledger",
+                    )
+                if self.state is not None:
+                    self.state.admit(tx, self, index, pos)
+            except InvalidTransaction:
+                if pos and self.state is not None:
+                    # a block lands whole or not at all: drop what its
+                    # earlier transactions folded in
+                    self.state = self.state.rebuilt(self.blocks)
+                raise
         block = make_block(
-            index=self.head.index + 1,
+            index=index,
             prev_hash=self.head.block_hash,
             timestamp=timestamp,
             txs=tuple(txs),
@@ -205,14 +225,6 @@ class Ledger:
                     return False
         return True
 
-    def query(self, predicate: Callable[[Transaction], bool]) -> list[tuple[int, Transaction]]:
-        return [
-            (block.index, tx)
-            for block in self.blocks
-            for tx in block.txs
-            if predicate(tx)
-        ]
-
     def iter_txs(self) -> Iterator[tuple[int, int, Transaction]]:
         """Yields (block index, position within block, tx) in chain order."""
         for block in self.blocks:
@@ -223,7 +235,8 @@ class Ledger:
         """Discard blocks below cutoff_index, keeping a link checkpoint.
 
         Identity history must stay replayable forever, so only meeting
-        ledgers prune. The head always survives.
+        ledgers prune. The head always survives, and the state is rebuilt
+        from the blocks that do.
         """
         if self.kind is LedgerKind.IDENTITY:
             raise PruneIdentityLedgerForbidden("identity ledgers keep full history")
@@ -234,12 +247,14 @@ class Ledger:
             last_dropped = self.blocks[first_kept - 1]
             self.checkpoint = (last_dropped.index, last_dropped.block_hash)
             del self.blocks[:first_kept]
+            if self.state is not None:
+                self.state = self.state.rebuilt(self.blocks)
         return self
 
 
-def new_ledger(kind: LedgerKind, validator: Optional[Validator] = None) -> Ledger:
+def new_ledger(kind: LedgerKind, state: Optional[ChainState] = None) -> Ledger:
     genesis = make_block(0, GENESIS_PREV_HASH, 0, ())
-    return Ledger(kind=kind, blocks=[genesis], validator=validator)
+    return Ledger(kind=kind, blocks=[genesis], state=state)
 
 
 def dump_hex_lines(ledger: Ledger) -> list[str]:
@@ -247,7 +262,15 @@ def dump_hex_lines(ledger: Ledger) -> list[str]:
     return [block.canonical_bytes().hex() for block in ledger.blocks]
 
 
-def load_hex_lines(kind: LedgerKind, lines: list[str]) -> Ledger:
+def load_hex_lines(
+    kind: LedgerKind, lines: list[str], state: Optional[ChainState] = None
+) -> Ledger:
+    """Parse persisted blocks; a given state is rebuilt from them and kept.
+
+    Only hashes and links are checked (by verify_chain, on demand): the
+    rebuilt state trusts the loaded transactions the way it trusts admitted
+    ones.
+    """
     blocks = []
     for line in lines:
         line = line.strip()
@@ -263,4 +286,9 @@ def load_hex_lines(kind: LedgerKind, lines: list[str]) -> Ledger:
     if blocks[0].index > 0:
         # pruned chain: the first retained block names its predecessor
         checkpoint = (blocks[0].index - 1, blocks[0].prev_hash)
-    return Ledger(kind=kind, blocks=blocks, checkpoint=checkpoint)
+    return Ledger(
+        kind=kind,
+        blocks=blocks,
+        checkpoint=checkpoint,
+        state=state.rebuilt(blocks) if state is not None else None,
+    )

@@ -48,7 +48,7 @@ from .errors import (
     NotFound,
     Reason,
 )
-from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger
+from .ledger import Block, Ledger, LedgerKind, Transaction, TxTag, new_ledger
 from .rng import Rng
 
 MEETING_ID_LEN = 16
@@ -367,38 +367,41 @@ class MediaPacket:
 
 
 # ---------------------------------------------------------------------------
-# ledger-derived meeting view
+# ledger-derived meeting state
 
 
 @dataclass
 class RequestRecord:
-    user: str
-    device: str
-    ivk: bytes
-    epk: bytes
+    request: MeetingRequest
+    tx: Transaction
     block_index: int
     block_pos: int
-    verified: bool  # signature checks out and the identity ledger agrees
+    signed: bool  # the signature checked out when the request reached the chain
     active: bool = True
 
 
 @dataclass
 class MeetingView:
-    """Everything a validator can derive about one meeting from the chain."""
+    """Everything a validator can derive about one meeting from the chain.
+
+    A request record keeps only what cannot change. Whether the requester's
+    identity matches is resolved against the identity ledger at each read,
+    so a binding registered after the request counts from then on.
+    """
 
     meeting_id: bytes
+    identity_ledger: Ledger = field(repr=False, compare=False)
     exists: bool = False
     info: str = ""
     leader_ivk: bytes = b""
-    publish_epk: bytes = b""
     dismissed: bool = False
     last_epoch: Optional[int] = None
     distributions: dict[int, KeyDistribution] = field(default_factory=dict)
-    leader_by_epoch: dict[int, bytes] = field(default_factory=dict)
     requests: list[RequestRecord] = field(default_factory=list)
     # leaders (original or reassigned-in) who have not posted a leave
     present_leader_ivks: set[bytes] = field(default_factory=set)
-    request_bytes_seen: set[bytes] = field(default_factory=set)
+    # hashes of the request transactions on the chain, so replays stand out
+    request_hashes: set[bytes] = field(default_factory=set)
 
     def record_for(
         self, user: str, device: str, ivk: Optional[bytes] = None
@@ -409,16 +412,20 @@ class MeetingView:
         else's (user, device): the honest record must still be reachable.
         """
         for record in self.requests:
-            if record.user != user or record.device != device or not record.active:
+            request = record.request
+            if request.user != user or request.device != device or not record.active:
                 continue
-            if ivk is not None and record.ivk != ivk:
+            if ivk is not None and request.ivk != ivk:
                 continue
             return record
         return None
 
+    def request_verdict(self, record: RequestRecord) -> Optional[Reason]:
+        return verify_request(record.request, record.signed, self.identity_ledger)
+
     def members(self) -> list[RequestRecord]:
         """Verified, still-present requesters in arrival order."""
-        return [r for r in self.requests if r.verified and r.active]
+        return [r for r in self.requests if r.active and self.request_verdict(r) is None]
 
     def earliest_member(self) -> Optional[RequestRecord]:
         members = self.members()
@@ -426,9 +433,90 @@ class MeetingView:
 
     def member_with_ivk(self, ivk: bytes) -> Optional[RequestRecord]:
         for record in self.members():
-            if record.ivk == ivk:
+            if record.request.ivk == ivk:
                 return record
         return None
+
+    def apply(
+        self, payload: MeetingTx, tx: Transaction, block_index: int, pos: int,
+        signed: bool,
+    ) -> None:
+        """Fold in one transaction of this meeting that is on the chain."""
+        if isinstance(payload, PublishMeeting):
+            if not self.exists:
+                self.exists = True
+                self.info = payload.info
+                self.leader_ivk = payload.leader_ivk
+                self.present_leader_ivks.add(payload.leader_ivk)
+        elif isinstance(payload, MeetingRequest):
+            self.requests.append(RequestRecord(payload, tx, block_index, pos, signed))
+            self.request_hashes.add(_tx_hash(tx))
+        elif isinstance(payload, KeyDistribution):
+            self.last_epoch = payload.epoch
+            self.distributions[payload.epoch] = payload
+        elif isinstance(payload, MeetingLeave):
+            record = self.record_for(payload.user, payload.device, payload.ivk)
+            if record is not None:
+                record.active = False
+            self.present_leader_ivks.discard(payload.ivk)
+        elif isinstance(payload, LeaderReassign):
+            self.leader_ivk = payload.new_leader_ivk
+            self.present_leader_ivks.add(payload.new_leader_ivk)
+        elif isinstance(payload, MeetingDismiss):
+            self.dismissed = True
+
+
+def _tx_hash(tx: Transaction) -> bytes:
+    return crypto.sha256(tx.wire_bytes())
+
+
+class MeetingState:
+    """The meeting ledger's state: one view per meeting id, each advanced by
+    every transaction of that meeting as it is admitted."""
+
+    def __init__(self, identity_ledger: Ledger, rule: ReassignRule) -> None:
+        self.identity_ledger = identity_ledger
+        self.rule = rule
+        self.views: dict[bytes, MeetingView] = {}
+
+    def view(self, meeting_id: bytes) -> MeetingView:
+        """The meeting's live view; an empty one for a meeting never published."""
+        view = self.views.get(meeting_id)
+        if view is None:
+            return MeetingView(meeting_id, self.identity_ledger)
+        return view
+
+    def admit(self, tx: Transaction, ledger: Ledger, block_index: int, pos: int) -> None:
+        reason = meeting_tx_verdict(tx, ledger, self.identity_ledger, self.rule)
+        if reason is not None:
+            raise InvalidTransaction(reason)
+        # the verdict has checked the signature of an admitted request
+        self._fold(parse_meeting_tx(tx), tx, block_index, pos, signed=True)
+
+    def rebuilt(self, blocks: list[Block]) -> "MeetingState":
+        state = MeetingState(self.identity_ledger, self.rule)
+        for block in blocks:
+            for pos, tx in enumerate(block.txs):
+                try:
+                    payload = parse_meeting_tx(tx)
+                except EncodingError:
+                    continue  # an unparseable tx can never have been admitted
+                signed = not isinstance(payload, MeetingRequest) or crypto.verify(
+                    payload.ivk, tx.signing_bytes, tx.signature
+                )
+                state._fold(payload, tx, block.index, pos, signed)
+        return state
+
+    def _fold(
+        self, payload: MeetingTx, tx: Transaction, block_index: int, pos: int,
+        signed: bool,
+    ) -> None:
+        view = self.views.get(payload.meeting_id)
+        if view is None:
+            view = self.views[payload.meeting_id] = MeetingView(
+                payload.meeting_id, self.identity_ledger
+            )
+        view.apply(payload, tx, block_index, pos, signed)
 
 
 def verify_request(
@@ -460,60 +548,13 @@ def verify_request_tx(tx: Transaction, identity_ledger: Ledger) -> Optional[Reas
 def build_view(
     meeting_ledger: Ledger, identity_ledger: Ledger, meeting_id: bytes
 ) -> MeetingView:
-    view = MeetingView(meeting_id=meeting_id)
-    for block_index, pos, tx in meeting_ledger.iter_txs():
-        try:
-            payload = parse_meeting_tx(tx)
-        except EncodingError:
-            continue  # an unparseable tx can never have been admitted
-        if payload.meeting_id != meeting_id:
-            continue
-        if isinstance(payload, PublishMeeting):
-            if not view.exists:
-                view.exists = True
-                view.info = payload.info
-                view.leader_ivk = payload.leader_ivk
-                view.publish_epk = payload.leader_epk
-                view.present_leader_ivks.add(payload.leader_ivk)
-        elif isinstance(payload, MeetingRequest):
-            verdict = verify_request_tx(tx, identity_ledger)
-            view.requests.append(
-                RequestRecord(
-                    user=payload.user,
-                    device=payload.device,
-                    ivk=payload.ivk,
-                    epk=payload.epk,
-                    block_index=block_index,
-                    block_pos=pos,
-                    verified=verdict is None,
-                )
-            )
-            view.request_bytes_seen.add(tx.wire_bytes())
-        elif isinstance(payload, KeyDistribution):
-            view.last_epoch = payload.epoch
-            view.distributions[payload.epoch] = payload
-            view.leader_by_epoch[payload.epoch] = view.leader_ivk
-        elif isinstance(payload, MeetingLeave):
-            record = view.record_for(payload.user, payload.device, payload.ivk)
-            if record is not None:
-                record.active = False
-            view.present_leader_ivks.discard(payload.ivk)
-        elif isinstance(payload, LeaderReassign):
-            view.leader_ivk = payload.new_leader_ivk
-            view.present_leader_ivks.add(payload.new_leader_ivk)
-        elif isinstance(payload, MeetingDismiss):
-            view.dismissed = True
-    return view
+    """The meeting as the chain has it, looked up in the ledger's state.
 
-
-def all_meeting_ids(meeting_ledger: Ledger) -> list[bytes]:
-    seen = []
-    for _, _, tx in meeting_ledger.iter_txs():
-        if tx.tag == TxTag.MEETING_PUBLISH:
-            meeting_id = PublishMeeting.parse(tx.body).meeting_id
-            if meeting_id not in seen:
-                seen.append(meeting_id)
-    return seen
+    The view is live: it advances as the ledger admits transactions. It
+    resolves identities against the identity ledger the meeting ledger was
+    made with, which identity_ledger is expected to be.
+    """
+    return meeting_ledger.state.view(meeting_id)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +592,7 @@ def reassign_verdict(
         if payload.prev_leader_sig is not None:
             return Reason.RULE_VIOLATION
         earliest = view.earliest_member()
-        if earliest is None or earliest.ivk != payload.new_leader_ivk:
+        if earliest is None or earliest.request.ivk != payload.new_leader_ivk:
             return Reason.RULE_VIOLATION
     return None
 
@@ -562,12 +603,16 @@ def meeting_tx_verdict(
     identity_ledger: Ledger,
     rule: ReassignRule,
 ) -> Optional[Reason]:
-    """Validation verdict for one meeting-ledger transaction; None accepts."""
+    """Validation verdict for one meeting-ledger transaction; None accepts.
+
+    Judged against the meeting ledger's state, so it costs the same at any
+    chain length.
+    """
     try:
         payload = parse_meeting_tx(tx)
     except EncodingError:
         return Reason.MALFORMED_BODY
-    view = build_view(meeting_ledger, identity_ledger, payload.meeting_id)
+    view = meeting_ledger.state.view(payload.meeting_id)
 
     if isinstance(payload, PublishMeeting):
         if view.exists:
@@ -588,7 +633,7 @@ def meeting_tx_verdict(
         # leader's call, so impersonation is caught there with a precise reason
         if not crypto.verify(payload.ivk, tx.signing_bytes, tx.signature):
             return Reason.BAD_SIGNATURE
-        if tx.wire_bytes() in view.request_bytes_seen:
+        if _tx_hash(tx) in view.request_hashes:
             return Reason.REPLAYED_REQUEST
         if view.record_for(payload.user, payload.device, payload.ivk) is not None:
             return Reason.DUPLICATE_REQUEST
@@ -619,21 +664,10 @@ def meeting_tx_verdict(
     return None
 
 
-def make_meeting_validator(identity_ledger: Ledger, rule: ReassignRule):
-    def _validate(tx: Transaction, ledger: Ledger) -> None:
-        reason = meeting_tx_verdict(tx, ledger, identity_ledger, rule)
-        if reason is not None:
-            raise InvalidTransaction(reason)
-
-    return _validate
-
-
 def new_meeting_ledger(
     identity_ledger: Ledger, rule: ReassignRule = ReassignRule.DESIGNATION
 ) -> Ledger:
-    return new_ledger(
-        LedgerKind.MEETING, validator=make_meeting_validator(identity_ledger, rule)
-    )
+    return new_ledger(LedgerKind.MEETING, state=MeetingState(identity_ledger, rule))
 
 
 # ---------------------------------------------------------------------------
@@ -744,42 +778,37 @@ def review_requests(
     view = build_view(meeting_ledger, identity_ledger, state.meeting_id)
     outcomes = []
     for record in view.requests:
-        slot_key = (record.user, record.device)
+        request = record.request
         mark = (record.block_index, record.block_pos)
         if mark in state.reviewed:
             continue
         state.reviewed.add(mark)
         if not record.active:
             continue  # arrived and already left
-        if not record.verified:
-            # re-derive the precise reason for reporting
-            fake = MeetingRequest(
-                state.meeting_id, record.user, record.device, record.ivk, record.epk
-            )
-            reason = verify_request(fake, True, identity_ledger)
+        reason = view.request_verdict(record)
+        if reason is not None:
             outcomes.append(
-                ReviewOutcome(record.user, record.device, reason, granted=False)
+                ReviewOutcome(request.user, request.device, reason, granted=False)
             )
             continue
-        info = None
-        found = identity_mod.find_identity(identity_ledger, record.user, record.device)
-        if found is not None:
-            info = found.info
-        if policy(record.user, record.device, info):
-            state.membership_view[slot_key] = MemberSlot(
-                record.user, record.device, record.ivk, record.epk
-            )
+        found = identity_mod.find_identity(identity_ledger, request.user, request.device)
+        if policy(request.user, request.device, found.info):
+            state.membership_view[(request.user, request.device)] = _slot(request)
             state.rekey_pending = True
-            outcomes.append(ReviewOutcome(record.user, record.device, None, True))
+            outcomes.append(ReviewOutcome(request.user, request.device, None, True))
         else:
-            state.denied.add(slot_key)
-            outcomes.append(ReviewOutcome(record.user, record.device, None, False))
+            state.denied.add((request.user, request.device))
+            outcomes.append(ReviewOutcome(request.user, request.device, None, False))
     # departures observed on the chain drop out of the membership view
     for slot_key, slot in list(state.membership_view.items()):
         if view.record_for(slot.user, slot.device, slot.ivk) is None:
             del state.membership_view[slot_key]
             state.rekey_pending = True
     return outcomes
+
+
+def _slot(request: MeetingRequest) -> MemberSlot:
+    return MemberSlot(request.user, request.device, request.ivk, request.epk)
 
 
 def distribute_key(state: ParticipantState, rng: Rng) -> Transaction:
@@ -960,9 +989,9 @@ def adopt_leadership(
     state.ephemeral = ephemeral
     state.last_epoch = view.last_epoch
     state.membership_view = {
-        (r.user, r.device): MemberSlot(r.user, r.device, r.ivk, r.epk)
+        (r.request.user, r.request.device): _slot(r.request)
         for r in view.members()
-        if r.ivk != state.keypair.ivk  # the leader is not their own member
+        if r.request.ivk != state.keypair.ivk  # the leader is not their own member
     }
     state.reviewed = {(r.block_index, r.block_pos) for r in view.requests}
     state.rekey_pending = True

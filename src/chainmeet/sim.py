@@ -45,6 +45,7 @@ from . import crypto, identity as identity_mod, meeting as m
 from .errors import (
     AuthenticationFailure,
     EncodingError,
+    InvalidTransaction,
     MalformedScenario,
     NoEntryForMe,
     Reason,
@@ -603,47 +604,35 @@ class Simulation:
         return int(args[position])
 
     def _submit(self, actor: Actor, action: str, tx) -> Optional[Reason]:
-        """Admission-check a transaction, then append and fan out observation.
+        """Admit a transaction through the ledger, then fan out observation.
 
         Every honest actor validates an adversary's transaction against the
         same pre-append chain state, modelling independent full nodes that
-        must agree before anything lands.
+        must agree before anything lands. They all reach the ledger's own
+        verdict, so it is computed once and reported once per validator.
         """
-        verdict = m.meeting_tx_verdict(
-            tx, self.meeting_ledger, self.identity_ledger, self.rule
-        )
-        validator_verdicts = []
-        if actor.adversary:
-            for other in self.actors.values():
-                if other.adversary or other is actor:
-                    continue
-                validator_verdicts.append(
-                    (
-                        other.user,
-                        m.meeting_tx_verdict(
-                            tx, self.meeting_ledger, self.identity_ledger, self.rule
-                        ),
-                    )
-                )
-        block = None
-        if verdict is None:
+        try:
             block = self.meeting_ledger.append_block([tx], timestamp=self.tick)
+            verdict = None
+        except InvalidTransaction as refusal:
+            block, verdict = None, refusal.reason
+        tag = TxTag(tx.tag).name
         self._emit(
             TxEvent(
                 tick=self.tick,
                 actor=actor.user,
                 action=action,
-                tag=TxTag(tx.tag).name,
+                tag=tag,
                 ok=verdict is None,
                 reason=verdict,
                 block=block.index if block is not None else None,
                 honest=not actor.adversary,
             )
         )
-        for validator, their_verdict in validator_verdicts:
-            self._emit(
-                ValidateEvent(self.tick, validator, TxTag(tx.tag).name, their_verdict)
-            )
+        if actor.adversary:
+            for other in self.actors.values():
+                if not other.adversary:
+                    self._emit(ValidateEvent(self.tick, other.user, tag, verdict))
         if block is not None:
             self._observe(block)
         return verdict
@@ -1092,14 +1081,12 @@ class Simulation:
         meeting_id = self._meeting_at(self._int_arg(args, 0, 0))
         # earliest request wins: in the interesting runs that is the one a
         # since-departed member posted, so the replay is a re-enrol attempt
-        replayable = None
-        for _, _, tx in self.meeting_ledger.iter_txs():
-            if tx.tag == TxTag.MEETING_REQUEST:
-                if m.MeetingRequest.parse(tx.body).meeting_id == meeting_id:
-                    replayable = tx
-                    break
-        if replayable is None:
+        requests = m.build_view(
+            self.meeting_ledger, self.identity_ledger, meeting_id
+        ).requests
+        if not requests:
             raise MalformedScenario("no request on the chain to replay")
+        replayable = requests[0].tx
         verdict = self._submit(actor, "replay_request", replayable)
         self._emit(
             AdversaryEvent(

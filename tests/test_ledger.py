@@ -87,7 +87,7 @@ def test_append_links_and_preserves_order():
     assert [b.index for b in ledger.blocks] == [0, 1, 2, 3, 4]
     for prev, cur in zip(ledger.blocks, ledger.blocks[1:]):
         assert cur.prev_hash == prev.block_hash
-    seen = [tx for _, tx in ledger.query(lambda t: True)]
+    seen = [tx for block in ledger.blocks for tx in block.txs]
     replay = [tx for _, _, tx in ledger.iter_txs()]
     assert seen == replay and len(seen) == 8
 
@@ -116,10 +116,11 @@ def test_wrong_kind_tag_is_refused():
 
 
 def test_validator_hook_blocks_append():
-    def refuse(tx, ledger):
-        raise InvalidTransaction(Reason.BAD_SIGNATURE, "refused by test")
+    class Refuse:
+        def admit(self, tx, ledger, block_index, pos):
+            raise InvalidTransaction(Reason.BAD_SIGNATURE, "refused by test")
 
-    ledger = new_ledger(LedgerKind.IDENTITY, validator=refuse)
+    ledger = new_ledger(LedgerKind.IDENTITY, state=Refuse())
     with pytest.raises(InvalidTransaction) as err:
         ledger.append_block([some_tx(DeterministicRng(8))], timestamp=1)
     assert err.value.reason == Reason.BAD_SIGNATURE
@@ -167,8 +168,8 @@ def test_meeting_ledger_prunes_with_checkpoint():
     assert [b.index for b in ledger.blocks] == [3, 4, 5]
     assert ledger.checkpoint == (2, dropped_hash)
     assert ledger.verify_chain()
-    # queries now cover only retained blocks
-    assert all(i >= 3 for i, _ in ledger.query(lambda t: True))
+    # iteration now covers only retained blocks
+    assert all(i >= 3 for i, _, _ in ledger.iter_txs())
     # pruning below the existing cut is a no-op
     ledger.prune(1)
     assert ledger.pruned_below == 3
