@@ -1,7 +1,9 @@
 """Command-line front end: run scenarios, dump ledgers, emit test vectors.
 
 Exit codes: 0 on success, 1 when a run's goal checks fail, 2 for usage or
-input problems.
+input problems. A scenario that scripts an action the protocol refuses to
+take (a packet before the sender holds a key, a rekey with no membership
+change) is an input problem: every ChainmeetError exits 2.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import sys
 from typing import Optional
 
 from . import crypto, identity as identity_mod, meeting as m, sim
-from .encoding import u32
-from .errors import EncodingError, MalformedScenario
+from .encoding import U64_MAX, u32
+from .errors import ChainmeetError
 from .ledger import LedgerKind, TxTag, dump_hex_lines, load_hex_lines
 from .rng import DeterministicRng
 
@@ -259,6 +261,17 @@ def parse_vectors(text: str) -> list[dict[str, bytes]]:
 # entry point
 
 
+def _seed(text: str) -> int:
+    """--seed takes an unsigned 64-bit integer, like a scenario's seed line."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= seed <= U64_MAX:
+        raise argparse.ArgumentTypeError(f"{seed} does not fit in 64 unsigned bits")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainmeet",
@@ -269,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a scenario and print its transcript")
     run.add_argument("--scenario", required=True,
                      help="scenario file path or bundled name")
-    run.add_argument("--seed", type=int, default=None,
+    run.add_argument("--seed", type=_seed, default=None,
                      help="override the scenario's seed")
     run.add_argument("--out", default=None, help="write the transcript here")
     run.add_argument("--persist", default=None,
@@ -278,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     goals = sub.add_parser("goals", help="run a scenario and report goal checks")
     goals.add_argument("--scenario", required=True)
-    goals.add_argument("--seed", type=int, default=None)
+    goals.add_argument("--seed", type=_seed, default=None)
     goals.set_defaults(func=cmd_goals)
 
     inspect = sub.add_parser("inspect", help="dump persisted ledgers")
@@ -298,7 +311,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, MalformedScenario, EncodingError, OSError) as exc:
+    except (OSError, ChainmeetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -177,3 +177,35 @@ def test_usage_and_input_errors_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])  # 2**64
+def test_seed_outside_64_bits_is_a_usage_error(seed, capsys):
+    for command in ("run", "goals"):
+        with pytest.raises(SystemExit) as err:
+            cli.main([command, "--scenario", "honest", "--seed", seed])
+        assert err.value.code == 2
+        assert "64 unsigned bits" in capsys.readouterr().err
+
+
+def test_packet_before_holding_a_key_exits_two(tmp_path, capsys):
+    path = tmp_path / "early.txt"
+    path.write_text(
+        "actor alice laptop\nactor bob phone\n"
+        "tick 1 alice publish\ntick 2 bob request\ntick 3 bob packet 1 8\n"
+    )
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert "error: bob holds no meeting key" in capsys.readouterr().err
+
+
+def test_rekey_without_membership_change_exits_two(tmp_path, capsys):
+    path = tmp_path / "rekey.txt"
+    path.write_text(
+        "actor alice laptop\nactor bob phone\n"
+        "tick 1 alice publish\ntick 2 bob request\n"
+        "tick 3 alice distribute\ntick 4 alice distribute\n"
+    )
+    assert cli.main(["goals", "--scenario", str(path)]) == 2
+    assert "error: rule_violation: rekey without a membership change" in (
+        capsys.readouterr().err
+    )
