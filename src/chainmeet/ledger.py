@@ -3,7 +3,9 @@
 Two instances of the same machinery: the identity ledger (never pruned, one
 transaction kind) and the meeting ledger (control traffic, prunable once a
 meeting is over). Blocks bind to their predecessor by hash; any byte of
-retained history that changes breaks verification.
+retained history that changes breaks verification. Each ledger also keeps a
+state (ChainState) that append_block advances one admitted transaction at a
+time, so nothing has to fold the chain from genesis to answer a question.
 
 Canonical block bytes:
 
