@@ -4,14 +4,16 @@ Thin, opinionated wrappers over the `cryptography` package: Ed25519 for
 identity signatures, X25519 for the ephemeral key agreement, HKDF-SHA256 to
 turn a raw shared secret into an AEAD key, AES-256-GCM for everything
 encrypted, HMAC-SHA256 for keyed derivation and commitments. Key material
-crosses these functions only as raw 32-byte strings so state stays trivially
-serializable.
+crosses these functions as raw 32-byte strings so state stays trivially
+serializable; the one exception is `AeadKey`, an AES-GCM key prepared once
+for a caller that seals or opens many times under it.
 """
 
 from __future__ import annotations
 
 import hmac as _stdlib_hmac
 from dataclasses import dataclass
+from typing import Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, hmac as _hmac
@@ -58,6 +60,23 @@ class AeadBox:
     nonce: bytes
     ciphertext: bytes
     tag: bytes
+
+
+class AeadKey:
+    """An AES-256-GCM key set up once, for many seals and opens under it.
+
+    `aead_encrypt` and `aead_decrypt` take one wherever they take raw key
+    bytes. It holds key material: keep it only as long as the raw key.
+    """
+
+    __slots__ = ("_cipher",)
+
+    def __init__(self, key: bytes):
+        self._cipher = AESGCM(key)
+
+
+def _cipher(key: Union[bytes, AeadKey]) -> AESGCM:
+    return key._cipher if isinstance(key, AeadKey) else AESGCM(key)
 
 
 def identity_keygen(rng: Rng) -> IdentityKeyPair:
@@ -110,16 +129,18 @@ def derive_enc_key(shared_secret: bytes, context: bytes) -> bytes:
     ).derive(shared_secret)
 
 
-def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes) -> AeadBox:
+def aead_encrypt(
+    key: Union[bytes, AeadKey], nonce: bytes, plaintext: bytes, aad: bytes
+) -> AeadBox:
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-    sealed = AESGCM(key).encrypt(nonce, plaintext, aad)
+    sealed = _cipher(key).encrypt(nonce, plaintext, aad)
     return AeadBox(nonce=nonce, ciphertext=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
 
 
-def aead_decrypt(key: bytes, box: AeadBox, aad: bytes) -> bytes:
+def aead_decrypt(key: Union[bytes, AeadKey], box: AeadBox, aad: bytes) -> bytes:
     try:
-        return AESGCM(key).decrypt(box.nonce, box.ciphertext + box.tag, aad)
+        return _cipher(key).decrypt(box.nonce, box.ciphertext + box.tag, aad)
     except InvalidTag:
         raise AuthenticationFailure("AEAD tag check failed") from None
 

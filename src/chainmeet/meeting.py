@@ -332,8 +332,27 @@ def media_aad(meeting_id: bytes, stream_id: int) -> bytes:
 
 @dataclass(frozen=True)
 class MeetingKey:
+    """One epoch's meeting key, with the stream contexts derived from it.
+
+    A stream context is (stream key, prepared AEAD key), derived the first
+    time the stream is sealed or opened under this key. It lives only on this
+    object, so whatever drops the key drops its stream keys with it; it takes
+    no part in equality, hashing or repr.
+    """
+
     key: bytes
     epoch: int
+    _streams: dict[int, tuple[bytes, crypto.AeadKey]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def stream(self, stream_id: int) -> tuple[bytes, crypto.AeadKey]:
+        context = self._streams.get(stream_id)
+        if context is None:
+            stream_key = derive_stream_key(self.key, stream_id)
+            context = (stream_key, crypto.AeadKey(stream_key))
+            self._streams[stream_id] = context
+        return context
 
 
 @dataclass(frozen=True)
@@ -892,7 +911,7 @@ def encrypt_media(state: ParticipantState, stream_id: int, payload: bytes) -> Me
     counter = state.stream_counters.get((stream_id, epoch), 0)
     if counter >= U64_MAX:
         raise CounterExhausted(f"stream {stream_id} epoch {epoch}")
-    stream_key = derive_stream_key(state.known_mk.key, stream_id)
+    _, stream_key = state.known_mk.stream(stream_id)
     box = crypto.aead_encrypt(
         stream_key,
         media_nonce(epoch, counter),
@@ -908,7 +927,7 @@ def decrypt_media(state: ParticipantState, packet: MediaPacket) -> bytes:
         raise NoMeetingKey(f"{state.user} holds no meeting key")
     if packet.box.nonce != media_nonce(packet.epoch, packet.counter):
         raise AuthenticationFailure("nonce does not match the packet header")
-    stream_key = derive_stream_key(state.known_mk.key, packet.stream_id)
+    _, stream_key = state.known_mk.stream(packet.stream_id)
     return crypto.aead_decrypt(
         stream_key, packet.box, media_aad(state.meeting_id, packet.stream_id)
     )

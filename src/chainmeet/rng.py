@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import os
 
+BLOCK_LEN = 32  # one SHA-256 digest of keystream
+
 
 class Rng:
     """Interface: take(n) returns n fresh bytes."""
@@ -38,12 +40,15 @@ class DeterministicRng(Rng):
         self._buf = b""
 
     def take(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            block = hashlib.sha256(
-                self._prefix + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            self._buf += block
+        short = n - len(self._buf)
+        if short > 0:
+            first = self._counter
+            self._counter += -(-short // BLOCK_LEN)
+            prefix = self._prefix
+            self._buf += b"".join(
+                hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
+                for counter in range(first, self._counter)
+            )
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 

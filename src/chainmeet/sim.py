@@ -35,6 +35,7 @@ Meetings are addressed by the order they were published, starting at 0.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import os
 from dataclasses import dataclass, field
@@ -102,6 +103,11 @@ class Scenario:
     events: tuple[ScriptedEvent, ...]
 
 
+def _is_decimal(text: str) -> bool:
+    """ASCII digits only: `str.isdigit` also passes '²', which `int` refuses."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_scenario(text: str) -> Scenario:
     seed = 1
     rule = m.ReassignRule.DESIGNATION
@@ -120,7 +126,7 @@ def parse_scenario(text: str) -> Scenario:
         parts = line.split()
         keyword = parts[0]
         if keyword == "seed":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_decimal(parts[1]):
                 raise fail(lineno, "seed wants one unsigned integer")
             seed = int(parts[1])
             if seed >= 2**64:
@@ -146,7 +152,7 @@ def parse_scenario(text: str) -> Scenario:
         elif keyword == "tick":
             if len(parts) < 4:
                 raise fail(lineno, "tick wants: n user action [args...]")
-            if not parts[1].isdigit():
+            if not _is_decimal(parts[1]):
                 raise fail(lineno, f"bad tick number {parts[1]!r}")
             tick = int(parts[1])
             if tick <= last_tick:
@@ -192,7 +198,7 @@ def load_scenario_text(ref: str) -> str:
 # transcript events
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxEvent:
     tick: int
     actor: str
@@ -211,7 +217,7 @@ class TxEvent:
         return line + (f" block={self.block}" if self.ok else f" reason={self.reason}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidateEvent:
     tick: int
     validator: str
@@ -226,7 +232,7 @@ class ValidateEvent:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReviewEvent:
     tick: int
     leader: str
@@ -245,7 +251,7 @@ class ReviewEvent:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeyEpochEvent:
     tick: int
     meeting: int
@@ -263,7 +269,7 @@ class KeyEpochEvent:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AcceptKeyEvent:
     tick: int
     actor: str
@@ -278,7 +284,7 @@ class AcceptKeyEvent:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketEvent:
     tick: int
     sender: str
@@ -299,7 +305,7 @@ class PacketEvent:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecryptEvent:
     tick: int
     actor: str
@@ -326,7 +332,7 @@ class DecryptEvent:
         return line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DepartureEvent:
     tick: int
     actor: str
@@ -340,7 +346,7 @@ class DepartureEvent:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdversaryEvent:
     tick: int
     actor: str
@@ -355,7 +361,7 @@ class AdversaryEvent:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckEvent:
     name: str
     ok: bool
@@ -542,19 +548,19 @@ class Actor:
     device: str
     adversary: bool
     keypair: crypto.IdentityKeyPair
+    rank: int  # position among the scenario's actors
     sessions: dict[bytes, m.ParticipantState] = field(default_factory=dict)
-    eavesdropping: bool = False
+
+
+def _rank(actor: Actor) -> int:
+    return actor.rank
 
 
 @dataclass(frozen=True)
 class Ghost:
-    """Key material a departed member walked away with."""
+    """A departed member's stale session, holding the key they walked away with."""
 
-    user: str
-    device: str
-    keypair: crypto.IdentityKeyPair
-    meeting_id: bytes
-    mk: m.MeetingKey
+    session: m.ParticipantState
     epoch_at_leave: int
 
 
@@ -566,6 +572,10 @@ class Simulation:
         self.identity_ledger = identity_mod.new_identity_ledger()
         self.meeting_ledger = m.new_meeting_ledger(self.identity_ledger, self.rule)
         self.actors: dict[str, Actor] = {}
+        # who holds a session in each meeting, and who eavesdrops; both in
+        # the order of self.actors, which is the order their events come in
+        self.parties: dict[bytes, list[Actor]] = {}
+        self.eavesdroppers: list[Actor] = []
         self.meeting_order: list[bytes] = []
         self.ghosts: list[Ghost] = []
         self.packets: list[tuple[bytes, m.MediaPacket]] = []
@@ -595,11 +605,21 @@ class Simulation:
             )
         return session
 
+    def _join(self, actor: Actor, meeting_id: bytes, session: m.ParticipantState) -> None:
+        if meeting_id not in actor.sessions:
+            bisect.insort(self.parties.setdefault(meeting_id, []), actor, key=_rank)
+        actor.sessions[meeting_id] = session
+
+    def _part(self, actor: Actor, meeting_id: bytes) -> None:
+        parties = self.parties[meeting_id]
+        del parties[bisect.bisect_left(parties, actor.rank, key=_rank)]
+        del actor.sessions[meeting_id]
+
     @staticmethod
     def _int_arg(args: tuple[str, ...], position: int, fallback: int) -> int:
         if len(args) <= position:
             return fallback
-        if not args[position].isdigit():
+        if not _is_decimal(args[position]):
             raise MalformedScenario(f"expected a number, got {args[position]!r}")
         return int(args[position])
 
@@ -643,10 +663,8 @@ class Simulation:
             if tx.tag == TxTag.KEY_DISTRIBUTION:
                 dist = m.KeyDistribution.parse(tx.body)
                 meeting_index = self._meeting_index(dist.meeting_id)
-                for actor in self.actors.values():
-                    session = actor.sessions.get(dist.meeting_id)
-                    if session is None:
-                        continue
+                for actor in self.parties.get(dist.meeting_id, ()):
+                    session = actor.sessions[dist.meeting_id]
                     if (
                         session.known_mk is not None
                         and session.known_mk.epoch == dist.epoch
@@ -666,20 +684,17 @@ class Simulation:
                     )
             elif tx.tag == TxTag.LEADER_REASSIGN:
                 handover = m.LeaderReassign.parse(tx.body)
-                for actor in self.actors.values():
-                    session = actor.sessions.get(handover.meeting_id)
+                for actor in self.parties.get(handover.meeting_id, ()):
+                    session = actor.sessions[handover.meeting_id]
                     if (
-                        session is not None
-                        and actor.keypair.ivk == handover.prev_leader_ivk
+                        actor.keypair.ivk == handover.prev_leader_ivk
                         and session.role is m.Role.LEADER
                     ):
                         session.role = m.Role.MEMBER  # demoted on the record
             elif tx.tag == TxTag.MEETING_DISMISS:
                 done = m.MeetingDismiss.parse(tx.body)
-                for actor in self.actors.values():
-                    session = actor.sessions.pop(done.meeting_id, None)
-                    if session is not None:
-                        m.purge_keys(session)
+                for actor in self.parties.pop(done.meeting_id, ()):
+                    m.purge_keys(actor.sessions.pop(done.meeting_id))
 
     # -- scripted actions
 
@@ -691,7 +706,7 @@ class Simulation:
         tx = m.publish_meeting(session, info, self.rng)
         if self._submit(actor, "publish", tx) is None:
             self.meeting_order.append(session.meeting_id)
-            actor.sessions[session.meeting_id] = session
+            self._join(actor, session.meeting_id, session)
 
     def _act_request(self, actor: Actor, args: tuple[str, ...]) -> None:
         meeting_id = self._meeting_at(self._int_arg(args, 0, 0))
@@ -702,7 +717,7 @@ class Simulation:
             session, self.meeting_ledger, self.identity_ledger, meeting_id, self.rng
         )
         if self._submit(actor, "request", tx) is None:
-            actor.sessions[meeting_id] = session
+            self._join(actor, meeting_id, session)
 
     def _review(self, actor: Actor, meeting_id: bytes) -> None:
         session = self._session(actor, meeting_id)
@@ -757,7 +772,7 @@ class Simulation:
         session = self._session(actor, meeting_id)
         payload = self.rng.take(nbytes)
         packet = m.encrypt_media(session, stream, payload)
-        stream_key = m.derive_stream_key(session.known_mk.key, stream)
+        stream_key, _ = session.known_mk.stream(stream)
         self._emit(
             PacketEvent(
                 tick=self.tick,
@@ -777,11 +792,11 @@ class Simulation:
     def _deliver(self, sender: Actor, meeting_id: bytes, packet: m.MediaPacket) -> None:
         meeting_index = self._meeting_index(meeting_id)
         probe_target: Optional[tuple[Actor, m.ParticipantState]] = None
-        for actor in self.actors.values():
+        for actor in self.parties[meeting_id]:
             if actor is sender:
                 continue
-            session = actor.sessions.get(meeting_id)
-            if session is None or session.known_mk is None:
+            session = actor.sessions[meeting_id]
+            if session.known_mk is None:
                 continue
             try:
                 m.decrypt_media(session, packet)
@@ -803,15 +818,9 @@ class Simulation:
             if readable and not actor.adversary and probe_target is None:
                 probe_target = (actor, session)
         for ghost in self.ghosts:
-            if ghost.meeting_id != meeting_id:
+            stale = ghost.session
+            if stale.meeting_id != meeting_id:
                 continue
-            stale = m.ParticipantState(
-                user=ghost.user,
-                device=ghost.device,
-                keypair=ghost.keypair,
-                meeting_id=meeting_id,
-                known_mk=ghost.mk,
-            )
             try:
                 m.decrypt_media(stale, packet)
                 readable = True
@@ -820,13 +829,13 @@ class Simulation:
             self._emit(
                 DecryptEvent(
                     tick=self.tick,
-                    actor=ghost.user,
+                    actor=stale.user,
                     meeting=meeting_index,
                     stream=packet.stream_id,
                     epoch=packet.epoch,
                     counter=packet.counter,
                     ok=readable,
-                    actor_ivk=ghost.keypair.ivk,
+                    actor_ivk=stale.keypair.ivk,
                     ghost=True,
                     epoch_at_leave=ghost.epoch_at_leave,
                 )
@@ -852,8 +861,8 @@ class Simulation:
                     tampered=True,
                 )
             )
-        for actor in self.actors.values():
-            if actor.eavesdropping and actor is not sender:
+        for actor in self.eavesdroppers:
+            if actor is not sender:
                 recovered = self._eavesdrop_attempt(meeting_id, packet)
                 self._emit(
                     AdversaryEvent(
@@ -906,23 +915,21 @@ class Simulation:
         epoch_at_leave = None
         if session.known_mk is not None:
             epoch_at_leave = session.known_mk.epoch
-            self.ghosts.append(
-                Ghost(
-                    user=actor.user,
-                    device=actor.device,
-                    keypair=actor.keypair,
-                    meeting_id=meeting_id,
-                    mk=session.known_mk,
-                    epoch_at_leave=epoch_at_leave,
-                )
+            stale = m.ParticipantState(
+                user=actor.user,
+                device=actor.device,
+                keypair=actor.keypair,
+                meeting_id=meeting_id,
+                known_mk=session.known_mk,
             )
+            self.ghosts.append(Ghost(stale, epoch_at_leave))
         self._emit(
             DepartureEvent(
                 self.tick, actor.user, self._meeting_index(meeting_id), epoch_at_leave
             )
         )
         m.purge_keys(session)
-        del actor.sessions[meeting_id]
+        self._part(actor, meeting_id)
 
     def _act_reassign(self, actor: Actor, args: tuple[str, ...]) -> None:
         if not args:
@@ -1099,7 +1106,8 @@ class Simulation:
         )
 
     def _act_adversary_eavesdrop(self, actor: Actor, args: tuple[str, ...]) -> None:
-        actor.eavesdropping = True
+        if all(other is not actor for other in self.eavesdroppers):
+            bisect.insort(self.eavesdroppers, actor, key=_rank)
         recovered = sum(
             self._eavesdrop_attempt(meeting_id, packet)
             for meeting_id, packet in self.packets
@@ -1145,6 +1153,7 @@ class Simulation:
                 device=spec.device,
                 adversary=spec.adversary,
                 keypair=crypto.identity_keygen(self.rng),
+                rank=len(self.actors),
             )
         self._register_actors()
         for event in self.scenario.events:

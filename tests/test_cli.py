@@ -209,3 +209,23 @@ def test_rekey_without_membership_change_exits_two(tmp_path, capsys):
     assert "error: rule_violation: rekey without a membership change" in (
         capsys.readouterr().err
     )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed ³\nactor alice laptop\n", "seed wants one unsigned integer"),
+        ("actor alice laptop\ntick ² alice publish\n", "bad tick number '²'"),
+        (
+            "actor alice laptop\nactor bob phone\n"
+            "tick 1 alice publish\ntick 2 bob request ²\n",
+            "expected a number, got '²'",
+        ),
+    ],
+    ids=["seed", "tick", "action-argument"],
+)
+def test_non_ascii_digits_exit_two(tmp_path, capsys, text, message):
+    path = tmp_path / "superscript.txt"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert message in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Crypto layer: published test vectors, oracle agreement, failure behavior."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,6 +182,9 @@ def test_aes256gcm_known_answers(key, iv, plaintext, aad, ciphertext, tag):
     assert box.ciphertext == bytes.fromhex(ciphertext)
     assert box.tag == bytes.fromhex(tag)
     assert crypto.aead_decrypt(key, box, aad) == plaintext
+    prepared = crypto.AeadKey(key)
+    assert crypto.aead_encrypt(prepared, iv, plaintext, aad) == box
+    assert crypto.aead_decrypt(prepared, box, aad) == plaintext
     assert oracles.aes256gcm_encrypt(key, iv, plaintext, aad) == (
         bytes.fromhex(ciphertext),
         bytes.fromhex(tag),
@@ -304,3 +309,16 @@ def test_deterministic_rng_replays_and_diverges():
     rng = DeterministicRng(0)
     chunks = rng.take(5), rng.take(11), rng.take(48)
     assert b"".join(chunks) == DeterministicRng(0).take(64)
+
+
+def test_deterministic_rng_is_the_sha256_counter_stream():
+    seed = 0x0123456789ABCDEF
+    sizes = (0, 1, 31, 32, 33, 1200, 0, 5, 27, 64, 1, 95, 1200, 32, 7)
+    expected = b"".join(
+        hashlib.sha256(seed.to_bytes(8, "big") + ctr.to_bytes(8, "big")).digest()
+        for ctr in range(-(-sum(sizes) // 32))
+    )
+    rng, pos = DeterministicRng(seed), 0
+    for size in sizes:
+        assert rng.take(size) == expected[pos : pos + size]
+        pos += size

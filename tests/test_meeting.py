@@ -824,3 +824,51 @@ def test_purge_is_idempotent_and_total():
         m.encrypt_media(bob, 1, b"after purge")
     with pytest.raises(NotAMember):
         m.make_leave(bob)
+
+
+def test_stream_contexts_are_derived_once_per_held_key(monkeypatch):
+    derived = []
+    derive = m.derive_stream_key
+
+    def counting(meeting_key, stream_id):
+        derived.append((meeting_key, stream_id))
+        return derive(meeting_key, stream_id)
+
+    monkeypatch.setattr(m, "derive_stream_key", counting)
+    world = World()
+    leader, (bob, carol), _ = standard_meeting(world)
+    for i in range(40):
+        packet = m.encrypt_media(bob, 7, b"frame %d" % i)
+        assert m.decrypt_media(leader, packet) == m.decrypt_media(carol, packet)
+    # bob, the leader and carol each hold their own copy of the epoch-0 key
+    assert derived == [(bob.known_mk.key, 7)] * 3
+    old_key = carol.known_mk
+    filled = old_key._streams[7]
+    assert filled[0] == derive(old_key.key, 7)
+
+    # the cache is no part of the key's identity
+    fresh = m.MeetingKey(old_key.key, old_key.epoch)
+    assert fresh == old_key and hash(fresh) == hash(old_key)
+    assert repr(fresh) == repr(old_key)
+
+    # carol leaves with her key; the rekey derives afresh under the new key
+    world.commit(m.make_leave(carol))
+    m.purge_keys(carol)
+    m.review_requests(leader, world.meeting_ledger, world.identity_ledger)
+    dist_tx = m.distribute_key(leader, world.rng)
+    world.commit(dist_tx)
+    m.accept_key(bob, m.KeyDistribution.parse(dist_tx.body))
+    del derived[:]
+    later = m.encrypt_media(bob, 7, b"after the rekey")
+    assert m.decrypt_media(leader, later) == b"after the rekey"
+    assert derived == [(bob.known_mk.key, 7)] * 2
+    assert bob.known_mk.stream(7)[0] != filled[0]
+
+    # a ghost holding the old key, with its stream context filled, reads nothing new
+    ghost = m.ParticipantState(
+        user="carol", device="dev", keypair=carol.keypair,
+        meeting_id=leader.meeting_id, known_mk=old_key,
+    )
+    with pytest.raises(AuthenticationFailure):
+        m.decrypt_media(ghost, later)
+    assert len(derived) == 2

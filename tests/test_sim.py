@@ -344,3 +344,56 @@ def test_transcript_ends_with_check_lines():
     assert lines[0].startswith("# seed=2003 rule=designation")
     assert lines[-1] == "[t=end] check name=all-goals ok=1"
     assert sum(1 for l in lines if l.startswith("[t=end] check")) == 8
+
+
+def test_delivery_follows_declaration_order_not_join_order():
+    simulation = sim.run_scenario_text(
+        """
+        seed 9
+        actor dave d
+        actor carol c
+        actor bob b
+        actor alice a
+        actor eve e adversary
+        tick 1 alice publish
+        tick 2 bob request
+        tick 3 carol request
+        tick 4 dave request
+        tick 5 alice distribute
+        tick 6 eve adversary.eavesdrop
+        tick 7 bob packet 1 16
+        tick 8 carol leave
+        tick 9 alice distribute
+        tick 10 bob packet 1 16
+        tick 11 alice dismiss
+        """
+    )
+    assert simulation.report.ok
+
+    def delivered(tick):
+        return [
+            (type(e).__name__, getattr(e, "actor", None), getattr(e, "ghost", False),
+             getattr(e, "tampered", False))
+            for e in simulation.transcript
+            if getattr(e, "tick", None) == tick and not isinstance(e, sim.PacketEvent)
+        ]
+
+    assert delivered(7) == [
+        ("DecryptEvent", "dave", False, False),
+        ("DecryptEvent", "carol", False, False),
+        ("DecryptEvent", "alice", False, False),
+        ("DecryptEvent", "dave", False, True),
+        ("AdversaryEvent", "eve", False, False),
+    ]
+    assert delivered(10) == [
+        ("DecryptEvent", "dave", False, False),
+        ("DecryptEvent", "alice", False, False),
+        ("DecryptEvent", "carol", True, False),
+        ("DecryptEvent", "dave", False, True),
+        ("AdversaryEvent", "eve", False, False),
+    ]
+    (ghost,) = simulation.ghosts
+    assert ghost.epoch_at_leave == 0 and ghost.session.known_mk.epoch == 0
+    # the dismissal took every session, and the meeting's party list with it
+    assert simulation.parties == {}
+    assert all(not actor.sessions for actor in simulation.actors.values())
