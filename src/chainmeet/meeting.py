@@ -911,9 +911,9 @@ def encrypt_media(state: ParticipantState, stream_id: int, payload: bytes) -> Me
     counter = state.stream_counters.get((stream_id, epoch), 0)
     if counter >= U64_MAX:
         raise CounterExhausted(f"stream {stream_id} epoch {epoch}")
-    _, stream_key = state.known_mk.stream(stream_id)
+    _, aead_key = state.known_mk.stream(stream_id)
     box = crypto.aead_encrypt(
-        stream_key,
+        aead_key,
         media_nonce(epoch, counter),
         payload,
         media_aad(state.meeting_id, stream_id),
@@ -927,9 +927,9 @@ def decrypt_media(state: ParticipantState, packet: MediaPacket) -> bytes:
         raise NoMeetingKey(f"{state.user} holds no meeting key")
     if packet.box.nonce != media_nonce(packet.epoch, packet.counter):
         raise AuthenticationFailure("nonce does not match the packet header")
-    _, stream_key = state.known_mk.stream(packet.stream_id)
+    _, aead_key = state.known_mk.stream(packet.stream_id)
     return crypto.aead_decrypt(
-        stream_key, packet.box, media_aad(state.meeting_id, packet.stream_id)
+        aead_key, packet.box, media_aad(state.meeting_id, packet.stream_id)
     )
 
 

@@ -843,8 +843,9 @@ def test_stream_contexts_are_derived_once_per_held_key(monkeypatch):
     # bob, the leader and carol each hold their own copy of the epoch-0 key
     assert derived == [(bob.known_mk.key, 7)] * 3
     old_key = carol.known_mk
-    filled = old_key._streams[7]
-    assert filled[0] == derive(old_key.key, 7)
+    old_stream_key, _ = old_key.stream(7)
+    assert old_stream_key == derive(old_key.key, 7)
+    assert len(derived) == 3  # served from the cache
 
     # the cache is no part of the key's identity
     fresh = m.MeetingKey(old_key.key, old_key.epoch)
@@ -862,7 +863,7 @@ def test_stream_contexts_are_derived_once_per_held_key(monkeypatch):
     later = m.encrypt_media(bob, 7, b"after the rekey")
     assert m.decrypt_media(leader, later) == b"after the rekey"
     assert derived == [(bob.known_mk.key, 7)] * 2
-    assert bob.known_mk.stream(7)[0] != filled[0]
+    assert bob.known_mk.stream(7)[0] != old_stream_key
 
     # a ghost holding the old key, with its stream context filled, reads nothing new
     ghost = m.ParticipantState(
