@@ -148,7 +148,7 @@ def make_vectors() -> str:
             secret=identity.isk,
             public=identity.ivk,
             message=message,
-            signature=crypto.sign(identity.isk, message),
+            signature=crypto.sign(identity, message),
         )
     )
 
@@ -161,7 +161,7 @@ def make_vectors() -> str:
             public_a=pair_a.epk,
             scalar_b=pair_b.esk,
             public_b=pair_b.epk,
-            shared=crypto.dh(pair_a.esk, pair_b.epk),
+            shared=crypto.dh(pair_a, pair_b.epk),
         )
     )
 
@@ -195,7 +195,7 @@ def make_vectors() -> str:
     meeting_id, epoch = rng.take(m.MEETING_ID_LEN), 2
     recipient_ivk = rng.take(32)
     wrap_key = crypto.derive_enc_key(
-        crypto.dh(leader_eph.esk, member_eph.epk),
+        crypto.dh(leader_eph, member_eph.epk),
         m.kdf_context(meeting_id, epoch, leader_eph.epk, member_eph.epk),
     )
     nonce = rng.take(crypto.NONCE_LEN)

@@ -3,17 +3,21 @@
 Thin, opinionated wrappers over the `cryptography` package: Ed25519 for
 identity signatures, X25519 for the ephemeral key agreement, HKDF-SHA256 to
 turn a raw shared secret into an AEAD key, AES-256-GCM for everything
-encrypted, HMAC-SHA256 for keyed derivation and commitments. Key material
-crosses these functions as raw 32-byte strings so state stays trivially
-serializable; the one exception is `AeadKey`, an AES-GCM key prepared once
-for a caller that seals or opens many times under it.
+encrypted, HMAC-SHA256 for keyed derivation and commitments. Public keys
+and derived secrets cross these functions as raw 32-byte strings. A key that
+is used many times is prepared once and kept by its owner: `IdentityKeyPair`
+and `EphemeralKeyPair` hold their Ed25519 and X25519 private-key objects, and
+`AeadKey` holds an AES-GCM key for a caller that seals or opens many times
+under it. `sign`, `dh` and the AEAD functions take either the prepared form
+or raw bytes. No prepared key is kept anywhere but on its owner, so it goes
+when the owner goes.
 """
 
 from __future__ import annotations
 
 import hmac as _stdlib_hmac
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, hmac as _hmac
@@ -39,18 +43,32 @@ SIG_LEN = 64
 
 @dataclass(frozen=True)
 class IdentityKeyPair:
-    """Long-lived Ed25519 pair; ivk is public, isk stays on the device."""
+    """Long-lived Ed25519 pair; ivk is public, isk stays on the device.
+
+    The prepared private key is built once, at keygen or on first use, and
+    takes no part in equality, hashing or repr; neither does isk's repr.
+    """
 
     ivk: bytes
-    isk: bytes
+    isk: bytes = field(repr=False)
+    _private: Optional[Ed25519PrivateKey] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
 class EphemeralKeyPair:
-    """Per-meeting X25519 pair, discarded when the meeting ends."""
+    """Per-meeting X25519 pair, discarded when the meeting ends.
+
+    Like `IdentityKeyPair`, it keeps its prepared private key out of
+    equality, hashing and repr, and esk out of repr.
+    """
 
     epk: bytes
-    esk: bytes
+    esk: bytes = field(repr=False)
+    _private: Optional[X25519PrivateKey] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -79,20 +97,40 @@ def _cipher(key: Union[bytes, AeadKey]) -> AESGCM:
     return key._cipher if isinstance(key, AeadKey) else AESGCM(key)
 
 
+def _signing_key(isk: Union[bytes, IdentityKeyPair]) -> Ed25519PrivateKey:
+    if not isinstance(isk, IdentityKeyPair):
+        return Ed25519PrivateKey.from_private_bytes(isk)
+    if isk._private is None:  # built from raw bytes: prepare on first use
+        object.__setattr__(isk, "_private", Ed25519PrivateKey.from_private_bytes(isk.isk))
+    return isk._private
+
+
+def _exchange_key(esk: Union[bytes, EphemeralKeyPair]) -> X25519PrivateKey:
+    if not isinstance(esk, EphemeralKeyPair):
+        return X25519PrivateKey.from_private_bytes(esk)
+    if esk._private is None:
+        object.__setattr__(esk, "_private", X25519PrivateKey.from_private_bytes(esk.esk))
+    return esk._private
+
+
 def identity_keygen(rng: Rng) -> IdentityKeyPair:
     seed = rng.take(KEY_LEN)
     priv = Ed25519PrivateKey.from_private_bytes(seed)
-    return IdentityKeyPair(ivk=priv.public_key().public_bytes_raw(), isk=seed)
+    pair = IdentityKeyPair(ivk=priv.public_key().public_bytes_raw(), isk=seed)
+    object.__setattr__(pair, "_private", priv)
+    return pair
 
 
 def ephemeral_keygen(rng: Rng) -> EphemeralKeyPair:
     seed = rng.take(KEY_LEN)
     priv = X25519PrivateKey.from_private_bytes(seed)
-    return EphemeralKeyPair(epk=priv.public_key().public_bytes_raw(), esk=seed)
+    pair = EphemeralKeyPair(epk=priv.public_key().public_bytes_raw(), esk=seed)
+    object.__setattr__(pair, "_private", priv)
+    return pair
 
 
-def sign(isk: bytes, message: bytes) -> bytes:
-    return Ed25519PrivateKey.from_private_bytes(isk).sign(message)
+def sign(isk: Union[bytes, IdentityKeyPair], message: bytes) -> bytes:
+    return _signing_key(isk).sign(message)
 
 
 def verify(ivk: bytes, message: bytes, signature: bytes) -> bool:
@@ -104,14 +142,14 @@ def verify(ivk: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-def dh(esk: bytes, epk: bytes) -> bytes:
+def dh(esk: Union[bytes, EphemeralKeyPair], epk: bytes) -> bytes:
     """X25519 shared secret.
 
     A low-order peer key drives the output to all zeros; that secret is
     worthless and unsafe to derive from, so it is refused outright.
     """
     try:
-        shared = X25519PrivateKey.from_private_bytes(esk).exchange(
+        shared = _exchange_key(esk).exchange(
             X25519PublicKey.from_public_bytes(epk)
         )
     except ValueError as exc:

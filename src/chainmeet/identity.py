@@ -118,7 +118,7 @@ def register_identity(
     return Transaction(
         tag=TxTag.IDENTITY,
         body=body,
-        signature=crypto.sign(keypair.isk, draft.signing_bytes),
+        signature=crypto.sign(keypair, draft.signing_bytes),
     )
 
 

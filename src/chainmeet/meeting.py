@@ -298,11 +298,14 @@ def parse_meeting_tx(tx: Transaction) -> MeetingTx:
         raise EncodingError("names must be valid utf-8") from None
 
 
-def signed_tx(payload: MeetingTx, isk: bytes) -> Transaction:
-    """Wrap a meeting payload as a ledger transaction signed by isk."""
+def signed_tx(
+    payload: MeetingTx, signer: Union[bytes, crypto.IdentityKeyPair]
+) -> Transaction:
+    """Wrap a meeting payload as a ledger transaction signed by `signer`, a
+    key pair or its raw isk."""
     tag = _TAGS[type(payload)]
     body = payload.encode_body()
-    signature = crypto.sign(isk, u8(tag) + body)
+    signature = crypto.sign(signer, u8(tag) + body)
     return Transaction(tag=tag, body=body, signature=signature)
 
 
@@ -337,10 +340,11 @@ class MeetingKey:
     A stream context is (stream key, prepared AEAD key), derived the first
     time the stream is sealed or opened under this key. It lives only on this
     object, so whatever drops the key drops its stream keys with it; it takes
-    no part in equality, hashing or repr.
+    no part in equality, hashing or repr, and the key itself stays out of
+    repr.
     """
 
-    key: bytes
+    key: bytes = field(repr=False)
     epoch: int
     _streams: dict[int, tuple[bytes, crypto.AeadKey]] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -747,7 +751,7 @@ def publish_meeting(
         leader_ivk=state.keypair.ivk,
         leader_epk=ephemeral.epk,
     )
-    return signed_tx(payload, state.keypair.isk)
+    return signed_tx(payload, state.keypair)
 
 
 def make_request(
@@ -773,7 +777,7 @@ def make_request(
         ivk=state.keypair.ivk,
         epk=ephemeral.epk,
     )
-    return signed_tx(payload, state.keypair.isk)
+    return signed_tx(payload, state.keypair)
 
 
 @dataclass(frozen=True)
@@ -850,7 +854,7 @@ def distribute_key(state: ParticipantState, rng: Rng) -> Transaction:
     meeting_key = rng.take(crypto.KEY_LEN)
     entries = []
     for slot in state.membership_view.values():
-        shared = crypto.dh(state.ephemeral.esk, slot.epk)
+        shared = crypto.dh(state.ephemeral, slot.epk)
         enc_key = crypto.derive_enc_key(
             shared,
             kdf_context(state.meeting_id, epoch, state.ephemeral.epk, slot.epk),
@@ -871,7 +875,7 @@ def distribute_key(state: ParticipantState, rng: Rng) -> Transaction:
         leader_epk=state.ephemeral.epk,
         entries=tuple(entries),
     )
-    return signed_tx(payload, state.keypair.isk)
+    return signed_tx(payload, state.keypair)
 
 
 def accept_key(state: ParticipantState, dist: KeyDistribution) -> MeetingKey:
@@ -887,7 +891,7 @@ def accept_key(state: ParticipantState, dist: KeyDistribution) -> MeetingKey:
     entry = dist.entry_for(state.keypair.ivk)
     if entry is None:
         raise NoEntryForMe(f"epoch {dist.epoch}")
-    shared = crypto.dh(state.ephemeral.esk, dist.leader_epk)
+    shared = crypto.dh(state.ephemeral, dist.leader_epk)
     enc_key = crypto.derive_enc_key(
         shared,
         kdf_context(
@@ -942,7 +946,7 @@ def make_leave(state: ParticipantState) -> Transaction:
         device=state.device,
         ivk=state.keypair.ivk,
     )
-    return signed_tx(payload, state.keypair.isk)
+    return signed_tx(payload, state.keypair)
 
 
 def purge_keys(state: ParticipantState) -> None:
@@ -990,9 +994,9 @@ def build_reassign(
     if rule is ReassignRule.DESIGNATION:
         payload = replace(
             payload,
-            prev_leader_sig=crypto.sign(prev_keypair.isk, payload.handover_bytes()),
+            prev_leader_sig=crypto.sign(prev_keypair, payload.handover_bytes()),
         )
-    return signed_tx(payload, new_keypair.isk), ephemeral
+    return signed_tx(payload, new_keypair), ephemeral
 
 
 def adopt_leadership(
@@ -1020,4 +1024,4 @@ def dismiss_meeting(state: ParticipantState) -> Transaction:
     if state.role is not Role.LEADER:
         raise NotCurrentLeader(f"{state.user} is not leading")
     payload = MeetingDismiss(meeting_id=state.meeting_id)
-    return signed_tx(payload, state.keypair.isk)
+    return signed_tx(payload, state.keypair)

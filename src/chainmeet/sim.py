@@ -955,7 +955,7 @@ class Simulation:
                 new_leader_epk=ephemeral.epk,
                 prev_leader_sig=None,
             )
-            tx = m.signed_tx(payload, actor.keypair.isk)
+            tx = m.signed_tx(payload, actor.keypair)
             verdict = self._submit(actor, "reassign", tx)
             self._emit(
                 AdversaryEvent(
@@ -1003,7 +1003,7 @@ class Simulation:
             ivk=actor.keypair.ivk,
             epk=crypto.ephemeral_keygen(self.rng).epk,
         )
-        tx = m.signed_tx(payload, actor.keypair.isk)
+        tx = m.signed_tx(payload, actor.keypair)
         verdict = self._submit(actor, "impersonate", tx)
         review = m.verify_request_tx(tx, self.identity_ledger)
         self._emit(

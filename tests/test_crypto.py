@@ -151,6 +151,11 @@ def test_ed25519_known_answers(secret, public, message, signature):
     pair = crypto.identity_keygen(FixedRng(secret))
     assert pair.ivk == public
     assert crypto.sign(secret, message) == signature
+    # a pair prepared at keygen and one built from raw bytes sign the same
+    assert crypto.sign(pair, message) == signature
+    from_bytes = crypto.IdentityKeyPair(ivk=public, isk=secret)
+    for _ in range(2):
+        assert crypto.sign(from_bytes, message) == signature
     assert crypto.verify(public, message, signature)
     # and the reference implementation lands on the same bytes
     assert oracles.ed25519_public(secret) == public
@@ -172,6 +177,12 @@ def test_x25519_dh_known_answers():
     shared = bytes.fromhex(X25519_SHARED)
     assert crypto.dh(alice.esk, bob.epk) == shared
     assert crypto.dh(bob.esk, alice.epk) == shared
+    # prepared at keygen, or built from raw bytes: the same secret
+    assert crypto.dh(alice, bob.epk) == shared
+    assert crypto.dh(bob, alice.epk) == shared
+    from_bytes = crypto.EphemeralKeyPair(epk=alice.epk, esk=alice.esk)
+    for _ in range(2):
+        assert crypto.dh(from_bytes, bob.epk) == shared
 
 
 @pytest.mark.parametrize("key,iv,plaintext,aad,ciphertext,tag", AES256GCM_VECTORS)
@@ -228,9 +239,11 @@ def test_keygen_is_deterministic_from_rng():
 
 def test_dh_rejects_low_order_peer_keys():
     pair = crypto.ephemeral_keygen(DeterministicRng(5))
+    from_bytes = crypto.EphemeralKeyPair(epk=pair.epk, esk=pair.esk)
     for bad in (bytes(32), (1).to_bytes(32, "little")):
-        with pytest.raises(DegenerateSharedSecret):
-            crypto.dh(pair.esk, bad)
+        for secret in (pair.esk, pair, from_bytes):
+            with pytest.raises(DegenerateSharedSecret):
+                crypto.dh(secret, bad)
 
 
 def test_verify_rejects_garbage_without_raising():

@@ -6,7 +6,7 @@ import hmac as stdlib_hmac
 import pytest
 
 import oracles
-from chainmeet import crypto, identity as ident, meeting as m
+from chainmeet import crypto, identity as ident, meeting as m, sim
 from chainmeet.errors import (
     AuthenticationFailure,
     CounterExhausted,
@@ -873,3 +873,72 @@ def test_stream_contexts_are_derived_once_per_held_key(monkeypatch):
     with pytest.raises(AuthenticationFailure):
         m.decrypt_media(ghost, later)
     assert len(derived) == 2
+
+
+def test_reprs_hold_no_secrets():
+    world = World()
+    leader, (bob, _), _ = standard_meeting(world)
+    m.encrypt_media(bob, 1, b"fill the stream cache")
+    secrets = (bob.keypair.isk, bob.ephemeral.esk, bob.known_mk.key)
+    actor = sim.Actor(
+        user="bob", device="dev", adversary=False, keypair=bob.keypair, rank=1,
+        sessions={leader.meeting_id: bob},
+    )
+    shown = [
+        repr(bob.keypair),
+        repr(bob.ephemeral),
+        repr(bob.known_mk),
+        repr(bob),
+        repr(actor),
+    ]
+    for text in shown:
+        for secret in secrets:
+            assert repr(secret) not in text
+            assert secret.hex() not in text
+    # the public halves are still there to read
+    assert repr(bob.keypair.ivk) in shown[0] and repr(bob.ephemeral.epk) in shown[1]
+    assert "epoch=0" in shown[2]
+
+
+class _CountingConstructor:
+    """Stands in for a private-key class, counting `from_private_bytes`."""
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.calls = 0
+
+    def from_private_bytes(self, data):
+        self.calls += 1
+        return self.cls.from_private_bytes(data)
+
+
+def test_private_keys_are_built_once_per_keygen(monkeypatch):
+    ed25519 = _CountingConstructor(crypto.Ed25519PrivateKey)
+    x25519 = _CountingConstructor(crypto.X25519PrivateKey)
+    monkeypatch.setattr(crypto, "Ed25519PrivateKey", ed25519)
+    monkeypatch.setattr(crypto, "X25519PrivateKey", x25519)
+    calls = {"identity_keygen": 0, "ephemeral_keygen": 0, "sign": 0, "dh": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(crypto, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(crypto, name, counting)
+
+    world = World()
+    leader, members, _ = standard_meeting(world, ("bob", "carol", "dave"))
+    world.commit(m.make_leave(members[-1]))
+    m.review_requests(leader, world.meeting_ledger, world.identity_ledger)
+    dist_tx = m.distribute_key(leader, world.rng)
+    world.commit(dist_tx)
+    for member in members[:-1]:
+        m.accept_key(member, m.KeyDistribution.parse(dist_tx.body))
+
+    # four identities; a publish, three requests and a rekey each mint an ephemeral
+    assert calls["identity_keygen"] == 4 and calls["ephemeral_keygen"] == 5
+    # four registrations, a publish, three requests, two distributions, a leave
+    assert calls["sign"] == 11
+    # each distribution wraps to every member, and every member unwraps
+    assert calls["dh"] == 3 + 3 + 2 + 2
+    assert ed25519.calls == calls["identity_keygen"]
+    assert x25519.calls == calls["ephemeral_keygen"]
