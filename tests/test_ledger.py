@@ -1,6 +1,7 @@
 """Hash chain behavior: layout, linking, tamper detection, pruning."""
 
 import hashlib
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +76,35 @@ def test_block_bytes_and_hash_match_manual_assembly():
     assert block.block_hash == hashlib.sha256(expected).digest()
     assert block.prev_hash == ledger.blocks[0].block_hash
     assert ledger.verify_chain()
+
+
+def test_block_serialisation_is_linear_in_its_transactions():
+    """A big block serialises in one join: the bytes follow the documented
+    layout, and 8N transactions cost well under the quadratic 64x of N."""
+    rng = DeterministicRng(11)
+    txs = tuple(some_tx(rng, size=40) for _ in range(8000))
+    block = Block(1, bytes(32), 5, txs, b"")
+    header = [(1).to_bytes(8, "big"), bytes(32), (5).to_bytes(8, "big")]
+    expected = b"".join(
+        header
+        + [len(txs).to_bytes(4, "big")]
+        + [
+            bytes([tx.tag]) + len(tx.body).to_bytes(4, "big") + tx.body + tx.signature
+            for tx in txs
+        ]
+    )
+    assert block.canonical_bytes() == expected
+
+    def fastest(n):
+        sized = Block(1, bytes(32), 5, txs[:n], b"")
+        best = float("inf")
+        for _ in range(5):
+            began = perf_counter()
+            sized.canonical_bytes()
+            best = min(best, perf_counter() - began)
+        return best
+
+    assert fastest(8000) < 24 * fastest(1000)
 
 
 def test_signing_bytes_is_tag_then_body():

@@ -10,6 +10,7 @@ from chainmeet import crypto, identity as ident, meeting as m, sim
 from chainmeet.errors import (
     AuthenticationFailure,
     CounterExhausted,
+    EncodingError,
     InvalidTransaction,
     MeetingDismissed,
     MeetingNotFound,
@@ -97,23 +98,67 @@ def test_request_body_layout():
 def test_key_distribution_body_layout():
     rng = DeterministicRng(2)
     mid, lepk = rng.take(16), rng.take(32)
-    entry = m.KeyEntry(
-        rng.take(32), crypto.AeadBox(rng.take(12), rng.take(32), rng.take(16))
+    entries = tuple(
+        m.KeyEntry(
+            rng.take(32), crypto.AeadBox(rng.take(12), rng.take(size), rng.take(16))
+        )
+        for size in (32, 0, 33)
     )
-    dist = m.KeyDistribution(mid, 3, lepk, (entry,))
-    manual = (
-        mid
-        + (3).to_bytes(4, "big")
-        + lepk
-        + (1).to_bytes(4, "big")
-        + entry.recipient_ivk
-        + entry.box.nonce
-        + len(entry.box.ciphertext).to_bytes(4, "big")
-        + entry.box.ciphertext
-        + entry.box.tag
-    )
+    dist = m.KeyDistribution(mid, 3, lepk, entries)
+    manual = mid + (3).to_bytes(4, "big") + lepk + (3).to_bytes(4, "big")
+    for entry in entries:
+        manual += (
+            entry.recipient_ivk
+            + entry.box.nonce
+            + len(entry.box.ciphertext).to_bytes(4, "big")
+            + entry.box.ciphertext
+            + entry.box.tag
+        )
     assert dist.encode_body() == manual
     assert m.KeyDistribution.parse(manual) == dist
+
+
+def test_entry_for_returns_the_first_entry_per_recipient():
+    rng = DeterministicRng(4)
+    ivk_a, ivk_b = rng.take(32), rng.take(32)
+    entries = tuple(
+        m.KeyEntry(ivk, crypto.AeadBox(rng.take(12), rng.take(32), rng.take(16)))
+        for ivk in (ivk_a, ivk_b, ivk_a)
+    )
+    dist = m.KeyDistribution(rng.take(16), 0, rng.take(32), entries)
+    fresh = m.KeyDistribution.parse(dist.encode_body())
+    before = repr(dist)
+    assert dist.entry_for(ivk_a) is entries[0]  # a repeated ivk keeps its first
+    assert dist.entry_for(ivk_b) is entries[1]
+    assert dist.entry_for(rng.take(32)) is None
+    # the index built on the way takes no part in equality, hashing or repr
+    assert dist == fresh and hash(dist) == hash(fresh)
+    assert repr(dist) == before == repr(fresh)
+    empty = m.KeyDistribution(dist.meeting_id, 1, dist.leader_epk, ())
+    assert empty.entry_for(ivk_a) is None
+
+
+@pytest.mark.parametrize("value", [0, 2**32 - 1])
+def test_media_nonce_and_aad_pack_u32_fields(value):
+    mid = bytes(range(16))
+    assert m.media_nonce(value, 0) == value.to_bytes(4, "big") + bytes(8)
+    assert m.media_aad(mid, value) == mid + value.to_bytes(4, "big")
+
+
+@pytest.mark.parametrize("value", [0, 2**32 - 1, 2**64 - 1])
+def test_media_nonce_packs_a_u64_counter(value):
+    assert m.media_nonce(7, value) == (7).to_bytes(4, "big") + value.to_bytes(8, "big")
+
+
+@pytest.mark.parametrize("value", [-1, 2**32, 2**64])
+def test_media_nonce_and_aad_refuse_out_of_range_fields(value):
+    with pytest.raises(EncodingError):
+        m.media_nonce(value, 0)
+    with pytest.raises(EncodingError):
+        m.media_aad(bytes(16), value)
+    if value != 2**32:  # a u64 counter holds 2**32
+        with pytest.raises(EncodingError):
+            m.media_nonce(0, value)
 
 
 def test_media_packet_wire_layout():

@@ -1,8 +1,11 @@
 """Scenario engine: parsing, determinism, goal checking, bundled runs."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
-from chainmeet import sim
+from chainmeet import crypto, sim
 from chainmeet.errors import MalformedScenario, Reason
 from chainmeet.meeting import ReassignRule
 
@@ -335,6 +338,152 @@ def test_checker_flags_nonce_reuse():
         nbytes=8, key_digest=b"Q" * 32, nonce=bytes(12),
     )
     assert sim.check_goals([packet, different_key]).nonces_unique
+
+
+def test_checker_keeps_goal_order_over_interleaved_violations():
+    """Violations of every goal, interleaved in one transcript, come out
+    goal by goal, each goal's in transcript order."""
+    ivk_r = b"R" * 32
+    refused = dict(
+        action="request", tag="MEETING_REQUEST", ok=False,
+        reason=Reason.DUPLICATE_REQUEST, block=None,
+    )
+    packet = dict(
+        sender="bob", meeting=0, stream=1, epoch=0, counter=0, nbytes=8,
+        key_digest=b"K" * 32, nonce=bytes(12),
+    )
+    transcript = [
+        fabricated_epoch(recipients=(ivk_r,)),
+        sim.PacketEvent(tick=3, **packet),
+        fabricated_decrypt(tick=3),  # zed reads epoch 0 without an entry
+        sim.TxEvent(tick=4, actor="bob", honest=True, **refused),
+        fabricated_decrypt(tick=4, actor="rob", actor_ivk=ivk_r, tampered=True),
+        fabricated_decrypt(tick=4, actor="zed", ok=False),
+        sim.AdversaryEvent(5, "mallory", "impersonate", False, ""),
+        sim.AdversaryEvent(5, "mallory", "eavesdrop", True, ""),
+        sim.PacketEvent(tick=5, **packet),  # the same nonce under the same key
+        # read before its key epoch appears: judged against it all the same
+        fabricated_decrypt(tick=6, actor="rob", actor_ivk=ivk_r, meeting=1, epoch=1),
+        fabricated_epoch(meeting=1, epoch=1, recipients=(ivk_r,)),
+        fabricated_epoch(epoch=2, recipients=(ivk_r,)),
+        fabricated_decrypt(tick=7, ghost=True, epoch=2, epoch_at_leave=0),
+        sim.TxEvent(tick=8, actor="mallory", honest=False, **refused),
+        sim.TxEvent(tick=9, actor="carol", honest=True, **refused),
+        sim.DepartureEvent(9, "zed", 0, 0),
+        sim.ValidateEvent(9, "bob", "MEETING_REQUEST", None),
+    ]
+    assert sim.check_goals(transcript) == sim.GoalReport(
+        confidentiality=False,
+        integrity=False,
+        availability=False,
+        expulsion=False,
+        attacks_frustrated=False,
+        epochs_contiguous=False,
+        nonces_unique=False,
+        violations=[
+            "confidentiality: zed read m=0 epoch=0 without an entry",
+            "integrity: rob accepted a tampered packet at t=4",
+            "confidentiality: zed read m=0 epoch=2 without an entry",
+            "expulsion: departed zed read epoch=2 after leaving at 0",
+            f"availability: honest bob refused at t=4 ({Reason.DUPLICATE_REQUEST})",
+            f"availability: honest carol refused at t=9 ({Reason.DUPLICATE_REQUEST})",
+            "attacks-frustrated: impersonate by mallory succeeded at t=5",
+            "epochs-contiguous: m=0 saw [0, 2]",
+            "epochs-contiguous: m=1 saw [1]",
+            "nonces-unique: nonce 000000000000000000000000 reused under one"
+            " stream key at t=5",
+        ],
+    )
+
+
+EVENT_FIELDS = {
+    sim.TxEvent: ("tick", "actor", "action", "tag", "ok", "reason", "block", "honest"),
+    sim.ValidateEvent: ("tick", "validator", "tag", "reason"),
+    sim.ReviewEvent: (
+        "tick", "leader", "meeting", "subject_user", "subject_device", "verdict",
+        "granted",
+    ),
+    sim.KeyEpochEvent: (
+        "tick", "meeting", "epoch", "leader", "leader_ivk", "recipients", "key_digest",
+    ),
+    sim.AcceptKeyEvent: ("tick", "actor", "meeting", "epoch", "ok"),
+    sim.PacketEvent: (
+        "tick", "sender", "meeting", "stream", "epoch", "counter", "nbytes",
+        "key_digest", "nonce",
+    ),
+    sim.DecryptEvent: (
+        "tick", "actor", "meeting", "stream", "epoch", "counter", "ok", "actor_ivk",
+        "ghost", "tampered", "epoch_at_leave",
+    ),
+    sim.DepartureEvent: ("tick", "actor", "meeting", "epoch_at_leave"),
+    sim.AdversaryEvent: ("tick", "actor", "attack", "failed", "detail"),
+    sim.CheckEvent: ("name", "ok", "detail"),
+}
+
+
+@pytest.mark.parametrize("kind", list(EVENT_FIELDS), ids=lambda kind: kind.__name__)
+def test_event_fields_keep_their_order_and_replace(kind):
+    names = EVENT_FIELDS[kind]
+    assert tuple(f.name for f in dataclasses.fields(kind)) == names
+    event = kind(*(f"v{i}" for i in range(len(names))))
+    assert not hasattr(event, "__dict__")  # slotted
+    changed = dataclasses.replace(event, **{names[-1]: "new"})
+    assert getattr(changed, names[-1]) == "new" and changed != event
+    assert getattr(event, names[-1]) == f"v{len(names) - 1}"
+    assert dataclasses.replace(event) == event
+
+
+def test_each_packet_costs_one_open_per_attempt(monkeypatch):
+    """Every reader, every ghost, the tamper probe and both guesses of each
+    eavesdropper open a packet exactly once."""
+    simulation = sim.Simulation(
+        sim.parse_scenario(
+            """
+            seed 5
+            actor alice a
+            actor bob b
+            actor carol c
+            actor dave d
+            actor eve e adversary
+            actor frank f adversary
+            tick 1 alice publish
+            tick 2 bob request
+            tick 3 carol request
+            tick 4 dave request
+            tick 5 alice distribute
+            tick 6 bob packet 1 32
+            tick 7 eve adversary.eavesdrop
+            tick 8 dave leave
+            tick 9 alice distribute
+            tick 10 frank adversary.eavesdrop
+            tick 11 carol packet 2 32
+            """
+        )
+    )
+    opens = Counter()
+    real = crypto.aead_decrypt
+
+    def counted(*args):
+        opens[simulation.tick] += 1
+        return real(*args)
+
+    monkeypatch.setattr(crypto, "aead_decrypt", counted)
+    simulation.run()
+    assert simulation.report.ok
+
+    def expected(readers, ghosts, eavesdroppers):
+        return readers + ghosts + 1 + 2 * eavesdroppers
+
+    # tick 6: alice, carol and dave read; tick 11: alice and bob read, dave's
+    # ghost tries, and eve and frank eavesdrop
+    assert opens[6] == expected(readers=3, ghosts=0, eavesdroppers=0)
+    assert opens[11] == expected(readers=2, ghosts=1, eavesdroppers=2)
+    assert opens[7] == opens[10] == 2  # two guesses at the one captured packet
+    for tick in (6, 11):
+        events = [e for e in simulation.transcript if getattr(e, "tick", None) == tick]
+        decrypts = sum(isinstance(e, sim.DecryptEvent) for e in events)
+        guesses = 2 * sum(isinstance(e, sim.AdversaryEvent) for e in events)
+        assert opens[tick] == decrypts + guesses
 
 
 def test_transcript_ends_with_check_lines():
