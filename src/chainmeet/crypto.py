@@ -32,6 +32,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
+from .encoding import LP, Wire, fixed, wire
 from .errors import AuthenticationFailure, DegenerateSharedSecret
 from .rng import Rng
 
@@ -72,12 +73,12 @@ class EphemeralKeyPair:
 
 
 @dataclass(frozen=True)
-class AeadBox:
+class AeadBox(Wire):
     """One AES-256-GCM sealing: nonce, ciphertext, 16-byte tag."""
 
-    nonce: bytes
-    ciphertext: bytes
-    tag: bytes
+    nonce: bytes = wire(fixed(NONCE_LEN))
+    ciphertext: bytes = wire(LP)
+    tag: bytes = wire(fixed(TAG_LEN))
 
 
 class AeadKey:

@@ -5,9 +5,29 @@ multi-byte integers are big-endian with a fixed width, variable-length fields
 carry a 4-byte big-endian length prefix, and parsers are strict -- they consume
 exactly the bytes the layout describes and reject anything left over, so a
 byte string has at most one reading.
+
+A wire struct is a dataclass derived from `Wire` whose on-wire fields are
+declared with `wire(kind)`, in wire order. That field table is the layout,
+in the manner of the TLS presentation language (RFC 8446 section 3); the
+same table encodes and parses. The kinds:
+
+    fixed(n)      exactly n bytes
+    U8, U32, U64  unsigned big-endian integer of 1, 4 or 8 bytes
+    LP            u32 length || bytes
+    UTF8          LP holding valid UTF-8, read as a str
+    optional(k)   u8 flag (0: absent, None; 1: present) || k
+    vector(S)     u32 count || that many S structs
+    nested(S)     one S struct in place
+
+Fields declared without `wire` (caches, a block's own hash) are not on the
+wire.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import functools
+from typing import Any, Callable, NamedTuple
 
 from .errors import EncodingError
 
@@ -76,3 +96,109 @@ class Reader:
     def finish(self) -> None:
         if self._pos != len(self._data):
             raise EncodingError(f"{self.remaining()} trailing bytes")
+
+
+# ---------------------------------------------------------------------------
+# field tables
+
+
+class Kind(NamedTuple):
+    """How one field reads from a Reader and writes to bytes."""
+
+    read: Callable[[Reader], Any]
+    write: Callable[[Any], bytes]
+
+
+def fixed(n: int) -> Kind:
+    def write(value: bytes) -> bytes:
+        if len(value) != n:
+            raise EncodingError(f"field must be {n} bytes, not {len(value)}")
+        return value
+
+    return Kind(lambda reader: reader.take(n), write)
+
+
+def _read_utf8(reader: Reader) -> str:
+    try:
+        return reader.lp().decode("utf-8")
+    except UnicodeDecodeError:
+        raise EncodingError("text must be valid utf-8") from None
+
+
+U8 = Kind(Reader.u8, u8)
+U32 = Kind(Reader.u32, u32)
+U64 = Kind(Reader.u64, u64)
+LP = Kind(Reader.lp, lp)
+UTF8 = Kind(_read_utf8, lambda text: lp(text.encode("utf-8")))
+
+
+def optional(kind: Kind) -> Kind:
+    def read(reader: Reader) -> Any:
+        flag = reader.u8()
+        if flag > 1:
+            raise EncodingError(f"optional flag must be 0 or 1, not {flag}")
+        return kind.read(reader) if flag else None
+
+    def write(value: Any) -> bytes:
+        return b"\x00" if value is None else b"\x01" + kind.write(value)
+
+    return Kind(read, write)
+
+
+def vector(struct: type[Wire]) -> Kind:
+    def read(reader: Reader) -> tuple:
+        return tuple(struct.read(reader) for _ in range(reader.u32()))
+
+    def write(values: tuple) -> bytes:
+        return u32(len(values)) + b"".join([value.encode() for value in values])
+
+    return Kind(read, write)
+
+
+def nested(struct: type[Wire]) -> Kind:
+    return Kind(struct.read, struct.encode)
+
+
+_KIND = "wire"
+
+
+def wire(kind: Kind) -> Any:
+    """Declare a dataclass field that is on the wire, as `kind`."""
+    return dataclasses.field(metadata={_KIND: kind})
+
+
+@functools.cache
+def table(struct: type[Wire]) -> tuple[tuple[str, Kind], ...]:
+    """(name, kind) of each wire field of `struct`, in wire order."""
+    return tuple(
+        (f.name, f.metadata[_KIND])
+        for f in dataclasses.fields(struct)
+        if _KIND in f.metadata
+    )
+
+
+def encode_fields(value: Wire, fields: tuple[tuple[str, Kind], ...]) -> bytes:
+    return b"".join([write(getattr(value, name)) for name, (_, write) in fields])
+
+
+class Wire:
+    """Base of a wire struct: one encode and one strict parse, both read off
+    the struct's field table."""
+
+    __slots__ = ()
+
+    @classmethod
+    def read(cls, reader: Reader) -> Any:
+        """One struct from the reader's position; the reader moves past it."""
+        return cls(**{name: read(reader) for name, (read, _) in table(cls)})
+
+    @classmethod
+    def parse(cls, data: bytes) -> Any:
+        """Exactly one struct: short or trailing bytes raise EncodingError."""
+        reader = Reader(data)
+        value = cls.read(reader)
+        reader.finish()
+        return value
+
+    def encode(self) -> bytes:
+        return encode_fields(self, table(type(self)))

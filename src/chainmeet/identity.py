@@ -7,10 +7,7 @@ an HMAC commitment whose opening can be shown off-ledger to whoever needs it.
 The ledger keeps its bindings indexed (IdentityState), so a lookup costs
 the same however many identities are registered.
 
-Registration body layout:
-
-    user_len(u32) || user || device_len(u32) || device || ivk(32)
-    || info_kind(u8: 0 plain, 1 commitment) || payload_len(u32) || payload
+A registration body is the field table of `IdentityRecord` (see encoding).
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import crypto
-from .encoding import Reader, lp, u8
+from .encoding import LP, U8, UTF8, Wire, fixed, wire
 from .errors import EncodingError, InvalidTransaction, NotFound, Reason
 from .ledger import Block, Ledger, LedgerKind, Transaction, TxTag, new_ledger
 
@@ -46,64 +43,47 @@ UserInfo = Union[PlainInfo, CommittedInfo]
 
 
 @dataclass(frozen=True)
-class IdentityRecord:
-    user: str
-    device: str
-    ivk: bytes
-    info: UserInfo
+class IdentityRecord(Wire):
+    """A registration body; both directions check its limits."""
 
+    user: str = wire(UTF8)
+    device: str = wire(UTF8)
+    ivk: bytes = wire(fixed(crypto.KEY_LEN))
+    info_kind: int = wire(U8)  # 0 plain, 1 commitment
+    info_data: bytes = wire(LP)
 
-def _encode_name(name: str) -> bytes:
-    raw = name.encode("utf-8")
-    if not raw or len(raw) > MAX_NAME_BYTES:
-        raise EncodingError(f"name must be 1..{MAX_NAME_BYTES} utf-8 bytes")
-    return lp(raw)
+    def __post_init__(self) -> None:
+        for name in (self.user, self.device):
+            if not 0 < len(name.encode("utf-8")) <= MAX_NAME_BYTES:
+                raise EncodingError(f"name must be 1..{MAX_NAME_BYTES} utf-8 bytes")
+        if self.info_kind == _INFO_PLAIN:
+            if len(self.info_data) > MAX_INFO_BYTES:
+                raise EncodingError(f"user info larger than {MAX_INFO_BYTES} bytes")
+        elif self.info_kind == _INFO_COMMITMENT:
+            if len(self.info_data) != crypto.KEY_LEN:
+                raise EncodingError("commitment must be 32 bytes")
+        else:
+            raise EncodingError(f"unknown info kind {self.info_kind}")
+
+    @property
+    def info(self) -> UserInfo:
+        if self.info_kind == _INFO_PLAIN:
+            return PlainInfo(self.info_data)
+        return CommittedInfo(self.info_data)
 
 
 def encode_identity_body(user: str, device: str, ivk: bytes, info: UserInfo) -> bytes:
-    if len(ivk) != crypto.KEY_LEN:
-        raise EncodingError("ivk must be 32 bytes")
     if isinstance(info, PlainInfo):
-        kind, payload = _INFO_PLAIN, info.data
-        if len(payload) > MAX_INFO_BYTES:
-            raise EncodingError(f"user info larger than {MAX_INFO_BYTES} bytes")
+        kind, data = _INFO_PLAIN, info.data
     elif isinstance(info, CommittedInfo):
-        kind, payload = _INFO_COMMITMENT, info.mac
-        if len(payload) != crypto.KEY_LEN:
-            raise EncodingError("commitment must be 32 bytes")
+        kind, data = _INFO_COMMITMENT, info.mac
     else:
         raise EncodingError(f"unknown user info {info!r}")
-    return _encode_name(user) + _encode_name(device) + ivk + u8(kind) + lp(payload)
+    return IdentityRecord(user, device, ivk, kind, data).encode()
 
 
 def parse_identity_body(body: bytes) -> IdentityRecord:
-    reader = Reader(body)
-    user_raw = reader.lp()
-    device_raw = reader.lp()
-    ivk = reader.take(crypto.KEY_LEN)
-    kind = reader.u8()
-    payload = reader.lp()
-    reader.finish()
-    try:
-        user = user_raw.decode("utf-8")
-        device = device_raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise EncodingError("names must be valid utf-8") from None
-    if not user_raw or len(user_raw) > MAX_NAME_BYTES:
-        raise EncodingError("bad user length")
-    if not device_raw or len(device_raw) > MAX_NAME_BYTES:
-        raise EncodingError("bad device length")
-    if kind == _INFO_PLAIN:
-        if len(payload) > MAX_INFO_BYTES:
-            raise EncodingError("user info too large")
-        info: UserInfo = PlainInfo(payload)
-    elif kind == _INFO_COMMITMENT:
-        if len(payload) != crypto.KEY_LEN:
-            raise EncodingError("bad commitment length")
-        info = CommittedInfo(payload)
-    else:
-        raise EncodingError(f"unknown info kind {kind}")
-    return IdentityRecord(user=user, device=device, ivk=ivk, info=info)
+    return IdentityRecord.parse(body)
 
 
 def register_identity(

@@ -7,25 +7,18 @@ retained history that changes breaks verification. Each ledger also keeps a
 state (ChainState) that append_block advances one admitted transaction at a
 time, so nothing has to fold the chain from genesis to answer a question.
 
-Canonical block bytes:
-
-    index(u64) || prev_hash(32) || timestamp(u64) || tx_count(u32) || txs
-
-and each transaction serializes as
-
-    kind_tag(u8) || body_len(u32) || body || signature(64)
-
-with signatures always taken over kind_tag || body.
+The field tables of `Block` and `Transaction` below are their canonical
+bytes (see encoding). A signature is always taken over kind_tag || body.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Protocol
+from dataclasses import dataclass, field, replace
+from typing import Any, Iterator, Optional, Protocol
 
 from . import crypto
-from .encoding import Reader, lp, u8, u32, u64
+from .encoding import LP, U8, U64, Wire, fixed, u8, vector, wire
 from .errors import (
     EncodingError,
     InvalidTransaction,
@@ -68,48 +61,35 @@ ALLOWED_TAGS = {
 
 
 @dataclass(frozen=True)
-class Transaction:
-    tag: int
-    body: bytes
-    signature: bytes
+class Transaction(Wire):
+    tag: int = wire(U8)
+    body: bytes = wire(LP)
+    signature: bytes = wire(fixed(crypto.SIG_LEN))
+    # the payload meeting admission decoded from body, kept for every later
+    # reader; only admission's decode sets it, never whoever built the tx
+    payload: Any = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def signing_bytes(self) -> bytes:
         return u8(self.tag) + self.body
 
-    def wire_bytes(self) -> bytes:
-        if len(self.signature) != crypto.SIG_LEN:
-            raise EncodingError("signature must be 64 bytes")
-        return u8(self.tag) + lp(self.body) + self.signature
-
-    @classmethod
-    def read_from(cls, reader: Reader) -> "Transaction":
-        tag = reader.u8()
-        body = reader.lp()
-        signature = reader.take(crypto.SIG_LEN)
-        return cls(tag=tag, body=body, signature=signature)
-
 
 @dataclass(frozen=True)
-class Block:
-    index: int
-    prev_hash: bytes
-    timestamp: int
-    txs: tuple[Transaction, ...]
-    block_hash: bytes
+class Block(Wire):
+    index: int = wire(U64)
+    prev_hash: bytes = wire(fixed(32))
+    timestamp: int = wire(U64)
+    txs: tuple[Transaction, ...] = wire(vector(Transaction))
+    block_hash: bytes = b""  # SHA-256 of the fields above; not on the wire
 
-    def canonical_bytes(self) -> bytes:
-        header = u64(self.index) + self.prev_hash + u64(self.timestamp)
-        return b"".join(
-            [header, u32(len(self.txs)), *(tx.wire_bytes() for tx in self.txs)]
-        )
+    canonical_bytes = Wire.encode  # its name in the tests and perfbench
 
 
 def make_block(
     index: int, prev_hash: bytes, timestamp: int, txs: tuple[Transaction, ...]
 ) -> Block:
-    draft = Block(index, prev_hash, timestamp, txs, b"")
-    return Block(index, prev_hash, timestamp, txs, crypto.sha256(draft.canonical_bytes()))
+    draft = Block(index, prev_hash, timestamp, txs)
+    return replace(draft, block_hash=crypto.sha256(draft.encode()))
 
 
 def parse_block(data: bytes, stored_hash: Optional[bytes] = None) -> Block:
@@ -119,14 +99,8 @@ def parse_block(data: bytes, stored_hash: Optional[bytes] = None) -> Block:
     recomputed from data -- that is how tamper checks model an attacker who
     edits content but cannot touch the hashes the rest of the chain pinned.
     """
-    reader = Reader(data)
-    index = reader.u64()
-    prev_hash = reader.take(32)
-    timestamp = reader.u64()
-    txs = tuple(Transaction.read_from(reader) for _ in range(reader.u32()))
-    reader.finish()
     block_hash = stored_hash if stored_hash is not None else crypto.sha256(data)
-    return Block(index, prev_hash, timestamp, txs, block_hash)
+    return replace(Block.parse(data), block_hash=block_hash)
 
 
 class ChainState(Protocol):
@@ -199,7 +173,7 @@ class Ledger:
         allowed = ALLOWED_TAGS[self.kind]
         for pos, block in enumerate(self.blocks):
             try:
-                recomputed = crypto.sha256(block.canonical_bytes())
+                recomputed = crypto.sha256(block.encode())
             except EncodingError:
                 return False
             if recomputed != block.block_hash:
@@ -260,7 +234,7 @@ def new_ledger(kind: LedgerKind, state: Optional[ChainState] = None) -> Ledger:
 
 def dump_hex_lines(ledger: Ledger) -> list[str]:
     """Canonical block bytes, hex, one block per line; the persistence format."""
-    return [block.canonical_bytes().hex() for block in ledger.blocks]
+    return [block.encode().hex() for block in ledger.blocks]
 
 
 def load_hex_lines(

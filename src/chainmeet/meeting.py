@@ -7,22 +7,10 @@ so a distribution spliced between meetings can only fail authentication,
 never hand over the wrong key silently. Media is AES-256-GCM per stream with
 the stream key derived from the epoch's meeting key by HMAC.
 
-Transaction body layouts (all on the meeting ledger):
-
-    publish   meeting_id(16) || info_len(u32) || info || leader_ivk(32) || leader_epk(32)
-    request   meeting_id(16) || user_len(u32) || user || device_len(u32) || device
-              || ivk(32) || epk(32)
-    key dist  meeting_id(16) || epoch(u32) || leader_epk(32) || entry_count(u32)
-              || entries: recipient_ivk(32) || nonce(12) || ct_len(u32) || ct || tag(16)
-    leave     meeting_id(16) || user_len(u32) || user || device_len(u32) || device || ivk(32)
-    reassign  meeting_id(16) || prev_ivk(32) || new_ivk(32) || new_epk(32)
-              || has_prev_sig(u8) || [prev_sig(64)]
-    dismiss   meeting_id(16)
-
-MediaPacket wire layout:
-
-    stream_id(u32) || epoch(u32) || counter(u64) || nonce(12)
-    || ct_len(u32) || ct || tag(16)
+Each meeting-ledger transaction body, and a media packet, is the field table
+of its class below (see encoding); TAG names the transaction kind. A body is
+decoded once, when the ledger judges it, and the payload is kept on the
+transaction for every later reader (`parse_meeting_tx`).
 """
 
 from __future__ import annotations
@@ -30,10 +18,13 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Union, get_args
 
 from . import crypto, identity as identity_mod
-from .encoding import Reader, U64_MAX, lp, u8, u32, u64
+from .encoding import (
+    U32, U64, U64_MAX, UTF8, Wire, encode_fields, fixed, nested, optional, table,
+    u32, u8, vector, wire,
+)
 from .errors import (
     AuthenticationFailure,
     CounterExhausted,
@@ -72,114 +63,54 @@ class ReassignRule(enum.Enum):
 # transaction shapes
 
 
-@dataclass(frozen=True)
-class PublishMeeting:
-    meeting_id: bytes
-    info: str
-    leader_ivk: bytes
-    leader_epk: bytes
-
-    def encode_body(self) -> bytes:
-        return (
-            self.meeting_id
-            + lp(self.info.encode("utf-8"))
-            + self.leader_ivk
-            + self.leader_epk
-        )
-
-    @classmethod
-    def parse(cls, body: bytes) -> "PublishMeeting":
-        reader = Reader(body)
-        meeting_id = reader.take(MEETING_ID_LEN)
-        info = reader.lp().decode("utf-8")
-        leader_ivk = reader.take(32)
-        leader_epk = reader.take(32)
-        reader.finish()
-        return cls(meeting_id, info, leader_ivk, leader_epk)
+MEETING_ID = fixed(MEETING_ID_LEN)
+KEY = fixed(crypto.KEY_LEN)
 
 
 @dataclass(frozen=True)
-class MeetingRequest:
-    meeting_id: bytes
-    user: str
-    device: str
-    ivk: bytes
-    epk: bytes
+class PublishMeeting(Wire):
+    TAG = TxTag.MEETING_PUBLISH
 
-    def encode_body(self) -> bytes:
-        return (
-            self.meeting_id
-            + lp(self.user.encode("utf-8"))
-            + lp(self.device.encode("utf-8"))
-            + self.ivk
-            + self.epk
-        )
-
-    @classmethod
-    def parse(cls, body: bytes) -> "MeetingRequest":
-        reader = Reader(body)
-        meeting_id = reader.take(MEETING_ID_LEN)
-        user = reader.lp().decode("utf-8")
-        device = reader.lp().decode("utf-8")
-        ivk = reader.take(32)
-        epk = reader.take(32)
-        reader.finish()
-        return cls(meeting_id, user, device, ivk, epk)
+    meeting_id: bytes = wire(MEETING_ID)
+    info: str = wire(UTF8)
+    leader_ivk: bytes = wire(KEY)
+    leader_epk: bytes = wire(KEY)
 
 
 @dataclass(frozen=True)
-class KeyEntry:
-    recipient_ivk: bytes
-    box: crypto.AeadBox
+class MeetingRequest(Wire):
+    TAG = TxTag.MEETING_REQUEST
 
-    def encode(self) -> bytes:
-        return (
-            self.recipient_ivk
-            + self.box.nonce
-            + lp(self.box.ciphertext)
-            + self.box.tag
-        )
+    meeting_id: bytes = wire(MEETING_ID)
+    user: str = wire(UTF8)
+    device: str = wire(UTF8)
+    ivk: bytes = wire(KEY)
+    epk: bytes = wire(KEY)
 
 
 @dataclass(frozen=True)
-class KeyDistribution:
+class KeyEntry(Wire):
+    recipient_ivk: bytes = wire(KEY)
+    box: crypto.AeadBox = wire(nested(crypto.AeadBox))
+
+
+@dataclass(frozen=True)
+class KeyDistribution(Wire):
     """One epoch's key, wrapped to each member.
 
     The entries are indexed by recipient ivk the first time `entry_for` is
     asked; the index takes no part in equality, hashing or repr.
     """
 
-    meeting_id: bytes
-    epoch: int
-    leader_epk: bytes
-    entries: tuple[KeyEntry, ...]
+    TAG = TxTag.KEY_DISTRIBUTION
+
+    meeting_id: bytes = wire(MEETING_ID)
+    epoch: int = wire(U32)
+    leader_epk: bytes = wire(KEY)
+    entries: tuple[KeyEntry, ...] = wire(vector(KeyEntry))
     _by_recipient: dict[bytes, KeyEntry] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-
-    def encode_body(self) -> bytes:
-        header = self.meeting_id + u32(self.epoch) + self.leader_epk
-        return b"".join(
-            [header, u32(len(self.entries)), *(entry.encode() for entry in self.entries)]
-        )
-
-    @classmethod
-    def parse(cls, body: bytes) -> "KeyDistribution":
-        reader = Reader(body)
-        meeting_id = reader.take(MEETING_ID_LEN)
-        epoch = reader.u32()
-        leader_epk = reader.take(32)
-        entries = []
-        for _ in range(reader.u32()):
-            recipient_ivk = reader.take(32)
-            nonce = reader.take(crypto.NONCE_LEN)
-            ciphertext = reader.lp()
-            tag = reader.take(crypto.TAG_LEN)
-            entries.append(
-                KeyEntry(recipient_ivk, crypto.AeadBox(nonce, ciphertext, tag))
-            )
-        reader.finish()
-        return cls(meeting_id, epoch, leader_epk, tuple(entries))
 
     def entry_for(self, ivk: bytes) -> Optional[KeyEntry]:
         """The first entry wrapped to `ivk`, or None."""
@@ -192,87 +123,37 @@ class KeyDistribution:
 
 
 @dataclass(frozen=True)
-class MeetingLeave:
-    meeting_id: bytes
-    user: str
-    device: str
-    ivk: bytes
+class MeetingLeave(Wire):
+    TAG = TxTag.MEETING_LEAVE
 
-    def encode_body(self) -> bytes:
-        return (
-            self.meeting_id
-            + lp(self.user.encode("utf-8"))
-            + lp(self.device.encode("utf-8"))
-            + self.ivk
-        )
-
-    @classmethod
-    def parse(cls, body: bytes) -> "MeetingLeave":
-        reader = Reader(body)
-        meeting_id = reader.take(MEETING_ID_LEN)
-        user = reader.lp().decode("utf-8")
-        device = reader.lp().decode("utf-8")
-        ivk = reader.take(32)
-        reader.finish()
-        return cls(meeting_id, user, device, ivk)
+    meeting_id: bytes = wire(MEETING_ID)
+    user: str = wire(UTF8)
+    device: str = wire(UTF8)
+    ivk: bytes = wire(KEY)
 
 
 @dataclass(frozen=True)
-class LeaderReassign:
-    meeting_id: bytes
-    prev_leader_ivk: bytes
-    new_leader_ivk: bytes
-    new_leader_epk: bytes
-    prev_leader_sig: Optional[bytes]  # present under the designation rule
+class LeaderReassign(Wire):
+    TAG = TxTag.LEADER_REASSIGN
 
-    def encode_body(self) -> bytes:
-        out = (
-            self.meeting_id
-            + self.prev_leader_ivk
-            + self.new_leader_ivk
-            + self.new_leader_epk
-        )
-        if self.prev_leader_sig is None:
-            return out + u8(0)
-        return out + u8(1) + self.prev_leader_sig
-
-    @classmethod
-    def parse(cls, body: bytes) -> "LeaderReassign":
-        reader = Reader(body)
-        meeting_id = reader.take(MEETING_ID_LEN)
-        prev_ivk = reader.take(32)
-        new_ivk = reader.take(32)
-        new_epk = reader.take(32)
-        has_sig = reader.u8()
-        if has_sig not in (0, 1):
-            raise EncodingError("has_prev_sig must be 0 or 1")
-        prev_sig = reader.take(crypto.SIG_LEN) if has_sig else None
-        reader.finish()
-        return cls(meeting_id, prev_ivk, new_ivk, new_epk, prev_sig)
+    meeting_id: bytes = wire(MEETING_ID)
+    prev_leader_ivk: bytes = wire(KEY)
+    new_leader_ivk: bytes = wire(KEY)
+    new_leader_epk: bytes = wire(KEY)
+    # present under the designation rule
+    prev_leader_sig: Optional[bytes] = wire(optional(fixed(crypto.SIG_LEN)))
 
     def handover_bytes(self) -> bytes:
-        """What the outgoing leader endorses under the designation rule."""
-        return (
-            self.meeting_id
-            + self.prev_leader_ivk
-            + self.new_leader_ivk
-            + self.new_leader_epk
-        )
+        """What the outgoing leader endorses under the designation rule:
+        every field before the signature."""
+        return encode_fields(self, table(LeaderReassign)[:-1])
 
 
 @dataclass(frozen=True)
-class MeetingDismiss:
-    meeting_id: bytes
+class MeetingDismiss(Wire):
+    TAG = TxTag.MEETING_DISMISS
 
-    def encode_body(self) -> bytes:
-        return self.meeting_id
-
-    @classmethod
-    def parse(cls, body: bytes) -> "MeetingDismiss":
-        reader = Reader(body)
-        meeting_id = reader.take(MEETING_ID_LEN)
-        reader.finish()
-        return cls(meeting_id)
+    meeting_id: bytes = wire(MEETING_ID)
 
 
 MeetingTx = Union[
@@ -280,34 +161,21 @@ MeetingTx = Union[
     LeaderReassign, MeetingDismiss,
 ]
 
-_PARSERS = {
-    TxTag.MEETING_PUBLISH: PublishMeeting.parse,
-    TxTag.MEETING_REQUEST: MeetingRequest.parse,
-    TxTag.KEY_DISTRIBUTION: KeyDistribution.parse,
-    TxTag.MEETING_LEAVE: MeetingLeave.parse,
-    TxTag.LEADER_REASSIGN: LeaderReassign.parse,
-    TxTag.MEETING_DISMISS: MeetingDismiss.parse,
-}
-
-_TAGS = {
-    PublishMeeting: TxTag.MEETING_PUBLISH,
-    MeetingRequest: TxTag.MEETING_REQUEST,
-    KeyDistribution: TxTag.KEY_DISTRIBUTION,
-    MeetingLeave: TxTag.MEETING_LEAVE,
-    LeaderReassign: TxTag.LEADER_REASSIGN,
-    MeetingDismiss: TxTag.MEETING_DISMISS,
-}
+_PAYLOADS = {payload.TAG: payload for payload in get_args(MeetingTx)}
 
 
 def parse_meeting_tx(tx: Transaction) -> MeetingTx:
-    try:
-        parser = _PARSERS[TxTag(tx.tag)]
-    except ValueError:
-        raise EncodingError(f"unknown meeting tag {tx.tag}") from None
-    try:
-        return parser(tx.body)
-    except UnicodeDecodeError:
-        raise EncodingError("names must be valid utf-8") from None
+    """The payload admission decoded from tx, else a decode of its body."""
+    if tx.payload is not None:
+        return tx.payload
+    return _decode(tx)
+
+
+def _decode(tx: Transaction) -> MeetingTx:
+    payload = _PAYLOADS.get(tx.tag)
+    if payload is None:
+        raise EncodingError(f"unknown meeting tag {tx.tag}")
+    return payload.parse(tx.body)
 
 
 def signed_tx(
@@ -315,10 +183,9 @@ def signed_tx(
 ) -> Transaction:
     """Wrap a meeting payload as a ledger transaction signed by `signer`, a
     key pair or its raw isk."""
-    tag = _TAGS[type(payload)]
-    body = payload.encode_body()
-    signature = crypto.sign(signer, u8(tag) + body)
-    return Transaction(tag=tag, body=body, signature=signature)
+    body = payload.encode()
+    signature = crypto.sign(signer, u8(payload.TAG) + body)
+    return Transaction(tag=payload.TAG, body=body, signature=signature)
 
 
 # ---------------------------------------------------------------------------
@@ -382,33 +249,11 @@ class MeetingKey:
 
 
 @dataclass(frozen=True)
-class MediaPacket:
-    stream_id: int
-    epoch: int
-    counter: int
-    box: crypto.AeadBox
-
-    def wire_bytes(self) -> bytes:
-        return (
-            u32(self.stream_id)
-            + u32(self.epoch)
-            + u64(self.counter)
-            + self.box.nonce
-            + lp(self.box.ciphertext)
-            + self.box.tag
-        )
-
-    @classmethod
-    def parse(cls, data: bytes) -> "MediaPacket":
-        reader = Reader(data)
-        stream_id = reader.u32()
-        epoch = reader.u32()
-        counter = reader.u64()
-        nonce = reader.take(crypto.NONCE_LEN)
-        ciphertext = reader.lp()
-        tag = reader.take(crypto.TAG_LEN)
-        reader.finish()
-        return cls(stream_id, epoch, counter, crypto.AeadBox(nonce, ciphertext, tag))
+class MediaPacket(Wire):
+    stream_id: int = wire(U32)
+    epoch: int = wire(U32)
+    counter: int = wire(U64)
+    box: crypto.AeadBox = wire(nested(crypto.AeadBox))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +357,7 @@ class MeetingView:
 
 
 def _tx_hash(tx: Transaction) -> bytes:
-    return crypto.sha256(tx.wire_bytes())
+    return crypto.sha256(tx.encode())
 
 
 class MeetingState:
@@ -535,8 +380,9 @@ class MeetingState:
         reason = meeting_tx_verdict(tx, ledger, self.identity_ledger, self.rule)
         if reason is not None:
             raise InvalidTransaction(reason)
-        # the verdict has checked the signature of an admitted request
-        self._fold(parse_meeting_tx(tx), tx, block_index, pos, signed=True)
+        # the verdict has kept its decode on tx, and has checked the
+        # signature of an admitted request
+        self._fold(tx.payload, tx, block_index, pos, signed=True)
 
     def rebuilt(self, blocks: list[Block]) -> "MeetingState":
         state = MeetingState(self.identity_ledger, self.rule)
@@ -583,8 +429,10 @@ def verify_request(
 
 def verify_request_tx(tx: Transaction, identity_ledger: Ledger) -> Optional[Reason]:
     try:
-        request = MeetingRequest.parse(tx.body)
-    except (EncodingError, UnicodeDecodeError):
+        request = parse_meeting_tx(tx)
+    except EncodingError:
+        return Reason.MALFORMED_BODY
+    if not isinstance(request, MeetingRequest):
         return Reason.MALFORMED_BODY
     signature_ok = crypto.verify(request.ivk, tx.signing_bytes, tx.signature)
     return verify_request(request, signature_ok, identity_ledger)
@@ -651,12 +499,14 @@ def meeting_tx_verdict(
     """Validation verdict for one meeting-ledger transaction; None accepts.
 
     Judged against the meeting ledger's state, so it costs the same at any
-    chain length.
+    chain length. The body is decoded here, always from its bytes, and the
+    payload is kept on tx for the fold and every later reader.
     """
     try:
-        payload = parse_meeting_tx(tx)
+        payload = _decode(tx)
     except EncodingError:
         return Reason.MALFORMED_BODY
+    object.__setattr__(tx, "payload", payload)
     view = meeting_ledger.state.view(payload.meeting_id)
 
     if isinstance(payload, PublishMeeting):
@@ -1023,7 +873,6 @@ def build_reassign(
 
 def adopt_leadership(
     state: ParticipantState,
-    handover: LeaderReassign,
     ephemeral: crypto.EphemeralKeyPair,
     meeting_ledger: Ledger,
     identity_ledger: Ledger,

@@ -9,7 +9,6 @@ on every platform; it is for simulation only, not a place to mint real keys.
 from __future__ import annotations
 
 import hashlib
-import os
 
 BLOCK_LEN = 32  # one SHA-256 digest of keystream
 
@@ -19,13 +18,6 @@ class Rng:
 
     def take(self, n: int) -> bytes:
         raise NotImplementedError
-
-
-class SystemRng(Rng):
-    """Operating system entropy, for use outside simulations."""
-
-    def take(self, n: int) -> bytes:
-        return os.urandom(n)
 
 
 class DeterministicRng(Rng):

@@ -58,7 +58,7 @@ from .errors import (
     NoEntryForMe,
     Reason,
 )
-from .ledger import Ledger, TxTag, parse_block
+from .ledger import TxTag, parse_block
 from .rng import DeterministicRng
 
 ACTIONS = {
@@ -409,17 +409,21 @@ class GoalReport:
     violations: list[str] = field(default_factory=list)
     note: str = AVAILABILITY_NOTE
 
+    def _goals(self) -> list[tuple[str, bool]]:
+        """(name, passed) of each goal, in report order."""
+        return [
+            ("confidentiality", self.confidentiality),
+            ("integrity", self.integrity),
+            ("availability", self.availability),
+            ("expulsion", self.expulsion),
+            ("attacks-frustrated", self.attacks_frustrated),
+            ("epochs-contiguous", self.epochs_contiguous),
+            ("nonces-unique", self.nonces_unique),
+        ]
+
     @property
     def ok(self) -> bool:
-        return (
-            self.confidentiality
-            and self.integrity
-            and self.availability
-            and self.expulsion
-            and self.attacks_frustrated
-            and self.epochs_contiguous
-            and self.nonces_unique
-        )
+        return all(passed for _, passed in self._goals())
 
     def check_events(self) -> list[CheckEvent]:
         first = {}
@@ -427,20 +431,8 @@ class GoalReport:
             name = text.split(":", 1)[0]
             first.setdefault(name, text.split(": ", 1)[1])
         return [
-            CheckEvent("confidentiality", self.confidentiality,
-                       first.get("confidentiality", "")),
-            CheckEvent("integrity", self.integrity, first.get("integrity", "")),
-            CheckEvent("availability", self.availability,
-                       first.get("availability", "")),
-            CheckEvent("expulsion", self.expulsion, first.get("expulsion", "")),
-            CheckEvent("attacks-frustrated", self.attacks_frustrated,
-                       first.get("attacks-frustrated", "")),
-            CheckEvent("epochs-contiguous", self.epochs_contiguous,
-                       first.get("epochs-contiguous", "")),
-            CheckEvent("nonces-unique", self.nonces_unique,
-                       first.get("nonces-unique", "")),
-            CheckEvent("all-goals", self.ok),
-        ]
+            CheckEvent(name, ok, first.get(name, "")) for name, ok in self._goals()
+        ] + [CheckEvent("all-goals", self.ok)]
 
 
 def check_goals(events: list[Event]) -> GoalReport:
@@ -661,41 +653,39 @@ class Simulation:
     def _observe(self, block) -> None:
         """What everyone else does upon seeing a freshly appended block."""
         for tx in block.txs:
-            if tx.tag == TxTag.KEY_DISTRIBUTION:
-                dist = m.KeyDistribution.parse(tx.body)
-                meeting_index = self._meeting_index(dist.meeting_id)
-                for actor in self.parties.get(dist.meeting_id, ()):
-                    session = actor.sessions[dist.meeting_id]
+            payload = m.parse_meeting_tx(tx)  # as admission decoded it
+            if isinstance(payload, m.KeyDistribution):
+                meeting_index = self._meeting_index(payload.meeting_id)
+                for actor in self.parties.get(payload.meeting_id, ()):
+                    session = actor.sessions[payload.meeting_id]
                     if (
                         session.known_mk is not None
-                        and session.known_mk.epoch == dist.epoch
+                        and session.known_mk.epoch == payload.epoch
                     ):
                         continue  # the distributing leader already holds it
-                    if dist.entry_for(actor.keypair.ivk) is None:
+                    if payload.entry_for(actor.keypair.ivk) is None:
                         continue
                     try:
-                        m.accept_key(session, dist)
+                        m.accept_key(session, payload)
                         accepted = True
                     except (AuthenticationFailure, NoEntryForMe):
                         accepted = False
                     self._emit(
                         AcceptKeyEvent(
-                            self.tick, actor.user, meeting_index, dist.epoch, accepted
+                            self.tick, actor.user, meeting_index, payload.epoch, accepted
                         )
                     )
-            elif tx.tag == TxTag.LEADER_REASSIGN:
-                handover = m.LeaderReassign.parse(tx.body)
-                for actor in self.parties.get(handover.meeting_id, ()):
-                    session = actor.sessions[handover.meeting_id]
+            elif isinstance(payload, m.LeaderReassign):
+                for actor in self.parties.get(payload.meeting_id, ()):
+                    session = actor.sessions[payload.meeting_id]
                     if (
-                        actor.keypair.ivk == handover.prev_leader_ivk
+                        actor.keypair.ivk == payload.prev_leader_ivk
                         and session.role is m.Role.LEADER
                     ):
                         session.role = m.Role.MEMBER  # demoted on the record
-            elif tx.tag == TxTag.MEETING_DISMISS:
-                done = m.MeetingDismiss.parse(tx.body)
-                for actor in self.parties.pop(done.meeting_id, ()):
-                    m.purge_keys(actor.sessions.pop(done.meeting_id))
+            elif isinstance(payload, m.MeetingDismiss):
+                for actor in self.parties.pop(payload.meeting_id, ()):
+                    m.purge_keys(actor.sessions.pop(payload.meeting_id))
 
     # -- scripted actions
 
@@ -745,15 +735,15 @@ class Simulation:
         self._review(actor, meeting_id)
         session = self._session(actor, meeting_id)
         tx = m.distribute_key(session, self.rng)
-        dist = m.KeyDistribution.parse(tx.body)
+        # the key was just wrapped to each slot of the leader's membership view
         self._emit(
             KeyEpochEvent(
                 tick=self.tick,
                 meeting=self._meeting_index(meeting_id),
-                epoch=dist.epoch,
+                epoch=session.known_mk.epoch,
                 leader=actor.user,
                 leader_ivk=actor.keypair.ivk,
-                recipients=tuple(entry.recipient_ivk for entry in dist.entries),
+                recipients=tuple(slot.ivk for slot in session.membership_view.values()),
                 key_digest=hashlib.sha256(session.known_mk.key).digest(),
             )
         )
@@ -923,7 +913,7 @@ class Simulation:
                 view, actor.keypair, successor.keypair, self.rule, self.rng
             )
             if self._submit(actor, "reassign", tx) is None:
-                self._install_leader(successor, meeting_id, tx, ephemeral)
+                self._install_leader(successor, meeting_id, ephemeral)
         else:
             # a grab: nobody handed leadership over
             ephemeral = crypto.ephemeral_keygen(self.rng)
@@ -946,16 +936,12 @@ class Simulation:
                 )
             )
             if verdict is None:
-                self._install_leader(actor, meeting_id, tx, ephemeral)
+                self._install_leader(actor, meeting_id, ephemeral)
 
-    def _install_leader(self, successor, meeting_id, tx, ephemeral) -> None:
+    def _install_leader(self, successor, meeting_id, ephemeral) -> None:
         session = self._session(successor, meeting_id)
         m.adopt_leadership(
-            session,
-            m.LeaderReassign.parse(tx.body),
-            ephemeral,
-            self.meeting_ledger,
-            self.identity_ledger,
+            session, ephemeral, self.meeting_ledger, self.identity_ledger
         )
         # the new leader rotates the key right away so the one the old
         # leadership wrapped stops mattering
@@ -998,7 +984,7 @@ class Simulation:
     def _act_adversary_tamper_ledger(self, actor: Actor, args: tuple[str, ...]) -> None:
         blocks = self.meeting_ledger.blocks
         target = blocks[self.rng.take(1)[0] % len(blocks)]
-        raw = target.canonical_bytes()
+        raw = target.encode()
         position = int.from_bytes(self.rng.take(4), "big") % len(raw)
         delta = (self.rng.take(1)[0] % 255) + 1
         mutated = raw[:position] + bytes([raw[position] ^ delta]) + raw[position + 1 :]
@@ -1006,7 +992,7 @@ class Simulation:
         # else already pinned; an honest node then re-checks
         try:
             forged = parse_block(mutated, stored_hash=target.block_hash)
-            detected = forged.block_hash != crypto.sha256(forged.canonical_bytes())
+            detected = forged.block_hash != crypto.sha256(forged.encode())
         except EncodingError:
             detected = True
         self._emit(

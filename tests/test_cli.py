@@ -229,3 +229,15 @@ def test_non_ascii_digits_exit_two(tmp_path, capsys, text, message):
     path.write_text(text, encoding="utf-8")
     assert cli.main(["run", "--scenario", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_inspect_of_a_broken_chain_exits_two(tmp_path, capsys):
+    store = tmp_path / "ledgers"
+    assert cli.main(["run", "--scenario", "join_rekey", "--out",
+                     str(tmp_path / "t.txt"), "--persist", str(store)]) == 0
+    path = store / "meeting.ledger"
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2][:-1] + ("1" if lines[2][-1] == "0" else "0")
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["inspect", "--persist", str(store)]) == 2
+    assert "ledger=meeting INVALID CHAIN" in capsys.readouterr().err

@@ -1,0 +1,115 @@
+"""The field-table codec: every wire struct round-trips and parses strictly."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from chainmeet import crypto, meeting as m
+from chainmeet.encoding import UTF8, Reader, lp
+from chainmeet.errors import EncodingError, Reason
+from chainmeet.identity import IdentityRecord, parse_identity_body
+from chainmeet.ledger import Block, Transaction, TxTag
+
+
+def exact(n):
+    return st.binary(min_size=n, max_size=n)
+
+
+def tuples(strategy):
+    return st.lists(strategy, max_size=3).map(tuple)
+
+
+U32S = st.integers(min_value=0, max_value=2**32 - 1)
+U64S = st.integers(min_value=0, max_value=2**64 - 1)
+TEXT = st.text(max_size=8)
+NAMES = st.text(min_size=1, max_size=8)  # at most 32 utf-8 bytes
+BOXES = st.builds(crypto.AeadBox, exact(12), st.binary(max_size=40), exact(16))
+TXS = st.builds(
+    Transaction, st.integers(min_value=0, max_value=255), st.binary(max_size=40), exact(64)
+)
+
+STRUCTS = {
+    crypto.AeadBox: BOXES,
+    Transaction: TXS,
+    Block: st.builds(Block, U64S, exact(32), U64S, tuples(TXS)),
+    IdentityRecord: st.builds(IdentityRecord, NAMES, NAMES, exact(32), st.just(0),
+                              st.binary(max_size=40))
+    | st.builds(IdentityRecord, NAMES, NAMES, exact(32), st.just(1), exact(32)),
+    m.PublishMeeting: st.builds(m.PublishMeeting, exact(16), TEXT, exact(32), exact(32)),
+    m.MeetingRequest: st.builds(
+        m.MeetingRequest, exact(16), TEXT, TEXT, exact(32), exact(32)
+    ),
+    m.KeyEntry: st.builds(m.KeyEntry, exact(32), BOXES),
+    m.KeyDistribution: st.builds(
+        m.KeyDistribution, exact(16), U32S, exact(32),
+        tuples(st.builds(m.KeyEntry, exact(32), BOXES)),
+    ),
+    m.MeetingLeave: st.builds(m.MeetingLeave, exact(16), TEXT, TEXT, exact(32)),
+    m.LeaderReassign: st.builds(
+        m.LeaderReassign, exact(16), exact(32), exact(32), exact(32),
+        st.none() | exact(64),
+    ),
+    m.MeetingDismiss: st.builds(m.MeetingDismiss, exact(16)),
+    m.MediaPacket: st.builds(m.MediaPacket, U32S, U32S, U64S, BOXES),
+}
+
+
+@pytest.mark.parametrize("struct", list(STRUCTS), ids=lambda struct: struct.__name__)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_table_round_trips_and_parses_strictly(struct, data):
+    value = data.draw(STRUCTS[struct])
+    raw = value.encode()
+    assert struct.parse(raw) == value
+    for cut in range(len(raw)):
+        with pytest.raises(EncodingError):
+            struct.parse(raw[:cut])
+    for extra in range(256):
+        with pytest.raises(EncodingError):
+            struct.parse(raw + bytes([extra]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(STRUCTS[m.LeaderReassign])
+def test_optional_flag_other_than_zero_or_one_is_refused(reassign):
+    raw = bytearray(reassign.encode())
+    at = 16 + 3 * 32
+    assert raw[at] == (reassign.prev_leader_sig is not None)
+    for flag in range(2, 256):
+        raw[at] = flag
+        with pytest.raises(EncodingError):
+            m.LeaderReassign.parse(bytes(raw))
+
+
+INVALID_UTF8 = (b"\xff", b"\xc3\x28", b"a\x80", b"\xed\xa0\x80", b"\xf0\x9f\x98")
+
+
+@pytest.mark.parametrize("raw", INVALID_UTF8)
+def test_invalid_utf8_is_an_encoding_error_in_every_text_field(raw):
+    with pytest.raises(EncodingError):
+        UTF8.read(Reader(lp(raw)))
+    mid, key, bad, ok = bytes(16), bytes(32), lp(raw), lp(b"ok")
+    bodies = {
+        m.PublishMeeting: [mid + bad + key + key],
+        m.MeetingRequest: [mid + bad + ok + key + key, mid + ok + bad + key + key],
+        m.MeetingLeave: [mid + bad + ok + key, mid + ok + bad + key],
+        IdentityRecord: [bad + ok + key + b"\x00" + lp(b""),
+                         ok + bad + key + b"\x00" + lp(b"")],
+    }
+    for struct, cases in bodies.items():
+        for body in cases:
+            with pytest.raises(EncodingError):
+                struct.parse(body)
+    # and where a body meets the ledger or a leader, it is malformed
+    request = Transaction(TxTag.MEETING_REQUEST, bodies[m.MeetingRequest][0], bytes(64))
+    assert m.verify_request_tx(request, None) == Reason.MALFORMED_BODY
+    with pytest.raises(EncodingError):
+        m.parse_meeting_tx(request)
+    with pytest.raises(EncodingError):
+        parse_identity_body(bodies[IdentityRecord][0])
+
+
+def test_handover_bytes_are_the_reassign_fields_before_the_signature():
+    reassign = m.LeaderReassign(
+        bytes(range(16)), bytes([1]) * 32, bytes([2]) * 32, bytes([3]) * 32, bytes(64)
+    )
+    assert reassign.handover_bytes() == reassign.encode()[: 16 + 3 * 32]

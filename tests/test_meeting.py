@@ -84,7 +84,7 @@ def standard_meeting(world, member_names=("bob", "carol")):
 def test_request_body_layout():
     rng = DeterministicRng(1)
     mid, ivk, epk = rng.take(16), rng.take(32), rng.take(32)
-    body = m.MeetingRequest(mid, "bob", "phone", ivk, epk).encode_body()
+    body = m.MeetingRequest(mid, "bob", "phone", ivk, epk).encode()
     manual = (
         mid
         + len(b"bob").to_bytes(4, "big") + b"bob"
@@ -114,7 +114,7 @@ def test_key_distribution_body_layout():
             + entry.box.ciphertext
             + entry.box.tag
         )
-    assert dist.encode_body() == manual
+    assert dist.encode() == manual
     assert m.KeyDistribution.parse(manual) == dist
 
 
@@ -126,7 +126,7 @@ def test_entry_for_returns_the_first_entry_per_recipient():
         for ivk in (ivk_a, ivk_b, ivk_a)
     )
     dist = m.KeyDistribution(rng.take(16), 0, rng.take(32), entries)
-    fresh = m.KeyDistribution.parse(dist.encode_body())
+    fresh = m.KeyDistribution.parse(dist.encode())
     before = repr(dist)
     assert dist.entry_for(ivk_a) is entries[0]  # a repeated ivk keeps its first
     assert dist.entry_for(ivk_b) is entries[1]
@@ -176,7 +176,7 @@ def test_media_packet_wire_layout():
         + box.ciphertext
         + box.tag
     )
-    assert packet.wire_bytes() == manual
+    assert packet.encode() == manual
     assert m.MediaPacket.parse(manual) == packet
 
 
@@ -184,13 +184,13 @@ def test_reassign_body_optional_signature_flag():
     rng = DeterministicRng(4)
     mid = rng.take(16)
     bare = m.LeaderReassign(mid, rng.take(32), rng.take(32), rng.take(32), None)
-    assert bare.encode_body().endswith(b"\x00")
-    assert m.LeaderReassign.parse(bare.encode_body()) == bare
+    assert bare.encode().endswith(b"\x00")
+    assert m.LeaderReassign.parse(bare.encode()) == bare
     cosigned = m.LeaderReassign(
         bare.meeting_id, bare.prev_leader_ivk, bare.new_leader_ivk,
         bare.new_leader_epk, rng.take(64),
     )
-    raw = cosigned.encode_body()
+    raw = cosigned.encode()
     assert raw[16 + 96] == 1 and raw.endswith(cosigned.prev_leader_sig)
     assert m.LeaderReassign.parse(raw) == cosigned
 
@@ -741,7 +741,7 @@ def test_designation_handover_accepted_and_rekeyed():
     assert world.verdict(tx, m.ReassignRule.DESIGNATION) is None
     world.commit(tx)
     m.adopt_leadership(
-        bob, m.LeaderReassign.parse(tx.body), ephemeral,
+        bob, ephemeral,
         world.meeting_ledger, world.identity_ledger,
     )
     dist_tx = m.distribute_key(bob, world.rng)

@@ -1,12 +1,15 @@
 """Scenario engine: parsing, determinism, goal checking, bundled runs."""
 
 import dataclasses
+import typing
 from collections import Counter
 
 import pytest
 
-from chainmeet import crypto, sim
+from chainmeet import crypto, meeting as m, sim
+from chainmeet.encoding import Wire
 from chainmeet.errors import MalformedScenario, Reason
+from chainmeet.ledger import Ledger, LedgerKind
 from chainmeet.meeting import ReassignRule
 
 
@@ -484,6 +487,30 @@ def test_each_packet_costs_one_open_per_attempt(monkeypatch):
         decrypts = sum(isinstance(e, sim.DecryptEvent) for e in events)
         guesses = 2 * sum(isinstance(e, sim.AdversaryEvent) for e in events)
         assert opens[tick] == decrypts + guesses
+
+
+@pytest.mark.parametrize("name", sim.bundled_scenario_names())
+def test_one_body_decode_per_meeting_transaction_offered(name, monkeypatch):
+    """The ledger's judgement decodes a meeting body; nothing decodes it again."""
+    bodies = set(typing.get_args(m.MeetingTx))
+    decodes = offered = 0
+    read, append = Wire.read.__func__, Ledger.append_block
+
+    def counted_read(cls, reader):
+        nonlocal decodes
+        decodes += cls in bodies
+        return read(cls, reader)
+
+    def counted_append(ledger, txs, timestamp):
+        nonlocal offered
+        if ledger.kind is LedgerKind.MEETING:
+            offered += len(txs)
+        return append(ledger, txs, timestamp)
+
+    monkeypatch.setattr(Wire, "read", classmethod(counted_read))
+    monkeypatch.setattr(Ledger, "append_block", counted_append)
+    run_bundled(name)
+    assert offered > 0 and decodes == offered
 
 
 def test_transcript_ends_with_check_lines():
