@@ -4,8 +4,9 @@ import hashlib
 
 import pytest
 
-from chainmeet import sim
+from chainmeet import cli, sim
 from chainmeet.ledger import dump_hex_lines
+from test_cli import FAILING_SCENARIO
 
 # SHA-256 of render_transcript for each bundled scenario at its own seed
 GOLDEN = {
@@ -71,6 +72,12 @@ LEDGERS = {
     ),
 }
 
+# SHA-256 of the `chainmeet goals` stdout: every bundled run passes every
+# goal, so they share one report; the failing run lists its violation
+ALL_PASS = "115aa79c66f16f088574dc19371fd00317a9638e85176472b46347e6b91609bb"
+GOALS = dict.fromkeys(GOLDEN, ALL_PASS)
+FAILING_GOALS = "afde87091ac7828ecc58931918b4b28aa34c5698289429f8ff6bb3d261e49cec"
+
 
 def test_golden_table_covers_every_bundled_scenario():
     assert sorted(GOLDEN) == sim.bundled_scenario_names()
@@ -92,3 +99,19 @@ def test_persisted_ledgers_match_golden_digests(name):
         for ledger in (simulation.identity_ledger, simulation.meeting_ledger)
     )
     assert digests == LEDGERS[name]
+
+
+def goals_digest(ref, capsys):
+    code = cli.main(["goals", "--scenario", ref])
+    return code, hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOALS))
+def test_goals_output_matches_golden_digest(name, capsys):
+    assert goals_digest(name, capsys) == (0, GOALS[name])
+
+
+def test_failing_goals_output_matches_golden_digest(tmp_path, capsys):
+    path = tmp_path / "fail.txt"
+    path.write_text(FAILING_SCENARIO)
+    assert goals_digest(str(path), capsys) == (1, FAILING_GOALS)
