@@ -14,7 +14,8 @@ same table encodes and parses. The kinds:
     fixed(n)      exactly n bytes
     U8, U32, U64  unsigned big-endian integer of 1, 4 or 8 bytes
     LP            u32 length || bytes
-    UTF8          LP holding valid UTF-8, read as a str
+    utf8(lo, hi)  LP holding lo..hi bytes of valid UTF-8, read as a str
+    UTF8          utf8 of any length LP allows
     optional(k)   u8 flag (0: absent, None; 1: present) || k
     vector(S)     u32 count || that many S structs
     nested(S)     one S struct in place
@@ -90,12 +91,9 @@ class Reader:
     def lp(self) -> bytes:
         return self.take(self.u32())
 
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
     def finish(self) -> None:
         if self._pos != len(self._data):
-            raise EncodingError(f"{self.remaining()} trailing bytes")
+            raise EncodingError(f"{len(self._data) - self._pos} trailing bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +116,35 @@ def fixed(n: int) -> Kind:
     return Kind(lambda reader: reader.take(n), write)
 
 
-def _read_utf8(reader: Reader) -> str:
-    try:
-        return reader.lp().decode("utf-8")
-    except UnicodeDecodeError:
-        raise EncodingError("text must be valid utf-8") from None
+def utf8(min_bytes: int, max_bytes: int) -> Kind:
+    """Text whose UTF-8 encoding is min_bytes..max_bytes long; a length
+    prefix out of bounds is refused before the text is read."""
+
+    def check(n: int) -> int:
+        if not min_bytes <= n <= max_bytes:
+            raise EncodingError(
+                f"text must be {min_bytes}..{max_bytes} utf-8 bytes, not {n}"
+            )
+        return n
+
+    def read(reader: Reader) -> str:
+        try:
+            return reader.take(check(reader.u32())).decode("utf-8")
+        except UnicodeDecodeError:
+            raise EncodingError("text must be valid utf-8") from None
+
+    def write(text: str) -> bytes:
+        data = text.encode("utf-8")
+        return u32(check(len(data))) + data
+
+    return Kind(read, write)
 
 
 U8 = Kind(Reader.u8, u8)
 U32 = Kind(Reader.u32, u32)
 U64 = Kind(Reader.u64, u64)
 LP = Kind(Reader.lp, lp)
-UTF8 = Kind(_read_utf8, lambda text: lp(text.encode("utf-8")))
+UTF8 = utf8(0, U32_MAX)
 
 
 def optional(kind: Kind) -> Kind:

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import crypto
-from .encoding import LP, U8, UTF8, Wire, fixed, wire
+from .encoding import LP, U8, Wire, fixed, utf8, wire
 from .errors import EncodingError, InvalidTransaction, NotFound, Reason
 from .ledger import Block, Ledger, LedgerKind, Transaction, TxTag, new_ledger
 
 MAX_NAME_BYTES = 64
 MAX_INFO_BYTES = 1024
+NAME = utf8(1, MAX_NAME_BYTES)
 
 _INFO_PLAIN = 0
 _INFO_COMMITMENT = 1
@@ -46,16 +47,13 @@ UserInfo = Union[PlainInfo, CommittedInfo]
 class IdentityRecord(Wire):
     """A registration body; both directions check its limits."""
 
-    user: str = wire(UTF8)
-    device: str = wire(UTF8)
+    user: str = wire(NAME)
+    device: str = wire(NAME)
     ivk: bytes = wire(fixed(crypto.KEY_LEN))
     info_kind: int = wire(U8)  # 0 plain, 1 commitment
     info_data: bytes = wire(LP)
 
     def __post_init__(self) -> None:
-        for name in (self.user, self.device):
-            if not 0 < len(name.encode("utf-8")) <= MAX_NAME_BYTES:
-                raise EncodingError(f"name must be 1..{MAX_NAME_BYTES} utf-8 bytes")
         if self.info_kind == _INFO_PLAIN:
             if len(self.info_data) > MAX_INFO_BYTES:
                 raise EncodingError(f"user info larger than {MAX_INFO_BYTES} bytes")

@@ -22,8 +22,8 @@ from typing import Callable, Optional, Union, get_args
 
 from . import crypto, identity as identity_mod
 from .encoding import (
-    U32, U64, U64_MAX, UTF8, Wire, encode_fields, fixed, nested, optional, table,
-    u32, u8, vector, wire,
+    U32, U64, U64_MAX, Wire, encode_fields, fixed, nested, optional, table, u32,
+    u8, utf8, vector, wire,
 )
 from .errors import (
     AuthenticationFailure,
@@ -65,6 +65,10 @@ class ReassignRule(enum.Enum):
 
 MEETING_ID = fixed(MEETING_ID_LEN)
 KEY = fixed(crypto.KEY_LEN)
+# the leader matches a request's names against the identity ledger; a
+# body only has to keep them within the identity ledger's size
+NAME = utf8(0, identity_mod.MAX_NAME_BYTES)
+INFO = utf8(0, identity_mod.MAX_INFO_BYTES)
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ class PublishMeeting(Wire):
     TAG = TxTag.MEETING_PUBLISH
 
     meeting_id: bytes = wire(MEETING_ID)
-    info: str = wire(UTF8)
+    info: str = wire(INFO)
     leader_ivk: bytes = wire(KEY)
     leader_epk: bytes = wire(KEY)
 
@@ -82,8 +86,8 @@ class MeetingRequest(Wire):
     TAG = TxTag.MEETING_REQUEST
 
     meeting_id: bytes = wire(MEETING_ID)
-    user: str = wire(UTF8)
-    device: str = wire(UTF8)
+    user: str = wire(NAME)
+    device: str = wire(NAME)
     ivk: bytes = wire(KEY)
     epk: bytes = wire(KEY)
 
@@ -127,8 +131,8 @@ class MeetingLeave(Wire):
     TAG = TxTag.MEETING_LEAVE
 
     meeting_id: bytes = wire(MEETING_ID)
-    user: str = wire(UTF8)
-    device: str = wire(UTF8)
+    user: str = wire(NAME)
+    device: str = wire(NAME)
     ivk: bytes = wire(KEY)
 
 
@@ -317,10 +321,6 @@ class MeetingView:
         """Verified, still-present requesters in arrival order."""
         return [r for r in self.requests if r.active and self.request_verdict(r) is None]
 
-    def earliest_member(self) -> Optional[RequestRecord]:
-        members = self.members()
-        return members[0] if members else None
-
     def member_with_ivk(self, ivk: bytes) -> Optional[RequestRecord]:
         for record in self.members():
             if record.request.ivk == ivk:
@@ -377,7 +377,7 @@ class MeetingState:
         return view
 
     def admit(self, tx: Transaction, ledger: Ledger, block_index: int, pos: int) -> None:
-        reason = meeting_tx_verdict(tx, ledger, self.identity_ledger, self.rule)
+        reason = meeting_tx_verdict(tx, ledger)
         if reason is not None:
             raise InvalidTransaction(reason)
         # the verdict has kept its decode on tx, and has checked the
@@ -438,14 +438,11 @@ def verify_request_tx(tx: Transaction, identity_ledger: Ledger) -> Optional[Reas
     return verify_request(request, signature_ok, identity_ledger)
 
 
-def build_view(
-    meeting_ledger: Ledger, identity_ledger: Ledger, meeting_id: bytes
-) -> MeetingView:
+def build_view(meeting_ledger: Ledger, meeting_id: bytes) -> MeetingView:
     """The meeting as the chain has it, looked up in the ledger's state.
 
-    The view is live: it advances as the ledger admits transactions. It
-    resolves identities against the identity ledger the meeting ledger was
-    made with, which identity_ledger is expected to be.
+    The view is live: it advances as the ledger admits transactions, and it
+    resolves identities against the meeting ledger's identity ledger.
     """
     return meeting_ledger.state.view(meeting_id)
 
@@ -455,11 +452,7 @@ def build_view(
 
 
 def reassign_verdict(
-    payload: LeaderReassign,
-    tx: Transaction,
-    view: MeetingView,
-    identity_ledger: Ledger,
-    rule: ReassignRule,
+    payload: LeaderReassign, tx: Transaction, view: MeetingView, rule: ReassignRule
 ) -> Optional[Reason]:
     if not view.exists:
         return Reason.MEETING_NOT_FOUND
@@ -467,10 +460,10 @@ def reassign_verdict(
         return Reason.MEETING_DISMISSED
     if payload.prev_leader_ivk != view.leader_ivk:
         return Reason.RULE_VIOLATION
-    if not identity_mod.ivk_registered(identity_ledger, payload.new_leader_ivk):
+    if not identity_mod.ivk_registered(view.identity_ledger, payload.new_leader_ivk):
         return Reason.UNKNOWN_IDENTITY
-    member = view.member_with_ivk(payload.new_leader_ivk)
-    if member is None:
+    member_ivks = [record.request.ivk for record in view.members()]
+    if payload.new_leader_ivk not in member_ivks:
         return Reason.RULE_VIOLATION
     if not crypto.verify(payload.new_leader_ivk, tx.signing_bytes, tx.signature):
         return Reason.BAD_SIGNATURE
@@ -481,38 +474,32 @@ def reassign_verdict(
             payload.prev_leader_ivk, payload.handover_bytes(), payload.prev_leader_sig
         ):
             return Reason.BAD_SIGNATURE
-    else:  # time order: the chain itself picks the successor
-        if payload.prev_leader_sig is not None:
-            return Reason.RULE_VIOLATION
-        earliest = view.earliest_member()
-        if earliest is None or earliest.request.ivk != payload.new_leader_ivk:
-            return Reason.RULE_VIOLATION
+    elif payload.prev_leader_sig is not None or member_ivks[0] != payload.new_leader_ivk:
+        # time order: no co-signature, and the chain's earliest member succeeds
+        return Reason.RULE_VIOLATION
     return None
 
 
-def meeting_tx_verdict(
-    tx: Transaction,
-    meeting_ledger: Ledger,
-    identity_ledger: Ledger,
-    rule: ReassignRule,
-) -> Optional[Reason]:
+def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reason]:
     """Validation verdict for one meeting-ledger transaction; None accepts.
 
-    Judged against the meeting ledger's state, so it costs the same at any
-    chain length. The body is decoded here, always from its bytes, and the
-    payload is kept on tx for the fold and every later reader.
+    Judged against the meeting ledger's state, which holds its identity
+    ledger and reassignment rule, so it costs the same at any chain length.
+    The body is decoded here, always from its bytes, and the payload is kept
+    on tx for the fold and every later reader.
     """
     try:
         payload = _decode(tx)
     except EncodingError:
         return Reason.MALFORMED_BODY
     object.__setattr__(tx, "payload", payload)
-    view = meeting_ledger.state.view(payload.meeting_id)
+    state = meeting_ledger.state
+    view = state.view(payload.meeting_id)
 
     if isinstance(payload, PublishMeeting):
         if view.exists:
             return Reason.DUPLICATE_MEETING
-        if not identity_mod.ivk_registered(identity_ledger, payload.leader_ivk):
+        if not identity_mod.ivk_registered(state.identity_ledger, payload.leader_ivk):
             return Reason.UNKNOWN_IDENTITY
         if not crypto.verify(payload.leader_ivk, tx.signing_bytes, tx.signature):
             return Reason.BAD_SIGNATURE
@@ -551,7 +538,7 @@ def meeting_tx_verdict(
         return None
 
     if isinstance(payload, LeaderReassign):
-        return reassign_verdict(payload, tx, view, identity_ledger, rule)
+        return reassign_verdict(payload, tx, view, state.rule)
 
     assert isinstance(payload, MeetingDismiss)
     if not crypto.verify(view.leader_ivk, tx.signing_bytes, tx.signature):
@@ -577,14 +564,6 @@ def allow_all(user: str, device: str, info: Optional[identity_mod.UserInfo]) -> 
 
 
 @dataclass
-class MemberSlot:
-    user: str
-    device: str
-    ivk: bytes
-    epk: bytes
-
-
-@dataclass
 class ParticipantState:
     """One actor's view of one meeting."""
 
@@ -595,9 +574,8 @@ class ParticipantState:
     role: Role = Role.OUTSIDER
     ephemeral: Optional[crypto.EphemeralKeyPair] = None
     known_mk: Optional[MeetingKey] = None
-    # leader bookkeeping
-    membership_view: dict[tuple[str, str], MemberSlot] = field(default_factory=dict)
-    denied: set[tuple[str, str]] = field(default_factory=set)
+    # leader bookkeeping: the admitted request of each member
+    membership_view: dict[tuple[str, str], MeetingRequest] = field(default_factory=dict)
     reviewed: set[tuple[int, int]] = field(default_factory=set)
     last_epoch: Optional[int] = None
     rekey_pending: bool = False
@@ -627,13 +605,9 @@ def publish_meeting(
 
 
 def make_request(
-    state: ParticipantState,
-    meeting_ledger: Ledger,
-    identity_ledger: Ledger,
-    meeting_id: bytes,
-    rng: Rng,
+    state: ParticipantState, meeting_ledger: Ledger, meeting_id: bytes, rng: Rng
 ) -> Transaction:
-    view = build_view(meeting_ledger, identity_ledger, meeting_id)
+    view = build_view(meeting_ledger, meeting_id)
     if not view.exists:
         raise MeetingNotFound(meeting_id.hex())
     if view.dismissed:
@@ -661,16 +635,13 @@ class ReviewOutcome:
 
 
 def review_requests(
-    state: ParticipantState,
-    meeting_ledger: Ledger,
-    identity_ledger: Ledger,
-    policy: Policy = allow_all,
+    state: ParticipantState, meeting_ledger: Ledger, policy: Policy = allow_all
 ) -> list[ReviewOutcome]:
     """Leader pass over the chain: verify new requests, apply policy, track
     departures. Returns one outcome per newly reviewed request."""
     if state.role is not Role.LEADER:
         raise NotCurrentLeader(f"{state.user} is not leading")
-    view = build_view(meeting_ledger, identity_ledger, state.meeting_id)
+    view = build_view(meeting_ledger, state.meeting_id)
     outcomes = []
     for record in view.requests:
         request = record.request
@@ -686,24 +657,21 @@ def review_requests(
                 ReviewOutcome(request.user, request.device, reason, granted=False)
             )
             continue
-        found = identity_mod.find_identity(identity_ledger, request.user, request.device)
+        found = identity_mod.find_identity(
+            view.identity_ledger, request.user, request.device
+        )
         if policy(request.user, request.device, found.info):
-            state.membership_view[(request.user, request.device)] = _slot(request)
+            state.membership_view[(request.user, request.device)] = request
             state.rekey_pending = True
             outcomes.append(ReviewOutcome(request.user, request.device, None, True))
         else:
-            state.denied.add((request.user, request.device))
             outcomes.append(ReviewOutcome(request.user, request.device, None, False))
     # departures observed on the chain drop out of the membership view
-    for slot_key, slot in list(state.membership_view.items()):
-        if view.record_for(slot.user, slot.device, slot.ivk) is None:
-            del state.membership_view[slot_key]
+    for key, member in list(state.membership_view.items()):
+        if view.record_for(member.user, member.device, member.ivk) is None:
+            del state.membership_view[key]
             state.rekey_pending = True
     return outcomes
-
-
-def _slot(request: MeetingRequest) -> MemberSlot:
-    return MemberSlot(request.user, request.device, request.ivk, request.epk)
 
 
 def distribute_key(state: ParticipantState, rng: Rng) -> Transaction:
@@ -725,19 +693,19 @@ def distribute_key(state: ParticipantState, rng: Rng) -> Transaction:
         state.ephemeral = crypto.ephemeral_keygen(rng)
     meeting_key = rng.take(crypto.KEY_LEN)
     entries = []
-    for slot in state.membership_view.values():
-        shared = crypto.dh(state.ephemeral, slot.epk)
+    for member in state.membership_view.values():
+        shared = crypto.dh(state.ephemeral, member.epk)
         enc_key = crypto.derive_enc_key(
             shared,
-            kdf_context(state.meeting_id, epoch, state.ephemeral.epk, slot.epk),
+            kdf_context(state.meeting_id, epoch, state.ephemeral.epk, member.epk),
         )
         box = crypto.aead_encrypt(
             enc_key,
             rng.take(crypto.NONCE_LEN),
             meeting_key,
-            wrap_aad(state.meeting_id, epoch, slot.ivk),
+            wrap_aad(state.meeting_id, epoch, member.ivk),
         )
-        entries.append(KeyEntry(slot.ivk, box))
+        entries.append(KeyEntry(member.ivk, box))
     state.known_mk = MeetingKey(meeting_key, epoch)
     state.last_epoch = epoch
     state.rekey_pending = False
@@ -827,7 +795,6 @@ def purge_keys(state: ParticipantState) -> None:
     state.ephemeral = None
     state.stream_counters = {}
     state.membership_view = {}
-    state.denied = set()
     state.reviewed = set()
     state.last_epoch = None
     state.rekey_pending = False
@@ -840,7 +807,6 @@ def build_reassign(
     new_keypair: crypto.IdentityKeyPair,
     rule: ReassignRule,
     rng: Rng,
-    enforce: bool = True,
 ) -> tuple[Transaction, crypto.EphemeralKeyPair]:
     """Construct the leadership handover transaction.
 
@@ -850,11 +816,10 @@ def build_reassign(
     an epoch-0 distribution rides on it, while any later rekey mints its
     own replacement.
     """
-    if enforce:
-        if view.leader_ivk != prev_keypair.ivk:
-            raise NotCurrentLeader("handover must name the current leader")
-        if view.member_with_ivk(new_keypair.ivk) is None:
-            raise NewLeaderNotMember("successor must be a verified member")
+    if view.leader_ivk != prev_keypair.ivk:
+        raise NotCurrentLeader("handover must name the current leader")
+    if view.member_with_ivk(new_keypair.ivk) is None:
+        raise NewLeaderNotMember("successor must be a verified member")
     ephemeral = crypto.ephemeral_keygen(rng)
     payload = LeaderReassign(
         meeting_id=view.meeting_id,
@@ -872,18 +837,15 @@ def build_reassign(
 
 
 def adopt_leadership(
-    state: ParticipantState,
-    ephemeral: crypto.EphemeralKeyPair,
-    meeting_ledger: Ledger,
-    identity_ledger: Ledger,
+    state: ParticipantState, ephemeral: crypto.EphemeralKeyPair, meeting_ledger: Ledger
 ) -> None:
     """Switch a member's state to leading, seeded from the chain's view."""
-    view = build_view(meeting_ledger, identity_ledger, state.meeting_id)
+    view = build_view(meeting_ledger, state.meeting_id)
     state.role = Role.LEADER
     state.ephemeral = ephemeral
     state.last_epoch = view.last_epoch
     state.membership_view = {
-        (r.request.user, r.request.device): _slot(r.request)
+        (r.request.user, r.request.device): r.request
         for r in view.members()
         if r.request.ivk != state.keypair.ivk  # the leader is not their own member
     }

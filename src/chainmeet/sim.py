@@ -47,7 +47,7 @@ import hashlib
 import os
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import crypto, identity as identity_mod, meeting as m
 from .errors import (
@@ -397,41 +397,40 @@ Event = Union[
 # goal checking
 
 
+GOALS = (
+    "confidentiality", "integrity", "availability", "expulsion",
+    "attacks-frustrated", "epochs-contiguous", "nonces-unique",
+)
+
+
+class Violation(NamedTuple):
+    goal: str
+    detail: str
+
+    def __str__(self) -> str:
+        return f"{self.goal}: {self.detail}"
+
+
 @dataclass
 class GoalReport:
-    confidentiality: bool
-    integrity: bool
-    availability: bool
-    expulsion: bool
-    attacks_frustrated: bool
-    epochs_contiguous: bool
-    nonces_unique: bool
-    violations: list[str] = field(default_factory=list)
+    """A goal passes when no violation names it."""
+
+    violations: list[Violation] = field(default_factory=list)
     note: str = AVAILABILITY_NOTE
 
-    def _goals(self) -> list[tuple[str, bool]]:
-        """(name, passed) of each goal, in report order."""
-        return [
-            ("confidentiality", self.confidentiality),
-            ("integrity", self.integrity),
-            ("availability", self.availability),
-            ("expulsion", self.expulsion),
-            ("attacks-frustrated", self.attacks_frustrated),
-            ("epochs-contiguous", self.epochs_contiguous),
-            ("nonces-unique", self.nonces_unique),
-        ]
+    def passed(self, goal: str) -> bool:
+        return all(v.goal != goal for v in self.violations)
 
     @property
     def ok(self) -> bool:
-        return all(passed for _, passed in self._goals())
+        return not self.violations
 
     def check_events(self) -> list[CheckEvent]:
-        first = {}
-        for text in self.violations:
-            name = text.split(":", 1)[0]
-            first.setdefault(name, text.split(": ", 1)[1])
+        first: dict[str, str] = {}
+        for goal, detail in self.violations:
+            first.setdefault(goal, detail)
         return [
-            CheckEvent(name, ok, first.get(name, "")) for name, ok in self._goals()
+            CheckEvent(goal, goal not in first, first.get(goal, "")) for goal in GOALS
         ] + [CheckEvent("all-goals", self.ok)]
 
 
@@ -453,13 +452,10 @@ def check_goals(events: list[Event]) -> GoalReport:
         }
         per_meeting.setdefault(event.meeting, []).append(event.epoch)
 
-    confidentiality = True
-    integrity = True
-    expulsion = True
-    reads: list[str] = []  # the three goals above, interleaved
-    refusals: list[str] = []
-    attacks: list[str] = []
-    reuses: list[str] = []
+    reads: list[Violation] = []  # confidentiality, integrity and expulsion
+    refusals: list[Violation] = []
+    attacks: list[Violation] = []
+    reuses: list[Violation] = []
     seen: set[tuple[bytes, bytes]] = set()
     for event in events:
         kind = type(event)
@@ -467,65 +463,55 @@ def check_goals(events: list[Event]) -> GoalReport:
             if not event.ok:
                 continue  # a packet nobody read breaks no goal
             if event.tampered:
-                integrity = False
-                reads.append(
-                    f"integrity: {event.actor} accepted a tampered packet"
-                    f" at t={event.tick}"
-                )
+                reads.append(Violation(
+                    "integrity",
+                    f"{event.actor} accepted a tampered packet at t={event.tick}",
+                ))
                 continue
             if event.actor_ivk not in entitled.get((event.meeting, event.epoch), ()):
-                confidentiality = False
-                reads.append(
-                    f"confidentiality: {event.actor} read m={event.meeting}"
-                    f" epoch={event.epoch} without an entry"
-                )
+                reads.append(Violation(
+                    "confidentiality",
+                    f"{event.actor} read m={event.meeting} epoch={event.epoch}"
+                    " without an entry",
+                ))
             if (
                 event.ghost
                 and event.epoch_at_leave is not None
                 and event.epoch > event.epoch_at_leave
             ):
-                expulsion = False
-                reads.append(
-                    f"expulsion: departed {event.actor} read epoch={event.epoch}"
-                    f" after leaving at {event.epoch_at_leave}"
-                )
+                reads.append(Violation(
+                    "expulsion",
+                    f"departed {event.actor} read epoch={event.epoch}"
+                    f" after leaving at {event.epoch_at_leave}",
+                ))
         elif kind is PacketEvent:
             pair = (event.key_digest, event.nonce)
             if pair in seen:
-                reuses.append(
-                    f"nonces-unique: nonce {event.nonce.hex()} reused under"
-                    f" one stream key at t={event.tick}"
-                )
+                reuses.append(Violation(
+                    "nonces-unique",
+                    f"nonce {event.nonce.hex()} reused under one stream key"
+                    f" at t={event.tick}",
+                ))
             seen.add(pair)
         elif kind is TxEvent:
             if event.honest and not event.ok:
-                refusals.append(
-                    f"availability: honest {event.actor} refused at t={event.tick}"
-                    f" ({event.reason})"
-                )
+                refusals.append(Violation(
+                    "availability",
+                    f"honest {event.actor} refused at t={event.tick} ({event.reason})",
+                ))
         elif kind is AdversaryEvent:
             if not event.failed:
-                attacks.append(
-                    f"attacks-frustrated: {event.attack} by {event.actor}"
-                    f" succeeded at t={event.tick}"
-                )
+                attacks.append(Violation(
+                    "attacks-frustrated",
+                    f"{event.attack} by {event.actor} succeeded at t={event.tick}",
+                ))
 
     gaps = [
-        f"epochs-contiguous: m={meeting} saw {epochs}"
+        Violation("epochs-contiguous", f"m={meeting} saw {epochs}")
         for meeting, epochs in sorted(per_meeting.items())
         if epochs != list(range(len(epochs)))
     ]
-
-    return GoalReport(
-        confidentiality=confidentiality,
-        integrity=integrity,
-        availability=not refusals,
-        expulsion=expulsion,
-        attacks_frustrated=not attacks,
-        epochs_contiguous=not gaps,
-        nonces_unique=not reuses,
-        violations=reads + refusals + attacks + gaps + reuses,
-    )
+    return GoalReport(reads + refusals + attacks + gaps + reuses)
 
 
 # ---------------------------------------------------------------------------
@@ -704,18 +690,14 @@ class Simulation:
         session = m.ParticipantState(
             user=actor.user, device=actor.device, keypair=actor.keypair
         )
-        tx = m.make_request(
-            session, self.meeting_ledger, self.identity_ledger, meeting_id, self.rng
-        )
+        tx = m.make_request(session, self.meeting_ledger, meeting_id, self.rng)
         if self._submit(actor, "request", tx) is None:
             self._join(actor, meeting_id, session)
 
     def _review(self, actor: Actor, meeting_id: bytes) -> None:
         session = self._session(actor, meeting_id)
         meeting_index = self._meeting_index(meeting_id)
-        for outcome in m.review_requests(
-            session, self.meeting_ledger, self.identity_ledger
-        ):
+        for outcome in m.review_requests(session, self.meeting_ledger):
             self._emit(
                 ReviewEvent(
                     tick=self.tick,
@@ -735,7 +717,7 @@ class Simulation:
         self._review(actor, meeting_id)
         session = self._session(actor, meeting_id)
         tx = m.distribute_key(session, self.rng)
-        # the key was just wrapped to each slot of the leader's membership view
+        # the key was just wrapped to each member of the leader's membership view
         self._emit(
             KeyEpochEvent(
                 tick=self.tick,
@@ -743,7 +725,7 @@ class Simulation:
                 epoch=session.known_mk.epoch,
                 leader=actor.user,
                 leader_ivk=actor.keypair.ivk,
-                recipients=tuple(slot.ivk for slot in session.membership_view.values()),
+                recipients=tuple(r.ivk for r in session.membership_view.values()),
                 key_digest=hashlib.sha256(session.known_mk.key).digest(),
             )
         )
@@ -907,7 +889,7 @@ class Simulation:
         if successor is None:
             raise MalformedScenario(f"unknown actor {args[0]!r}")
         meeting_id = self._meeting_at(self._int_arg(args, 1, 0))
-        view = m.build_view(self.meeting_ledger, self.identity_ledger, meeting_id)
+        view = m.build_view(self.meeting_ledger, meeting_id)
         if view.leader_ivk == actor.keypair.ivk:
             tx, ephemeral = m.build_reassign(
                 view, actor.keypair, successor.keypair, self.rule, self.rng
@@ -940,9 +922,7 @@ class Simulation:
 
     def _install_leader(self, successor, meeting_id, ephemeral) -> None:
         session = self._session(successor, meeting_id)
-        m.adopt_leadership(
-            session, ephemeral, self.meeting_ledger, self.identity_ledger
-        )
+        m.adopt_leadership(session, ephemeral, self.meeting_ledger)
         # the new leader rotates the key right away so the one the old
         # leadership wrapped stops mattering
         self._distribute(successor, meeting_id)
@@ -1013,8 +993,8 @@ class Simulation:
             raise MalformedScenario(f"unknown actor {args[0]!r}")
         mid_a = self._meeting_at(self._int_arg(args, 1, 0))
         mid_b = self._meeting_at(self._int_arg(args, 2, 1))
-        view_a = m.build_view(self.meeting_ledger, self.identity_ledger, mid_a)
-        view_b = m.build_view(self.meeting_ledger, self.identity_ledger, mid_b)
+        view_a = m.build_view(self.meeting_ledger, mid_a)
+        view_b = m.build_view(self.meeting_ledger, mid_b)
         if view_a.last_epoch is None or view_b.last_epoch is None:
             raise MalformedScenario("mix_keys needs key distributions to splice")
         dist_a = view_a.distributions[view_a.last_epoch]
@@ -1053,9 +1033,7 @@ class Simulation:
         meeting_id = self._meeting_at(self._int_arg(args, 0, 0))
         # earliest request wins: in the interesting runs that is the one a
         # since-departed member posted, so the replay is a re-enrol attempt
-        requests = m.build_view(
-            self.meeting_ledger, self.identity_ledger, meeting_id
-        ).requests
+        requests = m.build_view(self.meeting_ledger, meeting_id).requests
         if not requests:
             raise MalformedScenario("no request on the chain to replay")
         replayable = requests[0].tx

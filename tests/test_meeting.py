@@ -2,6 +2,7 @@
 
 import hashlib
 import hmac as stdlib_hmac
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,8 @@ from chainmeet.errors import (
     NotCurrentLeader,
     Reason,
 )
-from chainmeet.ledger import Transaction, TxTag
+from chainmeet.encoding import lp
+from chainmeet.ledger import Transaction, TxTag, dump_hex_lines
 from chainmeet.rng import DeterministicRng, FixedRng
 
 
@@ -46,10 +48,8 @@ class World:
         self.tick += 1
         return self.meeting_ledger.append_block([tx], timestamp=self.tick)
 
-    def verdict(self, tx, rule=m.ReassignRule.DESIGNATION):
-        return m.meeting_tx_verdict(
-            tx, self.meeting_ledger, self.identity_ledger, rule
-        )
+    def verdict(self, tx):
+        return m.meeting_tx_verdict(tx, self.meeting_ledger)
 
 
 def standard_meeting(world, member_names=("bob", "carol")):
@@ -62,13 +62,12 @@ def standard_meeting(world, member_names=("bob", "carol")):
             m.make_request(
                 member,
                 world.meeting_ledger,
-                world.identity_ledger,
                 leader.meeting_id,
                 world.rng,
             )
         )
         members.append(member)
-    m.review_requests(leader, world.meeting_ledger, world.identity_ledger)
+    m.review_requests(leader, world.meeting_ledger)
     dist_tx = m.distribute_key(leader, world.rng)
     world.commit(dist_tx)
     dist = m.KeyDistribution.parse(dist_tx.body)
@@ -290,7 +289,7 @@ def test_verify_request_reasons():
     assert m.verify_request_tx(tx, world.identity_ledger) == Reason.UNKNOWN_IDENTITY
 
     honest = m.make_request(
-        world.actor("victim2"), world.meeting_ledger, world.identity_ledger,
+        world.actor("victim2"), world.meeting_ledger,
         leader.meeting_id, world.rng,
     )
     mangled = Transaction(
@@ -312,13 +311,13 @@ def test_leader_review_rejects_forged_and_keeps_them_out():
         crypto.ephemeral_keygen(world.rng).epk,
     )
     world.commit(m.signed_tx(forged, mallory.keypair.isk))
-    outcomes = m.review_requests(leader, world.meeting_ledger, world.identity_ledger)
+    outcomes = m.review_requests(leader, world.meeting_ledger)
     assert [(o.user, o.verdict, o.granted) for o in outcomes] == [
         ("victim", Reason.KEY_MISMATCH, False)
     ]
     assert not leader.membership_view
     # a second review has nothing new to say
-    assert m.review_requests(leader, world.meeting_ledger, world.identity_ledger) == []
+    assert m.review_requests(leader, world.meeting_ledger) == []
 
 
 def test_policy_gate_with_committed_userinfo():
@@ -338,7 +337,7 @@ def test_policy_gate_with_committed_userinfo():
     dora = m.ParticipantState(user="dora", device="dev", keypair=pair)
     world.commit(
         m.make_request(
-            dora, world.meeting_ledger, world.identity_ledger,
+            dora, world.meeting_ledger,
             leader.meeting_id, world.rng,
         )
     )
@@ -349,7 +348,7 @@ def test_policy_gate_with_committed_userinfo():
         )
 
     outcomes = m.review_requests(
-        leader, world.meeting_ledger, world.identity_ledger, needs_valid_opening
+        leader, world.meeting_ledger, needs_valid_opening
     )
     assert outcomes[0].granted
     # wrong opening fails the same policy
@@ -369,7 +368,7 @@ def test_policy_gate_with_committed_userinfo():
     evan = m.ParticipantState(user="evan", device="dev", keypair=pair2)
     world2.commit(
         m.make_request(
-            evan, world2.meeting_ledger, world2.identity_ledger,
+            evan, world2.meeting_ledger,
             leader2.meeting_id, world2.rng,
         )
     )
@@ -380,10 +379,10 @@ def test_policy_gate_with_committed_userinfo():
         )
 
     outcomes = m.review_requests(
-        leader2, world2.meeting_ledger, world2.identity_ledger, needs_staff_opening
+        leader2, world2.meeting_ledger, needs_staff_opening
     )
     assert not outcomes[0].granted
-    assert ("evan", "dev") in leader2.denied
+    assert ("evan", "dev") not in leader2.membership_view
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +399,15 @@ def two_meetings(seed=555):
     bob_a = m.ParticipantState(user="bob", device="dev", keypair=bob.keypair)
     bob_b = m.ParticipantState(user="bob", device="dev", keypair=bob.keypair)
     world.commit(
-        m.make_request(bob_a, world.meeting_ledger, world.identity_ledger,
+        m.make_request(bob_a, world.meeting_ledger,
                        alice.meeting_id, world.rng)
     )
     world.commit(
-        m.make_request(bob_b, world.meeting_ledger, world.identity_ledger,
+        m.make_request(bob_b, world.meeting_ledger,
                        dave.meeting_id, world.rng)
     )
-    m.review_requests(alice, world.meeting_ledger, world.identity_ledger)
-    m.review_requests(dave, world.meeting_ledger, world.identity_ledger)
+    m.review_requests(alice, world.meeting_ledger)
+    m.review_requests(dave, world.meeting_ledger)
     dist_a_tx = m.distribute_key(alice, world.rng)
     dist_b_tx = m.distribute_key(dave, world.rng)
     world.commit(dist_a_tx)
@@ -565,12 +564,43 @@ def test_unregistered_publisher_rejected():
     assert err.value.reason == Reason.UNKNOWN_IDENTITY
 
 
+def test_meeting_body_text_is_capped():
+    """Names hold at most 64 utf-8 bytes and meeting info 1,024, as on the
+    identity ledger; a longer field is a malformed body and lands nothing."""
+    world = World()
+    leader = world.actor("alice")
+    world.commit(m.publish_meeting(leader, "i" * 1024, world.rng))
+    before = dump_hex_lines(world.meeting_ledger)
+    pair = leader.keypair
+    epk = crypto.ephemeral_keygen(world.rng).epk
+    oversized = {
+        TxTag.MEETING_REQUEST:
+            leader.meeting_id + lp(b"u" * 65) + lp(b"dev") + pair.ivk + epk,
+        TxTag.MEETING_PUBLISH:
+            bytes(16) + lp(b"i" * 1025) + pair.ivk + epk,
+    }
+    for tag, body in oversized.items():
+        draft = Transaction(tag, body, bytes(crypto.SIG_LEN))
+        tx = Transaction(tag, body, crypto.sign(pair, draft.signing_bytes))
+        assert world.verdict(tx) == Reason.MALFORMED_BODY
+        with pytest.raises(InvalidTransaction) as err:
+            world.commit(tx)
+        assert err.value.reason == Reason.MALFORMED_BODY
+        assert dump_hex_lines(world.meeting_ledger) == before
+    assert m.build_view(world.meeting_ledger, leader.meeting_id).requests == []
+    # the longest name the identity ledger registers still joins
+    longest = world.actor("u" * 64)
+    world.commit(m.make_request(longest, world.meeting_ledger, leader.meeting_id, world.rng))
+    outcomes = m.review_requests(leader, world.meeting_ledger)
+    assert [(o.user, o.granted) for o in outcomes] == [("u" * 64, True)]
+
+
 def test_request_for_missing_or_dismissed_meeting():
     world = World()
     bob = world.actor("bob")
     with pytest.raises(MeetingNotFound):
         m.make_request(
-            bob, world.meeting_ledger, world.identity_ledger,
+            bob, world.meeting_ledger,
             bytes(16), world.rng,
         )
     leader = world.actor("alice")
@@ -578,7 +608,7 @@ def test_request_for_missing_or_dismissed_meeting():
     world.commit(m.dismiss_meeting(leader))
     with pytest.raises(MeetingDismissed):
         m.make_request(
-            bob, world.meeting_ledger, world.identity_ledger,
+            bob, world.meeting_ledger,
             leader.meeting_id, world.rng,
         )
     # a crafted transaction is refused at admission too
@@ -598,14 +628,14 @@ def test_replayed_and_duplicate_requests_rejected():
     world.commit(m.publish_meeting(leader, "m", world.rng))
     bob = world.actor("bob")
     request_tx = m.make_request(
-        bob, world.meeting_ledger, world.identity_ledger,
+        bob, world.meeting_ledger,
         leader.meeting_id, world.rng,
     )
     world.commit(request_tx)
     assert world.verdict(request_tx) == Reason.REPLAYED_REQUEST
     fresh = m.make_request(
         m.ParticipantState(user="bob", device="dev", keypair=bob.keypair),
-        world.meeting_ledger, world.identity_ledger, leader.meeting_id, world.rng,
+        world.meeting_ledger, leader.meeting_id, world.rng,
     )
     assert world.verdict(fresh) == Reason.DUPLICATE_REQUEST
 
@@ -627,12 +657,12 @@ def test_forged_request_cannot_squat_the_victims_binding():
     )
     world.commit(forged)  # admission cannot resolve identities; this lands
     genuine = m.make_request(
-        victim, world.meeting_ledger, world.identity_ledger,
+        victim, world.meeting_ledger,
         leader.meeting_id, world.rng,
     )
     assert world.verdict(genuine) is None
     world.commit(genuine)
-    outcomes = m.review_requests(leader, world.meeting_ledger, world.identity_ledger)
+    outcomes = m.review_requests(leader, world.meeting_ledger)
     assert [(o.user, o.granted) for o in outcomes] == [
         ("victim", False), ("victim", True)
     ]
@@ -645,7 +675,7 @@ def test_forged_request_cannot_squat_the_victims_binding():
     assert world.verdict(leave) is None
     world.commit(leave)
     # and the leader sees the departure despite the squatter
-    m.review_requests(leader, world.meeting_ledger, world.identity_ledger)
+    m.review_requests(leader, world.meeting_ledger)
     assert ("victim", "dev") not in leader.membership_view
     assert leader.rekey_pending
 
@@ -656,7 +686,7 @@ def test_rejoin_after_leave_is_allowed():
     world.commit(m.make_leave(bob))
     rejoin = m.make_request(
         m.ParticipantState(user="bob", device="dev", keypair=bob.keypair),
-        world.meeting_ledger, world.identity_ledger, leader.meeting_id, world.rng,
+        world.meeting_ledger, leader.meeting_id, world.rng,
     )
     assert world.verdict(rejoin) is None
     world.commit(rejoin)
@@ -703,12 +733,12 @@ def test_epoch_sequence_gap_free():
     world = World()
     leader, (bob, carol), _ = standard_meeting(world)
     world.commit(m.make_leave(bob))
-    m.review_requests(leader, world.meeting_ledger, world.identity_ledger)
+    m.review_requests(leader, world.meeting_ledger)
     world.commit(m.distribute_key(leader, world.rng))
     world.commit(m.make_leave(carol))
-    m.review_requests(leader, world.meeting_ledger, world.identity_ledger)
+    m.review_requests(leader, world.meeting_ledger)
     world.commit(m.distribute_key(leader, world.rng))
-    view = m.build_view(world.meeting_ledger, world.identity_ledger, leader.meeting_id)
+    view = m.build_view(world.meeting_ledger, leader.meeting_id)
     assert sorted(view.distributions) == [0, 1, 2]
 
 
@@ -734,15 +764,15 @@ def handover_world(rule):
 
 def test_designation_handover_accepted_and_rekeyed():
     world, alice, bob, carol = handover_world(m.ReassignRule.DESIGNATION)
-    view = m.build_view(world.meeting_ledger, world.identity_ledger, alice.meeting_id)
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
     tx, ephemeral = m.build_reassign(
         view, alice.keypair, bob.keypair, m.ReassignRule.DESIGNATION, world.rng
     )
-    assert world.verdict(tx, m.ReassignRule.DESIGNATION) is None
+    assert world.verdict(tx) is None
     world.commit(tx)
     m.adopt_leadership(
         bob, ephemeral,
-        world.meeting_ledger, world.identity_ledger,
+        world.meeting_ledger,
     )
     dist_tx = m.distribute_key(bob, world.rng)
     world.commit(dist_tx)
@@ -758,16 +788,16 @@ def test_designation_handover_accepted_and_rekeyed():
 
 def test_designation_without_prev_signature_rejected():
     world, alice, bob, _ = handover_world(m.ReassignRule.DESIGNATION)
-    view = m.build_view(world.meeting_ledger, world.identity_ledger, alice.meeting_id)
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
     tx, _ = m.build_reassign(
         view, alice.keypair, bob.keypair, m.ReassignRule.TIME_ORDER, world.rng
     )  # built bare, validated under designation
-    assert world.verdict(tx, m.ReassignRule.DESIGNATION) == Reason.RULE_VIOLATION
+    assert world.verdict(tx) == Reason.RULE_VIOLATION
 
 
 def test_designation_with_forged_prev_signature_rejected():
     world, alice, bob, carol = handover_world(m.ReassignRule.DESIGNATION)
-    view = m.build_view(world.meeting_ledger, world.identity_ledger, alice.meeting_id)
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
     payload = m.LeaderReassign(
         meeting_id=alice.meeting_id,
         prev_leader_ivk=alice.keypair.ivk,
@@ -776,69 +806,79 @@ def test_designation_with_forged_prev_signature_rejected():
         prev_leader_sig=crypto.sign(carol.keypair.isk, b"not the handover"),
     )
     tx = m.signed_tx(payload, bob.keypair.isk)
-    assert world.verdict(tx, m.ReassignRule.DESIGNATION) == Reason.BAD_SIGNATURE
+    assert world.verdict(tx) == Reason.BAD_SIGNATURE
 
 
 def test_time_order_picks_earliest_remaining_member():
     world, alice, bob, carol = handover_world(m.ReassignRule.TIME_ORDER)
-    view = m.build_view(world.meeting_ledger, world.identity_ledger, alice.meeting_id)
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
     good, _ = m.build_reassign(
         view, alice.keypair, bob.keypair, m.ReassignRule.TIME_ORDER, world.rng
     )
-    assert world.verdict(good, m.ReassignRule.TIME_ORDER) is None
+    assert world.verdict(good) is None
     grab, _ = m.build_reassign(
         view, alice.keypair, carol.keypair, m.ReassignRule.TIME_ORDER, world.rng
     )
-    assert world.verdict(grab, m.ReassignRule.TIME_ORDER) == Reason.RULE_VIOLATION
+    assert world.verdict(grab) == Reason.RULE_VIOLATION
 
 
 def test_time_order_succession_after_first_leaves():
     world, alice, bob, carol = handover_world(m.ReassignRule.TIME_ORDER)
     world.commit(m.make_leave(bob))
-    view = m.build_view(world.meeting_ledger, world.identity_ledger, alice.meeting_id)
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
     succession, _ = m.build_reassign(
         view, alice.keypair, carol.keypair, m.ReassignRule.TIME_ORDER, world.rng
     )
-    assert world.verdict(succession, m.ReassignRule.TIME_ORDER) is None
+    assert world.verdict(succession) is None
 
 
 def test_time_order_rejects_gratuitous_cosignature():
     world, alice, bob, _ = handover_world(m.ReassignRule.TIME_ORDER)
-    view = m.build_view(world.meeting_ledger, world.identity_ledger, alice.meeting_id)
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
     tx, _ = m.build_reassign(
         view, alice.keypair, bob.keypair, m.ReassignRule.DESIGNATION, world.rng
     )  # carries a co-signature the rule does not want
-    assert world.verdict(tx, m.ReassignRule.TIME_ORDER) == Reason.RULE_VIOLATION
+    assert world.verdict(tx) == Reason.RULE_VIOLATION
+
+
+def forged_reassign(world, leader, prev_keypair, new_keypair):
+    """A designation handover from prev to new, built past build_reassign's
+    checks and co-signed by prev."""
+    payload = m.LeaderReassign(
+        meeting_id=leader.meeting_id,
+        prev_leader_ivk=prev_keypair.ivk,
+        new_leader_ivk=new_keypair.ivk,
+        new_leader_epk=crypto.ephemeral_keygen(world.rng).epk,
+        prev_leader_sig=None,
+    )
+    cosigned = replace(
+        payload, prev_leader_sig=crypto.sign(prev_keypair, payload.handover_bytes())
+    )
+    return m.signed_tx(cosigned, new_keypair)
 
 
 def test_reassign_to_non_member_refused():
     world, alice, _, _ = handover_world(m.ReassignRule.DESIGNATION)
     outsider = world.actor("zed")
-    view = m.build_view(world.meeting_ledger, world.identity_ledger, alice.meeting_id)
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
     with pytest.raises(NewLeaderNotMember):
         m.build_reassign(
             view, alice.keypair, outsider.keypair, m.ReassignRule.DESIGNATION,
             world.rng,
         )
-    forced, _ = m.build_reassign(
-        view, alice.keypair, outsider.keypair, m.ReassignRule.DESIGNATION,
-        world.rng, enforce=False,
-    )
-    assert world.verdict(forced, m.ReassignRule.DESIGNATION) == Reason.RULE_VIOLATION
+    forced = forged_reassign(world, alice, alice.keypair, outsider.keypair)
+    assert world.verdict(forced) == Reason.RULE_VIOLATION
 
 
 def test_reassign_from_non_leader_refused():
     world, alice, bob, carol = handover_world(m.ReassignRule.DESIGNATION)
-    view = m.build_view(world.meeting_ledger, world.identity_ledger, alice.meeting_id)
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
     with pytest.raises(NotCurrentLeader):
         m.build_reassign(
             view, carol.keypair, bob.keypair, m.ReassignRule.DESIGNATION, world.rng
         )
-    forced, _ = m.build_reassign(
-        view, carol.keypair, bob.keypair, m.ReassignRule.DESIGNATION,
-        world.rng, enforce=False,
-    )
-    assert world.verdict(forced, m.ReassignRule.DESIGNATION) == Reason.RULE_VIOLATION
+    forced = forged_reassign(world, alice, carol.keypair, bob.keypair)
+    assert world.verdict(forced) == Reason.RULE_VIOLATION
 
 
 def test_dismiss_only_by_leader_then_everything_stops():
@@ -900,7 +940,7 @@ def test_stream_contexts_are_derived_once_per_held_key(monkeypatch):
     # carol leaves with her key; the rekey derives afresh under the new key
     world.commit(m.make_leave(carol))
     m.purge_keys(carol)
-    m.review_requests(leader, world.meeting_ledger, world.identity_ledger)
+    m.review_requests(leader, world.meeting_ledger)
     dist_tx = m.distribute_key(leader, world.rng)
     world.commit(dist_tx)
     m.accept_key(bob, m.KeyDistribution.parse(dist_tx.body))
@@ -973,7 +1013,7 @@ def test_private_keys_are_built_once_per_keygen(monkeypatch):
     world = World()
     leader, members, _ = standard_meeting(world, ("bob", "carol", "dave"))
     world.commit(m.make_leave(members[-1]))
-    m.review_requests(leader, world.meeting_ledger, world.identity_ledger)
+    m.review_requests(leader, world.meeting_ledger)
     dist_tx = m.distribute_key(leader, world.rng)
     world.commit(dist_tx)
     for member in members[:-1]:

@@ -24,9 +24,9 @@ def reviewed_meeting(seed=5):
     bob = registered(rng, identity_ledger, "bob")
     meeting_ledger.append_block([m.publish_meeting(alice, "sync", rng)], 1)
     meeting_ledger.append_block(
-        [m.make_request(bob, meeting_ledger, identity_ledger, alice.meeting_id, rng)], 2
+        [m.make_request(bob, meeting_ledger, alice.meeting_id, rng)], 2
     )
-    m.review_requests(alice, meeting_ledger, identity_ledger)
+    m.review_requests(alice, meeting_ledger)
     return rng, identity_ledger, meeting_ledger, alice, bob
 
 
@@ -63,10 +63,10 @@ def test_two_identical_publishes_in_one_block_refused():
         meeting_ledger.append_block([publish, publish], timestamp=1)
     assert err.value.reason == Reason.DUPLICATE_MEETING
     assert len(meeting_ledger.blocks) == 1
-    view = m.build_view(meeting_ledger, identity_ledger, alice.meeting_id)
+    view = m.build_view(meeting_ledger, alice.meeting_id)
     assert not view.exists
     meeting_ledger.append_block([publish], timestamp=1)
-    assert m.build_view(meeting_ledger, identity_ledger, alice.meeting_id).exists
+    assert m.build_view(meeting_ledger, alice.meeting_id).exists
 
 
 def test_two_epoch_zero_distributions_in_one_block_refused():
@@ -78,10 +78,10 @@ def test_two_epoch_zero_distributions_in_one_block_refused():
     with pytest.raises(InvalidTransaction) as err:
         meeting_ledger.append_block([first, second], timestamp=3)
     assert err.value.reason == Reason.BAD_EPOCH
-    view = m.build_view(meeting_ledger, identity_ledger, alice.meeting_id)
+    view = m.build_view(meeting_ledger, alice.meeting_id)
     assert view.last_epoch is None and view.distributions == {}
     meeting_ledger.append_block([second], timestamp=3)
-    view = m.build_view(meeting_ledger, identity_ledger, alice.meeting_id)
+    view = m.build_view(meeting_ledger, alice.meeting_id)
     assert view.last_epoch == 0
 
 
@@ -99,7 +99,7 @@ def test_block_of_consistent_transactions_lands_whole():
         bob.keypair.isk,
     )
     meeting_ledger.append_block([publish, request], timestamp=1)
-    view = m.build_view(meeting_ledger, identity_ledger, alice.meeting_id)
+    view = m.build_view(meeting_ledger, alice.meeting_id)
     assert [r.request.user for r in view.members()] == ["bob"]
 
 
@@ -138,7 +138,7 @@ def test_prune_rebuilds_the_state_from_the_blocks_kept():
     rng, identity_ledger, meeting_ledger, alice, bob = reviewed_meeting()
     meeting_ledger.append_block([m.distribute_key(alice, rng)], 3)
     meeting_ledger.prune(2)  # drops the publish, keeps the request onward
-    view = m.build_view(meeting_ledger, identity_ledger, alice.meeting_id)
+    view = m.build_view(meeting_ledger, alice.meeting_id)
     assert not view.exists and view.last_epoch == 0
     assert [r.request.user for r in view.requests] == ["bob"]
     assert view.requests[0].signed
@@ -152,9 +152,9 @@ def test_identity_registered_after_the_request_counts_from_then_on():
     meeting_ledger.append_block([m.publish_meeting(alice, "late", rng)], 1)
     late = m.ParticipantState("lee", "dev", crypto.identity_keygen(rng))
     meeting_ledger.append_block(
-        [m.make_request(late, meeting_ledger, identity_ledger, alice.meeting_id, rng)], 2
+        [m.make_request(late, meeting_ledger, alice.meeting_id, rng)], 2
     )
-    view = m.build_view(meeting_ledger, identity_ledger, alice.meeting_id)
+    view = m.build_view(meeting_ledger, alice.meeting_id)
     assert view.request_verdict(view.requests[0]) == Reason.UNKNOWN_IDENTITY
     assert view.members() == []
     identity_ledger.append_block(
