@@ -77,7 +77,7 @@ def cmd_goals(args) -> int:
 def _signer_of(tx, leaders: dict[bytes, bytes]) -> bytes:
     """Who authored a transaction, folding leadership as the chain replays."""
     if tx.tag == TxTag.IDENTITY:
-        return identity_mod.parse_identity_body(tx.body).ivk
+        return tx.payload.ivk  # the record identity admission decoded
     payload = m.parse_meeting_tx(tx)
     if isinstance(payload, m.PublishMeeting):
         leaders[payload.meeting_id] = payload.leader_ivk
@@ -95,13 +95,15 @@ def _signer_of(tx, leaders: dict[bytes, bytes]) -> bytes:
 
 
 def cmd_inspect(args) -> int:
-    for filename, kind in (
-        (IDENTITY_FILE, LedgerKind.IDENTITY),
-        (MEETING_FILE, LedgerKind.MEETING),
+    # the identity ledger is re-admitted as it loads; the meeting ledger's
+    # reassignment rule is not on its chain, so it can only be parsed
+    for filename, kind, state in (
+        (IDENTITY_FILE, LedgerKind.IDENTITY, identity_mod.IdentityState()),
+        (MEETING_FILE, LedgerKind.MEETING, None),
     ):
         path = os.path.join(args.persist, filename)
         with open(path, "r", encoding="utf-8") as handle:
-            ledger = load_hex_lines(kind, handle.readlines())
+            ledger = load_hex_lines(kind, handle.readlines(), state)
         if not ledger.verify_chain():
             print(f"ledger={kind.value} INVALID CHAIN", file=sys.stderr)
             return 2  # the files are input, and they are broken

@@ -18,7 +18,7 @@ from typing import Optional, Union
 from . import crypto
 from .encoding import LP, U8, Wire, fixed, utf8, wire
 from .errors import EncodingError, InvalidTransaction, NotFound, Reason
-from .ledger import Block, Ledger, LedgerKind, Transaction, TxTag, new_ledger
+from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger
 
 MAX_NAME_BYTES = 64
 MAX_INFO_BYTES = 1024
@@ -117,29 +117,29 @@ def verify_userinfo(commitment: CommittedInfo, plaintext: bytes, blinding: bytes
 
 
 class IdentityState:
-    """The identity ledger's bindings: (user, device) -> record, plus every ivk."""
+    """The identity ledger's bindings: (user, device) -> record, and each
+    registered ivk -> the binding that registered it first."""
 
     def __init__(self) -> None:
         self.records: dict[tuple[str, str], IdentityRecord] = {}
-        self.ivks: set[bytes] = set()
+        self.ivks: dict[bytes, tuple[str, str]] = {}
 
-    def admit(self, tx: Transaction, ledger: Ledger, block_index: int, pos: int) -> None:
-        self._add(validate_identity_tx(tx, ledger))
-
-    def rebuilt(self, blocks: list[Block]) -> "IdentityState":
-        state = IdentityState()
-        for block in blocks:
-            for tx in block.txs:
-                try:
-                    state._add(parse_identity_body(tx.body))
-                except EncodingError:
-                    continue  # an unparseable tx can never have been admitted
-        return state
-
-    def _add(self, record: IdentityRecord) -> None:
-        # bindings are unique; on a chain that breaks that, the first one holds
-        self.records.setdefault((record.user, record.device), record)
-        self.ivks.add(record.ivk)
+    def admit(self, txs: list[Transaction], ledger: Ledger, block_index: int) -> None:
+        for pos, tx in enumerate(txs):
+            try:
+                record = validate_identity_tx(tx, ledger)
+            except InvalidTransaction:
+                # each earlier transaction added a new binding, and perhaps
+                # the first binding of its ivk
+                for earlier in txs[:pos]:
+                    binding = (earlier.payload.user, earlier.payload.device)
+                    del self.records[binding]
+                    if self.ivks[earlier.payload.ivk] == binding:
+                        del self.ivks[earlier.payload.ivk]
+                raise
+            binding = (record.user, record.device)
+            self.records[binding] = record
+            self.ivks.setdefault(record.ivk, binding)
 
 
 def find_identity(ledger: Ledger, user: str, device: str) -> Optional[IdentityRecord]:
@@ -158,11 +158,15 @@ def ivk_registered(ledger: Ledger, ivk: bytes) -> bool:
 
 
 def validate_identity_tx(tx: Transaction, ledger: Ledger) -> IdentityRecord:
-    """Admission rule for the identity ledger; raises InvalidTransaction."""
+    """Admission rule for the identity ledger; raises InvalidTransaction.
+
+    The decoded record is kept on tx for every later reader.
+    """
     try:
         record = parse_identity_body(tx.body)
     except EncodingError as exc:
         raise InvalidTransaction(Reason.MALFORMED_BODY, str(exc)) from None
+    object.__setattr__(tx, "payload", record)
     if not crypto.verify(record.ivk, tx.signing_bytes, tx.signature):
         raise InvalidTransaction(
             Reason.BAD_SIGNATURE, f"({record.user}, {record.device})"

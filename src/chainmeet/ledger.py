@@ -4,8 +4,9 @@ Two instances of the same machinery: the identity ledger (never pruned, one
 transaction kind) and the meeting ledger (control traffic, prunable once a
 meeting is over). Blocks bind to their predecessor by hash; any byte of
 retained history that changes breaks verification. Each ledger also keeps a
-state (ChainState) that append_block advances one admitted transaction at a
-time, so nothing has to fold the chain from genesis to answer a question.
+state (ChainState) that only admission writes: append_block has it admit
+each block whole, so nothing has to fold the chain from genesis to answer a
+question, and a pruned or reloaded ledger decides what a live one would.
 
 The field tables of `Block` and `Transaction` below are their canonical
 bytes (see encoding). A signature is always taken over kind_tag || body.
@@ -65,8 +66,9 @@ class Transaction(Wire):
     tag: int = wire(U8)
     body: bytes = wire(LP)
     signature: bytes = wire(fixed(crypto.SIG_LEN))
-    # the payload meeting admission decoded from body, kept for every later
-    # reader; only admission's decode sets it, never whoever built the tx
+    # the payload admission decoded from body (an identity record or a
+    # meeting payload), kept for every later reader; only admission's decode
+    # sets it, never whoever built the tx
     payload: Any = field(default=None, init=False, compare=False, repr=False)
 
     @property
@@ -104,18 +106,16 @@ def parse_block(data: bytes, stored_hash: Optional[bytes] = None) -> Block:
 
 
 class ChainState(Protocol):
-    """What a ledger's transactions add up to, kept current as blocks land.
+    """What a ledger's admitted transactions add up to; `admit` is its only
+    writer.
 
-    `admit` judges one transaction against the state (with the earlier
-    transactions of its block already folded in) and folds it in, or raises
-    InvalidTransaction and leaves the state as it was. `rebuilt` folds the
-    given blocks into a fresh state of the same configuration without
-    judging them again.
+    `admit` judges each transaction of a block against the state, with the
+    earlier ones of the block already folded in, and folds it in. When one
+    is refused it puts back, in place, what the earlier ones folded, and
+    raises InvalidTransaction: a block lands whole or not at all.
     """
 
-    def admit(self, tx: Transaction, ledger: "Ledger", block_index: int, pos: int) -> None: ...
-
-    def rebuilt(self, blocks: list[Block]) -> "ChainState": ...
+    def admit(self, txs: list[Transaction], ledger: "Ledger", block_index: int) -> None: ...
 
 
 @dataclass
@@ -124,8 +124,8 @@ class Ledger:
     blocks: list[Block] = field(default_factory=list)
     # (index, hash) of the newest pruned-away block, if any
     checkpoint: Optional[tuple[int, bytes]] = None
-    # advanced by append_block, the only writer; None keeps no state and
-    # judges nothing beyond the ledger kind
+    # written only by its own admit, which append_block calls; None keeps no
+    # state and judges nothing beyond the ledger kind
     state: Optional[ChainState] = None
 
     @property
@@ -142,22 +142,15 @@ class Ledger:
                 f"{timestamp} < head timestamp {self.head.timestamp}"
             )
         allowed = ALLOWED_TAGS[self.kind]
+        for tx in txs:
+            if tx.tag not in allowed:
+                raise InvalidTransaction(
+                    Reason.WRONG_LEDGER_KIND,
+                    f"tag {tx.tag} not allowed on {self.kind.value} ledger",
+                )
         index = self.head.index + 1
-        for pos, tx in enumerate(txs):
-            try:
-                if tx.tag not in allowed:
-                    raise InvalidTransaction(
-                        Reason.WRONG_LEDGER_KIND,
-                        f"tag {tx.tag} not allowed on {self.kind.value} ledger",
-                    )
-                if self.state is not None:
-                    self.state.admit(tx, self, index, pos)
-            except InvalidTransaction:
-                if pos and self.state is not None:
-                    # a block lands whole or not at all: drop what its
-                    # earlier transactions folded in
-                    self.state = self.state.rebuilt(self.blocks)
-                raise
+        if self.state is not None:
+            self.state.admit(txs, self, index)
         block = make_block(
             index=index,
             prev_hash=self.head.block_hash,
@@ -210,8 +203,9 @@ class Ledger:
         """Discard blocks below cutoff_index, keeping a link checkpoint.
 
         Identity history must stay replayable forever, so only meeting
-        ledgers prune. The head always survives, and the state is rebuilt
-        from the blocks that do.
+        ledgers prune. The head always survives. The state is left as it
+        is: pruning drops the blocks' bytes, not what they decided, so a
+        pruned publish or request still cannot be replayed.
         """
         if self.kind is LedgerKind.IDENTITY:
             raise PruneIdentityLedgerForbidden("identity ledgers keep full history")
@@ -222,8 +216,6 @@ class Ledger:
             last_dropped = self.blocks[first_kept - 1]
             self.checkpoint = (last_dropped.index, last_dropped.block_hash)
             del self.blocks[:first_kept]
-            if self.state is not None:
-                self.state = self.state.rebuilt(self.blocks)
         return self
 
 
@@ -240,11 +232,17 @@ def dump_hex_lines(ledger: Ledger) -> list[str]:
 def load_hex_lines(
     kind: LedgerKind, lines: list[str], state: Optional[ChainState] = None
 ) -> Ledger:
-    """Parse persisted blocks; a given state is rebuilt from them and kept.
+    """Parse persisted blocks; handed a fresh state, re-admit them into it.
 
-    Only hashes and links are checked (by verify_chain, on demand): the
-    rebuilt state trusts the loaded transactions the way it trusts admitted
-    ones.
+    Without a state only the bytes are parsed; verify_chain checks hashes
+    and links on demand. With one, the blocks replay through append_block on
+    a new ledger that keeps the state, and each replayed block must equal the
+    loaded one. A pruned file has no genesis to replay from and is refused.
+
+    A meeting ledger is judged against its state's identity ledger as fully
+    loaded. The two chains do not record how they interleave, so a
+    time-order reassignment made before a late registration could be judged
+    differently than it was live; every bundled scenario registers at tick 0.
     """
     blocks = []
     for line in lines:
@@ -257,13 +255,16 @@ def load_hex_lines(
             raise EncodingError(f"bad hex block line: {exc}") from None
     if not blocks:
         raise EncodingError("no blocks in ledger file")
-    checkpoint = None
-    if blocks[0].index > 0:
-        # pruned chain: the first retained block names its predecessor
-        checkpoint = (blocks[0].index - 1, blocks[0].prev_hash)
-    return Ledger(
-        kind=kind,
-        blocks=blocks,
-        checkpoint=checkpoint,
-        state=state.rebuilt(blocks) if state is not None else None,
-    )
+    if state is None:
+        checkpoint = None
+        if blocks[0].index > 0:
+            # pruned chain: the first retained block names its predecessor
+            checkpoint = (blocks[0].index - 1, blocks[0].prev_hash)
+        return Ledger(kind=kind, blocks=blocks, checkpoint=checkpoint)
+    ledger = new_ledger(kind, state)
+    if blocks[0] != ledger.head:
+        raise EncodingError("re-admission starts at the genesis block; this file has none")
+    for block in blocks[1:]:
+        if ledger.append_block(list(block.txs), block.timestamp) != block:
+            raise EncodingError(f"block {block.index} does not replay to its stored bytes")
+    return ledger

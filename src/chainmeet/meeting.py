@@ -40,7 +40,7 @@ from .errors import (
     NotFound,
     Reason,
 )
-from .ledger import Block, Ledger, LedgerKind, Transaction, TxTag, new_ledger
+from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger
 from .rng import Rng
 
 MEETING_ID_LEN = 16
@@ -264,13 +264,12 @@ class MediaPacket(Wire):
 # ledger-derived meeting state
 
 
-@dataclass
+@dataclass(frozen=True)
 class RequestRecord:
     request: MeetingRequest
     tx: Transaction
     block_index: int
     block_pos: int
-    signed: bool  # the signature checked out when the request reached the chain
     active: bool = True
 
 
@@ -278,9 +277,11 @@ class RequestRecord:
 class MeetingView:
     """Everything a validator can derive about one meeting from the chain.
 
-    A request record keeps only what cannot change. Whether the requester's
-    identity matches is resolved against the identity ledger at each read,
-    so a binding registered after the request counts from then on.
+    A request record keeps only what cannot change, and a leave replaces
+    it with an inactive copy, so `copy` needs no copy of a record. Whether
+    the requester's identity matches is resolved against the identity
+    ledger at each read, so a binding registered after the request counts
+    from then on.
     """
 
     meeting_id: bytes
@@ -294,8 +295,8 @@ class MeetingView:
     requests: list[RequestRecord] = field(default_factory=list)
     # leaders (original or reassigned-in) who have not posted a leave
     present_leader_ivks: set[bytes] = field(default_factory=set)
-    # hashes of the request transactions on the chain, so replays stand out
-    request_hashes: set[bytes] = field(default_factory=set)
+    # the request transactions on the chain, so replays stand out
+    request_txs: set[Transaction] = field(default_factory=set)
 
     def record_for(
         self, user: str, device: str, ivk: Optional[bytes] = None
@@ -315,7 +316,7 @@ class MeetingView:
         return None
 
     def request_verdict(self, record: RequestRecord) -> Optional[Reason]:
-        return verify_request(record.request, record.signed, self.identity_ledger)
+        return verify_request(record.request, self.identity_ledger)
 
     def members(self) -> list[RequestRecord]:
         """Verified, still-present requesters in arrival order."""
@@ -327,37 +328,40 @@ class MeetingView:
                 return record
         return None
 
-    def apply(
-        self, payload: MeetingTx, tx: Transaction, block_index: int, pos: int,
-        signed: bool,
-    ) -> None:
-        """Fold in one transaction of this meeting that is on the chain."""
+    def copy(self) -> "MeetingView":
+        """This view as it stands, left as it is by later folds into this one."""
+        return replace(
+            self,
+            distributions=dict(self.distributions),
+            requests=list(self.requests),
+            present_leader_ivks=set(self.present_leader_ivks),
+            request_txs=set(self.request_txs),
+        )
+
+    def apply(self, tx: Transaction, block_index: int, pos: int) -> None:
+        """Fold in one admitted transaction of this meeting."""
+        payload = tx.payload  # kept there by the verdict's decode
         if isinstance(payload, PublishMeeting):
-            if not self.exists:
-                self.exists = True
-                self.info = payload.info
-                self.leader_ivk = payload.leader_ivk
-                self.present_leader_ivks.add(payload.leader_ivk)
+            self.exists = True
+            self.info = payload.info
+            self.leader_ivk = payload.leader_ivk
+            self.present_leader_ivks.add(payload.leader_ivk)
         elif isinstance(payload, MeetingRequest):
-            self.requests.append(RequestRecord(payload, tx, block_index, pos, signed))
-            self.request_hashes.add(_tx_hash(tx))
+            self.requests.append(RequestRecord(payload, tx, block_index, pos))
+            self.request_txs.add(tx)
         elif isinstance(payload, KeyDistribution):
             self.last_epoch = payload.epoch
             self.distributions[payload.epoch] = payload
         elif isinstance(payload, MeetingLeave):
             record = self.record_for(payload.user, payload.device, payload.ivk)
             if record is not None:
-                record.active = False
+                self.requests[self.requests.index(record)] = replace(record, active=False)
             self.present_leader_ivks.discard(payload.ivk)
         elif isinstance(payload, LeaderReassign):
             self.leader_ivk = payload.new_leader_ivk
             self.present_leader_ivks.add(payload.new_leader_ivk)
         elif isinstance(payload, MeetingDismiss):
             self.dismissed = True
-
-
-def _tx_hash(tx: Transaction) -> bytes:
-    return crypto.sha256(tx.encode())
 
 
 class MeetingState:
@@ -376,46 +380,30 @@ class MeetingState:
             return MeetingView(meeting_id, self.identity_ledger)
         return view
 
-    def admit(self, tx: Transaction, ledger: Ledger, block_index: int, pos: int) -> None:
-        reason = meeting_tx_verdict(tx, ledger)
-        if reason is not None:
-            raise InvalidTransaction(reason)
-        # the verdict has kept its decode on tx, and has checked the
-        # signature of an admitted request
-        self._fold(tx.payload, tx, block_index, pos, signed=True)
-
-    def rebuilt(self, blocks: list[Block]) -> "MeetingState":
-        state = MeetingState(self.identity_ledger, self.rule)
-        for block in blocks:
-            for pos, tx in enumerate(block.txs):
-                try:
-                    payload = parse_meeting_tx(tx)
-                except EncodingError:
-                    continue  # an unparseable tx can never have been admitted
-                signed = not isinstance(payload, MeetingRequest) or crypto.verify(
-                    payload.ivk, tx.signing_bytes, tx.signature
-                )
-                state._fold(payload, tx, block.index, pos, signed)
-        return state
-
-    def _fold(
-        self, payload: MeetingTx, tx: Transaction, block_index: int, pos: int,
-        signed: bool,
-    ) -> None:
-        view = self.views.get(payload.meeting_id)
-        if view is None:
-            view = self.views[payload.meeting_id] = MeetingView(
-                payload.meeting_id, self.identity_ledger
-            )
-        view.apply(payload, tx, block_index, pos, signed)
+    def admit(self, txs: list[Transaction], ledger: Ledger, block_index: int) -> None:
+        # each view the block touched before its last transaction (whose
+        # refusal comes before its fold), as it was; None if the block made it
+        before: dict[bytes, Optional[MeetingView]] = {}
+        for pos, tx in enumerate(txs):
+            reason = meeting_tx_verdict(tx, ledger)
+            if reason is not None:
+                for meeting_id, saved in before.items():
+                    if saved is None:
+                        del self.views[meeting_id]
+                    else:
+                        vars(self.views[meeting_id]).update(vars(saved))
+                raise InvalidTransaction(reason)
+            meeting_id = tx.payload.meeting_id
+            view = self.views.get(meeting_id)
+            if pos < len(txs) - 1 and meeting_id not in before:
+                before[meeting_id] = None if view is None else view.copy()
+            if view is None:
+                view = self.views[meeting_id] = MeetingView(meeting_id, self.identity_ledger)
+            view.apply(tx, block_index, pos)
 
 
-def verify_request(
-    request: MeetingRequest, signature_ok: bool, identity_ledger: Ledger
-) -> Optional[Reason]:
-    """Leader-side admission of one join request; None means accepted."""
-    if not signature_ok:
-        return Reason.BAD_SIGNATURE
+def verify_request(request: MeetingRequest, identity_ledger: Ledger) -> Optional[Reason]:
+    """Leader-side check of one admitted join request; None means accepted."""
     try:
         expected_ivk = identity_mod.resolve_identity(
             identity_ledger, request.user, request.device
@@ -434,8 +422,9 @@ def verify_request_tx(tx: Transaction, identity_ledger: Ledger) -> Optional[Reas
         return Reason.MALFORMED_BODY
     if not isinstance(request, MeetingRequest):
         return Reason.MALFORMED_BODY
-    signature_ok = crypto.verify(request.ivk, tx.signing_bytes, tx.signature)
-    return verify_request(request, signature_ok, identity_ledger)
+    if not crypto.verify(request.ivk, tx.signing_bytes, tx.signature):
+        return Reason.BAD_SIGNATURE
+    return verify_request(request, identity_ledger)
 
 
 def build_view(meeting_ledger: Ledger, meeting_id: bytes) -> MeetingView:
@@ -454,10 +443,7 @@ def build_view(meeting_ledger: Ledger, meeting_id: bytes) -> MeetingView:
 def reassign_verdict(
     payload: LeaderReassign, tx: Transaction, view: MeetingView, rule: ReassignRule
 ) -> Optional[Reason]:
-    if not view.exists:
-        return Reason.MEETING_NOT_FOUND
-    if view.dismissed:
-        return Reason.MEETING_DISMISSED
+    """The verdict on a reassignment of a published, undismissed meeting."""
     if payload.prev_leader_ivk != view.leader_ivk:
         return Reason.RULE_VIOLATION
     if not identity_mod.ivk_registered(view.identity_ledger, payload.new_leader_ivk):
@@ -515,7 +501,7 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
         # leader's call, so impersonation is caught there with a precise reason
         if not crypto.verify(payload.ivk, tx.signing_bytes, tx.signature):
             return Reason.BAD_SIGNATURE
-        if _tx_hash(tx) in view.request_hashes:
+        if tx in view.request_txs:
             return Reason.REPLAYED_REQUEST
         if view.record_for(payload.user, payload.device, payload.ivk) is not None:
             return Reason.DUPLICATE_REQUEST

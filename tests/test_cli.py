@@ -7,7 +7,8 @@ import pytest
 
 import oracles
 from chainmeet import cli
-from chainmeet.ledger import LedgerKind, load_hex_lines
+from chainmeet.ledger import LedgerKind, TxTag, load_hex_lines
+from test_state import forged
 
 FAILING_SCENARIO = """\
 seed 5
@@ -143,6 +144,19 @@ def test_run_persist_and_inspect(tmp_path, capsys):
         bytes.fromhex(fields["body"])  # must be valid hex
     tags = [l.split()[1] for l in body_lines]
     assert "tag=MEETING_LEAVE" in tags and "tag=KEY_DISTRIBUTION" in tags
+
+
+def test_inspect_refuses_a_forged_registration(tmp_path, capsys):
+    store = tmp_path / "ledgers"
+    assert cli.main(["run", "--scenario", "honest", "--out",
+                     str(tmp_path / "t.txt"), "--persist", str(store)]) == 0
+    path = store / "identity.ledger"
+    lines = forged(path.read_text().splitlines(), TxTag.IDENTITY,
+                   lambda body: body.replace(b"alice", b"blice"))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["inspect", "--persist", str(store)]) == 2
+    assert "bad_signature" in capsys.readouterr().err
 
 
 def test_goals_reports_each_goal(capsys):

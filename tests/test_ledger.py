@@ -147,7 +147,7 @@ def test_wrong_kind_tag_is_refused():
 
 def test_validator_hook_blocks_append():
     class Refuse:
-        def admit(self, tx, ledger, block_index, pos):
+        def admit(self, txs, ledger, block_index):
             raise InvalidTransaction(Reason.BAD_SIGNATURE, "refused by test")
 
     ledger = new_ledger(LedgerKind.IDENTITY, state=Refuse())

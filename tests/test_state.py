@@ -1,11 +1,17 @@
-"""Kept chain state: blocks land whole or not at all, rebuilds match the live
-state, and each admitted transaction has its signature checked once."""
+"""Kept chain state, written only by admission: blocks land whole or not at
+all and a refused block is put back in place, pruning keeps what the pruned
+blocks decided, a loaded ledger is re-admitted to the live state, and each
+admitted transaction has its signature checked once."""
+
+from dataclasses import replace
 
 import pytest
 
 from chainmeet import crypto, identity as ident, meeting as m, sim
-from chainmeet.errors import InvalidTransaction, Reason
-from chainmeet.ledger import LedgerKind, dump_hex_lines, load_hex_lines
+from chainmeet.errors import EncodingError, InvalidTransaction, Reason
+from chainmeet.ledger import (
+    LedgerKind, TxTag, dump_hex_lines, load_hex_lines, make_block, parse_block,
+)
 from chainmeet.rng import DeterministicRng
 
 
@@ -13,6 +19,24 @@ def registered(rng, identity_ledger, user, device="dev"):
     pair = crypto.identity_keygen(rng)
     identity_ledger.append_block([ident.register_identity(user, device, pair)], 0)
     return m.ParticipantState(user=user, device=device, keypair=pair)
+
+
+def forged(lines, tag, edit):
+    """Persisted blocks with the body of the first `tag` transaction passed
+    through `edit`, and every block from there on rehashed and relinked, so
+    that only a signature can tell."""
+    blocks = [parse_block(bytes.fromhex(line)) for line in lines]
+    at, pos = next(
+        (i, j) for i, block in enumerate(blocks)
+        for j, tx in enumerate(block.txs) if tx.tag == tag
+    )
+    txs = list(blocks[at].txs)
+    txs[pos] = replace(txs[pos], body=edit(txs[pos].body))
+    blocks[at] = replace(blocks[at], txs=tuple(txs))
+    for i in range(at, len(blocks)):
+        block = blocks[i]
+        blocks[i] = make_block(block.index, blocks[i - 1].block_hash, block.timestamp, block.txs)
+    return [block.encode().hex() for block in blocks]
 
 
 def reviewed_meeting(seed=5):
@@ -28,6 +52,14 @@ def reviewed_meeting(seed=5):
     )
     m.review_requests(alice, meeting_ledger)
     return rng, identity_ledger, meeting_ledger, alice, bob
+
+
+def view_facts(view):
+    return (
+        view.exists, view.info, view.leader_ivk, view.dismissed, view.last_epoch,
+        dict(view.distributions), set(view.present_leader_ivks), set(view.request_txs),
+        [(r.request, r.block_index, r.block_pos, r.active) for r in view.requests],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +83,22 @@ def test_two_bindings_of_one_device_in_one_block_refused():
     assert not ident.ivk_registered(ledger, first.ivk)
     ledger.append_block(block[:1], timestamp=1)
     assert ident.resolve_identity(ledger, "ada", "laptop") == first.ivk
+
+
+def test_refused_block_keeps_a_key_registered_before_it():
+    rng = DeterministicRng(15)
+    ledger = ident.new_identity_ledger()
+    pair = crypto.identity_keygen(rng)
+    ledger.append_block([ident.register_identity("ada", "laptop", pair)], timestamp=1)
+    block = [
+        ident.register_identity("ada", "phone", pair),
+        ident.register_identity("ada", "laptop", pair),
+    ]
+    with pytest.raises(InvalidTransaction) as err:
+        ledger.append_block(block, timestamp=2)
+    assert err.value.reason == Reason.DUPLICATE_BINDING
+    assert ident.find_identity(ledger, "ada", "phone") is None
+    assert ident.ivk_registered(ledger, pair.ivk)
 
 
 def test_two_identical_publishes_in_one_block_refused():
@@ -103,45 +151,95 @@ def test_block_of_consistent_transactions_lands_whole():
     assert [r.request.user for r in view.members()] == ["bob"]
 
 
+def test_view_held_across_a_refused_block_reads_as_before_it():
+    rng, identity_ledger, meeting_ledger, alice, _ = reviewed_meeting()
+    carol = registered(rng, identity_ledger, "carol")
+    view = m.build_view(meeting_ledger, alice.meeting_id)
+    facts = view_facts(view)
+    request = m.make_request(carol, meeting_ledger, alice.meeting_id, rng)
+    publish = meeting_ledger.blocks[1].txs[0]
+    with pytest.raises(InvalidTransaction) as err:
+        meeting_ledger.append_block([request, publish], timestamp=3)
+    assert err.value.reason == Reason.DUPLICATE_MEETING
+    # put back in place: the held view is still the live one
+    assert m.build_view(meeting_ledger, alice.meeting_id) is view
+    assert view_facts(view) == facts
+    meeting_ledger.append_block([request], timestamp=3)
+    assert [r.request.user for r in view.members()] == ["bob", "carol"]
+    assert request in view.request_txs
+
+
 # ---------------------------------------------------------------------------
-# rebuilt state equals the state kept on append
+# pruning keeps the state; loading re-admits it
 
 
-def view_facts(view):
-    return (
-        view.exists, view.info, view.leader_ivk, view.dismissed, view.last_epoch,
-        view.distributions, view.present_leader_ivks, view.request_hashes,
-        [(r.request, r.block_index, r.block_pos, r.signed, r.active)
-         for r in view.requests],
+def test_prune_keeps_the_state_and_refuses_replays():
+    rng, _, meeting_ledger, alice, _ = reviewed_meeting()
+    publish, request = (block.txs[0] for block in meeting_ledger.blocks[1:3])
+    meeting_ledger.append_block([m.distribute_key(alice, rng)], 3)
+    meeting_ledger.prune(3)  # drops the publish and the request
+    view = m.build_view(meeting_ledger, alice.meeting_id)
+    assert view.exists and view.last_epoch == 0
+    assert [r.request.user for r in view.members()] == ["bob"]
+    for replayed, reason in (
+        (publish, Reason.DUPLICATE_MEETING),
+        (request, Reason.REPLAYED_REQUEST),
+    ):
+        with pytest.raises(InvalidTransaction) as err:
+            meeting_ledger.append_block([replayed], timestamp=4)
+        assert err.value.reason == reason
+
+
+def load_both(simulation, identity_lines, meeting_lines):
+    identity = load_hex_lines(LedgerKind.IDENTITY, identity_lines, ident.IdentityState())
+    meeting = load_hex_lines(
+        LedgerKind.MEETING, meeting_lines, m.MeetingState(identity, simulation.rule)
     )
+    return identity, meeting
 
 
-def test_loaded_ledgers_rebuild_the_state_they_were_saved_with():
-    simulation = sim.run_scenario_text(sim.load_scenario_text("leave_rekey"))
-    identity = load_hex_lines(
-        LedgerKind.IDENTITY, dump_hex_lines(simulation.identity_ledger),
-        ident.IdentityState(),
+@pytest.mark.parametrize("name", sim.bundled_scenario_names())
+def test_loaded_ledgers_readmit_to_the_state_they_were_saved_with(name):
+    simulation = sim.run_scenario_text(sim.load_scenario_text(name))
+    identity, meeting = load_both(
+        simulation,
+        dump_hex_lines(simulation.identity_ledger),
+        dump_hex_lines(simulation.meeting_ledger),
     )
+    assert identity.blocks == simulation.identity_ledger.blocks
+    assert meeting.blocks == simulation.meeting_ledger.blocks
     assert identity.state.records == simulation.identity_ledger.state.records
     assert identity.state.ivks == simulation.identity_ledger.state.ivks
-    meeting = load_hex_lines(
-        LedgerKind.MEETING, dump_hex_lines(simulation.meeting_ledger),
-        m.MeetingState(identity, simulation.rule),
-    )
     live = simulation.meeting_ledger.state.views
     assert live and sorted(meeting.state.views) == sorted(live)
     for meeting_id, view in live.items():
         assert view_facts(meeting.state.views[meeting_id]) == view_facts(view)
 
 
-def test_prune_rebuilds_the_state_from_the_blocks_kept():
-    rng, identity_ledger, meeting_ledger, alice, bob = reviewed_meeting()
-    meeting_ledger.append_block([m.distribute_key(alice, rng)], 3)
-    meeting_ledger.prune(2)  # drops the publish, keeps the request onward
-    view = m.build_view(meeting_ledger, alice.meeting_id)
-    assert not view.exists and view.last_epoch == 0
-    assert [r.request.user for r in view.requests] == ["bob"]
-    assert view.requests[0].signed
+def test_loading_with_a_state_refuses_a_forged_body_in_a_relinked_chain():
+    simulation = sim.run_scenario_text(sim.load_scenario_text("join_rekey"))
+    identity_lines = dump_hex_lines(simulation.identity_ledger)
+    meeting_lines = forged(
+        dump_hex_lines(simulation.meeting_ledger), TxTag.MEETING_PUBLISH,
+        lambda body: body[:-1] + bytes([body[-1] ^ 1]),
+    )
+    # hashes and links hold, so a stateless load cannot tell
+    assert load_hex_lines(LedgerKind.MEETING, meeting_lines).verify_chain()
+    with pytest.raises(InvalidTransaction) as err:
+        load_both(simulation, identity_lines, meeting_lines)
+    assert err.value.reason == Reason.BAD_SIGNATURE
+
+
+def test_loading_a_pruned_file_with_a_state_is_refused():
+    _, identity_ledger, meeting_ledger, _, _ = reviewed_meeting()
+    meeting_ledger.prune(2)
+    lines = dump_hex_lines(meeting_ledger)
+    assert load_hex_lines(LedgerKind.MEETING, lines).verify_chain()
+    with pytest.raises(EncodingError):
+        load_hex_lines(
+            LedgerKind.MEETING, lines,
+            m.MeetingState(identity_ledger, m.ReassignRule.DESIGNATION),
+        )
 
 
 def test_identity_registered_after_the_request_counts_from_then_on():
