@@ -130,8 +130,9 @@ class IdentityState:
                 record = validate_identity_tx(tx, ledger)
             except InvalidTransaction:
                 # each earlier transaction added a new binding, and perhaps
-                # the first binding of its ivk
-                for earlier in txs[:pos]:
+                # the first binding of its ivk; undone last first, so a key
+                # shared by two of them is dropped by the one that added it
+                for earlier in reversed(txs[:pos]):
                     binding = (earlier.payload.user, earlier.payload.device)
                     del self.records[binding]
                     if self.ivks[earlier.payload.ivk] == binding:

@@ -205,7 +205,9 @@ class Ledger:
         Identity history must stay replayable forever, so only meeting
         ledgers prune. The head always survives. The state is left as it
         is: pruning drops the blocks' bytes, not what they decided, so a
-        pruned publish or request still cannot be replayed.
+        pruned publish or request still cannot be replayed. Nor does it
+        reclaim the state's memory: every view of a pruned meeting stays,
+        with its request transactions and key distributions.
         """
         if self.kind is LedgerKind.IDENTITY:
             raise PruneIdentityLedgerForbidden("identity ledgers keep full history")

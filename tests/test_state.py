@@ -101,6 +101,23 @@ def test_refused_block_keeps_a_key_registered_before_it():
     assert ident.ivk_registered(ledger, pair.ivk)
 
 
+def test_refused_block_drops_a_key_shared_by_two_of_its_bindings():
+    rng = DeterministicRng(16)
+    ledger = ident.new_identity_ledger()
+    pair = crypto.identity_keygen(rng)
+    block = [
+        ident.register_identity("ada", "laptop", pair),
+        ident.register_identity("ada", "phone", pair),
+        ident.register_identity("ada", "laptop", pair),
+    ]
+    with pytest.raises(InvalidTransaction) as err:
+        ledger.append_block(block, timestamp=1)
+    assert err.value.reason == Reason.DUPLICATE_BINDING
+    assert ident.find_identity(ledger, "ada", "laptop") is None
+    assert ident.find_identity(ledger, "ada", "phone") is None
+    assert not ident.ivk_registered(ledger, pair.ivk)
+
+
 def test_two_identical_publishes_in_one_block_refused():
     rng = DeterministicRng(12)
     identity_ledger = ident.new_identity_ledger()
