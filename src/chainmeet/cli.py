@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import crypto, identity as identity_mod, meeting as m, sim
 from .encoding import U64_MAX, u32
-from .errors import ChainmeetError
+from .errors import ChainmeetError, InvalidTransaction
 from .ledger import LedgerKind, TxTag, dump_hex_lines, load_hex_lines
 from .rng import DeterministicRng
 
@@ -74,47 +74,31 @@ def cmd_goals(args) -> int:
 # inspect
 
 
-def _signer_of(tx, leaders: dict[bytes, bytes]) -> bytes:
-    """Who authored a transaction, folding leadership as the chain replays."""
-    if tx.tag == TxTag.IDENTITY:
-        return tx.payload.ivk  # the record identity admission decoded
-    payload = m.parse_meeting_tx(tx)
-    if isinstance(payload, m.PublishMeeting):
-        leaders[payload.meeting_id] = payload.leader_ivk
-        return payload.leader_ivk
-    if isinstance(payload, m.MeetingRequest):
-        return payload.ivk
-    if isinstance(payload, m.MeetingLeave):
-        return payload.ivk
-    if isinstance(payload, m.LeaderReassign):
-        leaders[payload.meeting_id] = payload.new_leader_ivk
-        return payload.new_leader_ivk
-    # key distributions and dismissals carry no ivk: the chain's current
-    # leader for that meeting signed them
-    return leaders.get(payload.meeting_id, b"")
-
-
 def cmd_inspect(args) -> int:
-    # the identity ledger is re-admitted as it loads; the meeting ledger's
-    # reassignment rule is not on its chain, so it can only be parsed
-    for filename, kind, state in (
-        (IDENTITY_FILE, LedgerKind.IDENTITY, identity_mod.IdentityState()),
-        (MEETING_FILE, LedgerKind.MEETING, None),
+    # each ledger is re-admitted as it loads, the meeting ledger against the
+    # identity ledger loaded before it; the first refusal is named and exits 2
+    state = identity_mod.IdentityState()
+    for filename, kind in (
+        (IDENTITY_FILE, LedgerKind.IDENTITY),
+        (MEETING_FILE, LedgerKind.MEETING),
     ):
         path = os.path.join(args.persist, filename)
         with open(path, "r", encoding="utf-8") as handle:
-            ledger = load_hex_lines(kind, handle.readlines(), state)
-        if not ledger.verify_chain():
-            print(f"ledger={kind.value} INVALID CHAIN", file=sys.stderr)
-            return 2  # the files are input, and they are broken
+            lines = handle.readlines()
+        try:
+            ledger = load_hex_lines(kind, lines, state)
+        except InvalidTransaction as exc:
+            block, pos = exc.at
+            print(f"ledger={kind.value} block={block} pos={pos} reason={exc.reason}",
+                  file=sys.stderr)
+            return 2  # the files are input, and they do not re-admit
         print(f"ledger={kind.value} blocks={len(ledger.blocks)}")
-        leaders: dict[bytes, bytes] = {}
         for block_index, _, tx in ledger.iter_txs():
-            signer = _signer_of(tx, leaders)
             print(
                 f"block={block_index} tag={TxTag(tx.tag).name}"
-                f" signer={signer.hex()[:8]} body={tx.body.hex()}"
+                f" signer={tx.signer.hex()[:8]} body={tx.body.hex()}"
             )
+        state = m.MeetingState(ledger)  # the meeting ledger's, over this one
     return 0
 
 

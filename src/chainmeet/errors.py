@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
 
 class ChainmeetError(Exception):
@@ -25,21 +26,22 @@ class InvalidTransaction(ChainmeetError):
     """A transaction failed validation at ledger admission.
 
     Carries the machine-readable reason code so callers and transcripts can
-    distinguish e.g. a bad signature from a duplicate binding.
+    distinguish e.g. a bad signature from a duplicate binding. A ledger
+    that refuses it on append sets `at`, the (block index, position in the
+    block) of the refused transaction.
     """
 
-    def __init__(self, reason: "Reason", detail: str = ""):
+    def __init__(
+        self, reason: "Reason", detail: str = "", at: Optional[tuple[int, int]] = None
+    ):
         self.reason = reason
         self.detail = detail
+        self.at = at
         super().__init__(f"{reason.value}" + (f": {detail}" if detail else ""))
 
 
 class NonMonotonicTimestamp(ChainmeetError):
     """New block's timestamp is older than the chain head's."""
-
-
-class PruneIdentityLedgerForbidden(ChainmeetError):
-    """Identity ledgers keep full history; prune is only for meeting ledgers."""
 
 
 class NotFound(ChainmeetError):

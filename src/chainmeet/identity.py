@@ -128,7 +128,7 @@ class IdentityState:
         for pos, tx in enumerate(txs):
             try:
                 record = validate_identity_tx(tx, ledger)
-            except InvalidTransaction:
+            except InvalidTransaction as exc:
                 # each earlier transaction added a new binding, and perhaps
                 # the first binding of its ivk; undone last first, so a key
                 # shared by two of them is dropped by the one that added it
@@ -137,7 +137,9 @@ class IdentityState:
                     del self.records[binding]
                     if self.ivks[earlier.payload.ivk] == binding:
                         del self.ivks[earlier.payload.ivk]
+                exc.at = (block_index, pos)
                 raise
+            object.__setattr__(tx, "signer", record.ivk)
             binding = (record.user, record.device)
             self.records[binding] = record
             self.ivks.setdefault(record.ivk, binding)

@@ -1,12 +1,12 @@
 """Append-only hash-chained ledgers.
 
-Two instances of the same machinery: the identity ledger (never pruned, one
-transaction kind) and the meeting ledger (control traffic, prunable once a
-meeting is over). Blocks bind to their predecessor by hash; any byte of
-retained history that changes breaks verification. Each ledger also keeps a
-state (ChainState) that only admission writes: append_block has it admit
-each block whole, so nothing has to fold the chain from genesis to answer a
-question, and a pruned or reloaded ledger decides what a live one would.
+Two instances of the same machinery: the identity ledger (one transaction
+kind) and the meeting ledger (control traffic). Both keep their whole
+history. Blocks bind to their predecessor by hash; any byte of history that
+changes breaks verification. Each ledger also keeps a state (ChainState)
+that only admission writes: append_block has it admit each block whole, so
+nothing has to fold the chain from genesis to answer a question, and a
+reloaded ledger decides what a live one would.
 
 The field tables of `Block` and `Transaction` below are their canonical
 bytes (see encoding). A signature is always taken over kind_tag || body.
@@ -24,7 +24,6 @@ from .errors import (
     EncodingError,
     InvalidTransaction,
     NonMonotonicTimestamp,
-    PruneIdentityLedgerForbidden,
     Reason,
 )
 
@@ -67,9 +66,11 @@ class Transaction(Wire):
     body: bytes = wire(LP)
     signature: bytes = wire(fixed(crypto.SIG_LEN))
     # the payload admission decoded from body (an identity record or a
-    # meeting payload), kept for every later reader; only admission's decode
-    # sets it, never whoever built the tx
+    # meeting payload), kept for every later reader, and the key admission
+    # checked the signature under; only admission sets them, never whoever
+    # built the tx
     payload: Any = field(default=None, init=False, compare=False, repr=False)
+    signer: bytes = field(default=b"", init=False, compare=False, repr=False)
 
     @property
     def signing_bytes(self) -> bytes:
@@ -110,9 +111,10 @@ class ChainState(Protocol):
     writer.
 
     `admit` judges each transaction of a block against the state, with the
-    earlier ones of the block already folded in, and folds it in. When one
-    is refused it puts back, in place, what the earlier ones folded, and
-    raises InvalidTransaction: a block lands whole or not at all.
+    earlier ones of the block already folded in, and folds it in, recording
+    its signer on it. When one is refused it puts back, in place, what the
+    earlier ones folded, and raises InvalidTransaction with `at` set: a block
+    lands whole or not at all.
     """
 
     def admit(self, txs: list[Transaction], ledger: "Ledger", block_index: int) -> None: ...
@@ -122,8 +124,6 @@ class ChainState(Protocol):
 class Ledger:
     kind: LedgerKind
     blocks: list[Block] = field(default_factory=list)
-    # (index, hash) of the newest pruned-away block, if any
-    checkpoint: Optional[tuple[int, bytes]] = None
     # written only by its own admit, which append_block calls; None keeps no
     # state and judges nothing beyond the ledger kind
     state: Optional[ChainState] = None
@@ -132,23 +132,20 @@ class Ledger:
     def head(self) -> Block:
         return self.blocks[-1]
 
-    @property
-    def pruned_below(self) -> int:
-        return self.checkpoint[0] + 1 if self.checkpoint else 0
-
     def append_block(self, txs: list[Transaction], timestamp: int) -> Block:
         if timestamp < self.head.timestamp:
             raise NonMonotonicTimestamp(
                 f"{timestamp} < head timestamp {self.head.timestamp}"
             )
         allowed = ALLOWED_TAGS[self.kind]
-        for tx in txs:
+        index = self.head.index + 1
+        for pos, tx in enumerate(txs):
             if tx.tag not in allowed:
                 raise InvalidTransaction(
                     Reason.WRONG_LEDGER_KIND,
                     f"tag {tx.tag} not allowed on {self.kind.value} ledger",
+                    at=(index, pos),
                 )
-        index = self.head.index + 1
         if self.state is not None:
             self.state.admit(txs, self, index)
         block = make_block(
@@ -174,15 +171,8 @@ class Ledger:
             if any(tx.tag not in allowed for tx in block.txs):
                 return False
             if pos == 0:
-                if block.index == 0:
-                    if block.prev_hash != GENESIS_PREV_HASH:
-                        return False
-                else:
-                    if self.checkpoint is None:
-                        return False
-                    cp_index, cp_hash = self.checkpoint
-                    if block.index != cp_index + 1 or block.prev_hash != cp_hash:
-                        return False
+                if block.index != 0 or block.prev_hash != GENESIS_PREV_HASH:
+                    return False
             else:
                 prev = self.blocks[pos - 1]
                 if block.index != prev.index + 1:
@@ -199,27 +189,6 @@ class Ledger:
             for pos, tx in enumerate(block.txs):
                 yield block.index, pos, tx
 
-    def prune(self, cutoff_index: int) -> "Ledger":
-        """Discard blocks below cutoff_index, keeping a link checkpoint.
-
-        Identity history must stay replayable forever, so only meeting
-        ledgers prune. The head always survives. The state is left as it
-        is: pruning drops the blocks' bytes, not what they decided, so a
-        pruned publish or request still cannot be replayed. Nor does it
-        reclaim the state's memory: every view of a pruned meeting stays,
-        with its request transactions and key distributions.
-        """
-        if self.kind is LedgerKind.IDENTITY:
-            raise PruneIdentityLedgerForbidden("identity ledgers keep full history")
-        if cutoff_index > self.head.index:
-            raise ValueError("cannot prune past the chain head")
-        first_kept = next(i for i, b in enumerate(self.blocks) if b.index >= cutoff_index)
-        if first_kept > 0:
-            last_dropped = self.blocks[first_kept - 1]
-            self.checkpoint = (last_dropped.index, last_dropped.block_hash)
-            del self.blocks[:first_kept]
-        return self
-
 
 def new_ledger(kind: LedgerKind, state: Optional[ChainState] = None) -> Ledger:
     genesis = make_block(0, GENESIS_PREV_HASH, 0, ())
@@ -234,12 +203,12 @@ def dump_hex_lines(ledger: Ledger) -> list[str]:
 def load_hex_lines(
     kind: LedgerKind, lines: list[str], state: Optional[ChainState] = None
 ) -> Ledger:
-    """Parse persisted blocks; handed a fresh state, re-admit them into it.
+    """Re-admit persisted blocks into a new ledger that keeps `state`.
 
-    Without a state only the bytes are parsed; verify_chain checks hashes
-    and links on demand. With one, the blocks replay through append_block on
-    a new ledger that keeps the state, and each replayed block must equal the
-    loaded one. A pruned file has no genesis to replay from and is refused.
+    The blocks replay from the genesis block through append_block, and each
+    replayed block must equal the loaded one, so a loaded ledger is judged as
+    the live one was. With no state only the ledger kind, the timestamps, the
+    links and the hashes are checked.
 
     A meeting ledger is judged against its state's identity ledger as fully
     loaded. The two chains do not record how they interleave, so a
@@ -257,16 +226,12 @@ def load_hex_lines(
             raise EncodingError(f"bad hex block line: {exc}") from None
     if not blocks:
         raise EncodingError("no blocks in ledger file")
-    if state is None:
-        checkpoint = None
-        if blocks[0].index > 0:
-            # pruned chain: the first retained block names its predecessor
-            checkpoint = (blocks[0].index - 1, blocks[0].prev_hash)
-        return Ledger(kind=kind, blocks=blocks, checkpoint=checkpoint)
     ledger = new_ledger(kind, state)
     if blocks[0] != ledger.head:
-        raise EncodingError("re-admission starts at the genesis block; this file has none")
+        raise EncodingError(f"{kind.value} ledger: the first block is not the genesis block")
     for block in blocks[1:]:
         if ledger.append_block(list(block.txs), block.timestamp) != block:
-            raise EncodingError(f"block {block.index} does not replay to its stored bytes")
+            raise EncodingError(
+                f"{kind.value} ledger: block {block.index} does not replay to its stored bytes"
+            )
     return ledger

@@ -22,8 +22,8 @@ from typing import Callable, Optional, Union, get_args
 
 from . import crypto, identity as identity_mod
 from .encoding import (
-    U32, U64, U64_MAX, Wire, encode_fields, fixed, nested, optional, table, u32,
-    u8, utf8, vector, wire,
+    U32, U64, U64_MAX, Kind, Reader, Wire, encode_fields, fixed, nested, optional,
+    table, u32, u8, utf8, vector, wire,
 )
 from .errors import (
     AuthenticationFailure,
@@ -54,9 +54,11 @@ class Role(enum.Enum):
     LEADER = "leader"
 
 
-class ReassignRule(enum.Enum):
-    DESIGNATION = "designation"
-    TIME_ORDER = "timeorder"
+class ReassignRule(enum.IntEnum):
+    """How leadership passes on; each meeting's publish signs in its own."""
+
+    DESIGNATION = 0
+    TIME_ORDER = 1
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +73,24 @@ NAME = utf8(0, identity_mod.MAX_NAME_BYTES)
 INFO = utf8(0, identity_mod.MAX_INFO_BYTES)
 
 
+def _read_rule(reader: Reader) -> ReassignRule:
+    code = reader.u8()
+    try:
+        return ReassignRule(code)
+    except ValueError:
+        raise EncodingError(f"unknown reassignment rule {code}") from None
+
+
+RULE = Kind(_read_rule, u8)
+
+
 @dataclass(frozen=True)
 class PublishMeeting(Wire):
     TAG = TxTag.MEETING_PUBLISH
 
     meeting_id: bytes = wire(MEETING_ID)
     info: str = wire(INFO)
+    rule: ReassignRule = wire(RULE)
     leader_ivk: bytes = wire(KEY)
     leader_epk: bytes = wire(KEY)
 
@@ -287,7 +301,7 @@ class MeetingView:
     meeting_id: bytes
     identity_ledger: Ledger = field(repr=False, compare=False)
     exists: bool = False
-    info: str = ""
+    rule: ReassignRule = ReassignRule.DESIGNATION
     leader_ivk: bytes = b""
     dismissed: bool = False
     last_epoch: Optional[int] = None
@@ -343,7 +357,7 @@ class MeetingView:
         payload = tx.payload  # kept there by the verdict's decode
         if isinstance(payload, PublishMeeting):
             self.exists = True
-            self.info = payload.info
+            self.rule = payload.rule
             self.leader_ivk = payload.leader_ivk
             self.present_leader_ivks.add(payload.leader_ivk)
         elif isinstance(payload, MeetingRequest):
@@ -368,9 +382,8 @@ class MeetingState:
     """The meeting ledger's state: one view per meeting id, each advanced by
     every transaction of that meeting as it is admitted."""
 
-    def __init__(self, identity_ledger: Ledger, rule: ReassignRule) -> None:
+    def __init__(self, identity_ledger: Ledger) -> None:
         self.identity_ledger = identity_ledger
-        self.rule = rule
         self.views: dict[bytes, MeetingView] = {}
 
     def view(self, meeting_id: bytes) -> MeetingView:
@@ -392,7 +405,7 @@ class MeetingState:
                         del self.views[meeting_id]
                     else:
                         vars(self.views[meeting_id]).update(vars(saved))
-                raise InvalidTransaction(reason)
+                raise InvalidTransaction(reason, at=(block_index, pos))
             meeting_id = tx.payload.meeting_id
             view = self.views.get(meeting_id)
             if pos < len(txs) - 1 and meeting_id not in before:
@@ -400,6 +413,10 @@ class MeetingState:
             if view is None:
                 view = self.views[meeting_id] = MeetingView(meeting_id, self.identity_ledger)
             view.apply(tx, block_index, pos)
+            # the key the verdict checked: the author's own for a request or a
+            # leave, else the leader as this transaction leaves the meeting
+            mine = isinstance(tx.payload, (MeetingRequest, MeetingLeave))
+            object.__setattr__(tx, "signer", tx.payload.ivk if mine else view.leader_ivk)
 
 
 def verify_request(request: MeetingRequest, identity_ledger: Ledger) -> Optional[Reason]:
@@ -441,9 +458,10 @@ def build_view(meeting_ledger: Ledger, meeting_id: bytes) -> MeetingView:
 
 
 def reassign_verdict(
-    payload: LeaderReassign, tx: Transaction, view: MeetingView, rule: ReassignRule
+    payload: LeaderReassign, tx: Transaction, view: MeetingView
 ) -> Optional[Reason]:
-    """The verdict on a reassignment of a published, undismissed meeting."""
+    """The verdict on a reassignment of a published, undismissed meeting,
+    under the rule its publish signed in."""
     if payload.prev_leader_ivk != view.leader_ivk:
         return Reason.RULE_VIOLATION
     if not identity_mod.ivk_registered(view.identity_ledger, payload.new_leader_ivk):
@@ -453,7 +471,7 @@ def reassign_verdict(
         return Reason.RULE_VIOLATION
     if not crypto.verify(payload.new_leader_ivk, tx.signing_bytes, tx.signature):
         return Reason.BAD_SIGNATURE
-    if rule is ReassignRule.DESIGNATION:
+    if view.rule is ReassignRule.DESIGNATION:
         if payload.prev_leader_sig is None:
             return Reason.RULE_VIOLATION
         if not crypto.verify(
@@ -470,7 +488,7 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
     """Validation verdict for one meeting-ledger transaction; None accepts.
 
     Judged against the meeting ledger's state, which holds its identity
-    ledger and reassignment rule, so it costs the same at any chain length.
+    ledger and each meeting's view, so it costs the same at any chain length.
     The body is decoded here, always from its bytes, and the payload is kept
     on tx for the fold and every later reader.
     """
@@ -524,7 +542,7 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
         return None
 
     if isinstance(payload, LeaderReassign):
-        return reassign_verdict(payload, tx, view, state.rule)
+        return reassign_verdict(payload, tx, view)
 
     assert isinstance(payload, MeetingDismiss)
     if not crypto.verify(view.leader_ivk, tx.signing_bytes, tx.signature):
@@ -532,10 +550,8 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
     return None
 
 
-def new_meeting_ledger(
-    identity_ledger: Ledger, rule: ReassignRule = ReassignRule.DESIGNATION
-) -> Ledger:
-    return new_ledger(LedgerKind.MEETING, state=MeetingState(identity_ledger, rule))
+def new_meeting_ledger(identity_ledger: Ledger) -> Ledger:
+    return new_ledger(LedgerKind.MEETING, state=MeetingState(identity_ledger))
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +586,11 @@ class ParticipantState:
 
 
 def publish_meeting(
-    state: ParticipantState, info: str, rng: Rng
+    state: ParticipantState, info: str, rng: Rng,
+    rule: ReassignRule = ReassignRule.DESIGNATION,
 ) -> Transaction:
-    """Create a meeting; the caller becomes its leader."""
+    """Create a meeting whose leadership passes on under `rule`; the caller
+    becomes its leader."""
     meeting_id = rng.take(MEETING_ID_LEN)
     ephemeral = crypto.ephemeral_keygen(rng)
     state.meeting_id = meeting_id
@@ -584,6 +602,7 @@ def publish_meeting(
     payload = PublishMeeting(
         meeting_id=meeting_id,
         info=info,
+        rule=rule,
         leader_ivk=state.keypair.ivk,
         leader_epk=ephemeral.epk,
     )
@@ -791,10 +810,9 @@ def build_reassign(
     view: MeetingView,
     prev_keypair: crypto.IdentityKeyPair,
     new_keypair: crypto.IdentityKeyPair,
-    rule: ReassignRule,
     rng: Rng,
 ) -> tuple[Transaction, crypto.EphemeralKeyPair]:
-    """Construct the leadership handover transaction.
+    """Construct the leadership handover transaction, under the meeting's rule.
 
     Under designation the outgoing leader co-signs; under time order the
     successor submits alone and the chain checks they are the earliest
@@ -814,7 +832,7 @@ def build_reassign(
         new_leader_epk=ephemeral.epk,
         prev_leader_sig=None,
     )
-    if rule is ReassignRule.DESIGNATION:
+    if view.rule is ReassignRule.DESIGNATION:
         payload = replace(
             payload,
             prev_leader_sig=crypto.sign(prev_keypair, payload.handover_bytes()),

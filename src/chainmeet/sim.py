@@ -31,6 +31,8 @@ Ticks must be strictly increasing; one action happens per tick. Actions:
     adversary.eavesdrop
 
 Meetings are addressed by the order they were published, starting at 0.
+Every meeting a run publishes signs the `rule` line (by default
+designation) into its publish.
 
 Transcript events are plain slotted dataclasses, written once into the
 append-only transcript and never changed after; they compare by value but
@@ -546,7 +548,7 @@ class Simulation:
         self.rng = DeterministicRng(scenario.seed)
         self.rule = scenario.rule
         self.identity_ledger = identity_mod.new_identity_ledger()
-        self.meeting_ledger = m.new_meeting_ledger(self.identity_ledger, self.rule)
+        self.meeting_ledger = m.new_meeting_ledger(self.identity_ledger)
         self.actors: dict[str, Actor] = {}
         # who holds a session in each meeting, and who eavesdrops; both in
         # the order of self.actors, which is the order their events come in
@@ -680,7 +682,7 @@ class Simulation:
         session = m.ParticipantState(
             user=actor.user, device=actor.device, keypair=actor.keypair
         )
-        tx = m.publish_meeting(session, info, self.rng)
+        tx = m.publish_meeting(session, info, self.rng, self.rule)
         if self._submit(actor, "publish", tx) is None:
             self.meeting_order.append(session.meeting_id)
             self._join(actor, session.meeting_id, session)
@@ -892,7 +894,7 @@ class Simulation:
         view = m.build_view(self.meeting_ledger, meeting_id)
         if view.leader_ivk == actor.keypair.ivk:
             tx, ephemeral = m.build_reassign(
-                view, actor.keypair, successor.keypair, self.rule, self.rng
+                view, actor.keypair, successor.keypair, self.rng
             )
             if self._submit(actor, "reassign", tx) is None:
                 self._install_leader(successor, meeting_id, ephemeral)

@@ -6,7 +6,7 @@ import hmac as stdlib_hmac
 import pytest
 
 import oracles
-from chainmeet import cli
+from chainmeet import cli, meeting as m
 from chainmeet.ledger import LedgerKind, TxTag, load_hex_lines
 from test_state import forged
 
@@ -254,4 +254,29 @@ def test_inspect_of_a_broken_chain_exits_two(tmp_path, capsys):
     lines[2] = lines[2][:-1] + ("1" if lines[2][-1] == "0" else "0")
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["inspect", "--persist", str(store)]) == 2
-    assert "ledger=meeting INVALID CHAIN" in capsys.readouterr().err
+    assert "ledger=meeting block=2 pos=0 reason=bad_signature" in capsys.readouterr().err
+
+
+def flip_last_byte(body):
+    return body[:-1] + bytes([body[-1] ^ 1])
+
+
+def flip_rule_byte(body):
+    """Designation becomes time order; the rule follows the meeting id and info."""
+    at = 16 + 4 + int.from_bytes(body[16:20], "big")
+    flipped = body[:at] + bytes([body[at] ^ 1]) + body[at + 1 :]
+    assert m.PublishMeeting.parse(flipped).rule is m.ReassignRule.TIME_ORDER
+    return flipped
+
+
+@pytest.mark.parametrize("edit", [flip_last_byte, flip_rule_byte])
+def test_inspect_refuses_a_forged_meeting_publish(tmp_path, capsys, edit):
+    store = tmp_path / "ledgers"
+    assert cli.main(["run", "--scenario", "join_rekey", "--out",
+                     str(tmp_path / "t.txt"), "--persist", str(store)]) == 0
+    path = store / "meeting.ledger"
+    lines = forged(path.read_text().splitlines(), TxTag.MEETING_PUBLISH, edit)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["inspect", "--persist", str(store)]) == 2
+    assert "ledger=meeting block=1 pos=0 reason=bad_signature" in capsys.readouterr().err

@@ -34,7 +34,10 @@ STRUCTS = {
     IdentityRecord: st.builds(IdentityRecord, NAMES, NAMES, exact(32), st.just(0),
                               st.binary(max_size=40))
     | st.builds(IdentityRecord, NAMES, NAMES, exact(32), st.just(1), exact(32)),
-    m.PublishMeeting: st.builds(m.PublishMeeting, exact(16), TEXT, exact(32), exact(32)),
+    m.PublishMeeting: st.builds(
+        m.PublishMeeting, exact(16), TEXT, st.sampled_from(m.ReassignRule), exact(32),
+        exact(32),
+    ),
     m.MeetingRequest: st.builds(
         m.MeetingRequest, exact(16), TEXT, TEXT, exact(32), exact(32)
     ),

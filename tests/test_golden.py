@@ -20,7 +20,7 @@ GOLDEN = {
     "reassign_timeorder": "fefed44f8c77fad259483cb751535488e4508cf0e6da536466d4708e2a3e39b8",
     "reassign_violation": "88399d369bb032d5f59432382230fb67dd11c539034d3e2418e2e9a272367568",
     "replay_request": "33cfad3024b2e66afdf7376c0de3c6162b77e876f49890d14c30e76a35899e26",
-    "tamper_ledger": "c69baea34db238b9a0fef0a7fe52455a760166ca8b1c1c1c5f1e20f53b6a0ce6",
+    "tamper_ledger": "3c37c7b34df5b25a9285a5bb6384186b69baab7df8471ffd85de28b51f88925a",
 }
 
 # SHA-256 of each persisted ledger (identity, meeting) after the same runs:
@@ -28,47 +28,47 @@ GOLDEN = {
 LEDGERS = {
     "eavesdrop": (
         "61380668e8c1ec88d3c1a1ab81427dd381a1c8990d89b497d4c487bb38633974",
-        "c6d91dff1b38b785cdffdca7d2377be46d47de1ba9974aba2682679c4bc6984b",
+        "6bfbe1a208f3db5ac3b5dc841a01f4b543602084680d3f4a8df6abe7dfcb8d72",
     ),
     "honest": (
         "8815f31cad170c2e0ae0b56512b6be2f7fb85274ab03937ec0c9d280b8d237d7",
-        "f87d00009bc75e4cb278c3747bdf3b7a403cd838af4e95eb6044fa13823377f5",
+        "e9afa29f0f2dab2b76035b2b8791a36238591360374a30fe901988583a550484",
     ),
     "impersonate": (
         "85129cf2e7b61ff71b3e3963da69f9f0851df8cffd3538e4cc49eaf8e3c3205a",
-        "349691c0d3a3cd85fef6d59af343f0e5535769df030676d6a91a814a714a3193",
+        "a35dade1ef13bd99acb8f3068b7b665c9489f77b769c1e4cd46017f7cd26261a",
     ),
     "join_rekey": (
         "61407239769d80115eb1cc07cec97c71121463270bf855e09348b02d2392231f",
-        "79ce3bea77593cf7139d2a87271824d2de99091da869c8e2611fb89230e05a91",
+        "82f13d1f697d6d4ebd35a359ad80cafede2beaf96d68f143b4bb193f6177d921",
     ),
     "leave_rekey": (
         "555eb214a50bc10ba735813b06e7f644d9b0454d45dabd7d8487ecf0d6ecd069",
-        "51999737f6b4ad5b6d626025f2d0f02bee1c3e9292131bd1922e78e8f150f5c6",
+        "337f06c9f582ff86de59aa9d5a557927acb37e759d96e6401d43f51bcbdd0c84",
     ),
     "mix_keys": (
         "c60fa73d683241532d014a04370bc9896b78270187c0bbc370243782944d88e8",
-        "eaf133eeacc7680ce1bfff398994d1603cf5a28fc2fb1b991d98fe692ca663da",
+        "428b10371e658311fda5674d1e2c1f0ba415c5769ac85c3f00fa72194f1de8bc",
     ),
     "reassign_designation": (
         "071f5c94f08c5be010c8a77f1bb052997a75a066417dd04c98af2ce83cf32a55",
-        "30eb98482f67391735c54277100998700909ccf472d1179c6f241e4cf6312c24",
+        "a3988daf48d5cb97b330f65b3940269921aa66e163add5cef02d836b5adbbbcd",
     ),
     "reassign_timeorder": (
         "071f5c94f08c5be010c8a77f1bb052997a75a066417dd04c98af2ce83cf32a55",
-        "7813a22daea3e88a733c90eb82c4b8f4dcb4c63571df4d7b9826a7fee30fcd65",
+        "9c5d357d4ffde59007dec0d65c16b22dc0127941174375b014820c0d527493e1",
     ),
     "reassign_violation": (
         "25a0c5184039ddb44b0f0ba8616eedac4df0c51c90b19f47f1e92f159ff6e44c",
-        "4c45e1ca39307cdf5cd0e0ba9c8bc027739b6447492c25dd6297a56c82beeb0c",
+        "04a9667d36fd88f2d5c7d28d6f6a740ba2cb46fb1ebe0e9dc11b9cabf633a731",
     ),
     "replay_request": (
         "9a8add66c1dbb37d1e0a2e5d94205c760a2bf49be968279d82722006e51b4ec9",
-        "a5e70edf81cbab98fef7fb4d27d79bbdd44790f7ca8c16380b04cf40ebccb0a9",
+        "d74741f33e6e3c803628b205a36bf64f5bb66edb76dacb91c4a59bed1de1f5a6",
     ),
     "tamper_ledger": (
         "70e0d2bc968713315c9ab1b3b51d270a658114527f26f855d6a9b59779a06f96",
-        "90ee0d6e508a7ccae073e59041bca9c8def3dd9d63c83bdc801eda16b51a91fc",
+        "016460c833b079e49b14012be7ea8fbb5f90add50dfce63148a31282da56f6a2",
     ),
 }
 

@@ -1,4 +1,4 @@
-"""Hash chain behavior: layout, linking, tamper detection, pruning."""
+"""Hash chain behavior: layout, linking, tamper detection, persistence."""
 
 import hashlib
 from time import perf_counter
@@ -11,7 +11,6 @@ from chainmeet.errors import (
     EncodingError,
     InvalidTransaction,
     NonMonotonicTimestamp,
-    PruneIdentityLedgerForbidden,
     Reason,
 )
 from chainmeet.ledger import (
@@ -184,50 +183,6 @@ def test_stored_hash_tampering_detected():
     assert not ledger.verify_chain()
 
 
-def test_identity_ledger_refuses_prune():
-    ledger = small_chain(3, kind=LedgerKind.IDENTITY)
-    with pytest.raises(PruneIdentityLedgerForbidden):
-        ledger.prune(2)
-
-
-def test_meeting_ledger_prunes_with_checkpoint():
-    ledger = small_chain(5, kind=LedgerKind.MEETING, tag=TxTag.MEETING_REQUEST)
-    dropped_hash = ledger.blocks[2].block_hash
-    ledger.prune(3)
-    assert ledger.pruned_below == 3
-    assert [b.index for b in ledger.blocks] == [3, 4, 5]
-    assert ledger.checkpoint == (2, dropped_hash)
-    assert ledger.verify_chain()
-    # iteration now covers only retained blocks
-    assert all(i >= 3 for i, _, _ in ledger.iter_txs())
-    # pruning below the existing cut is a no-op
-    ledger.prune(1)
-    assert ledger.pruned_below == 3
-    with pytest.raises(ValueError):
-        ledger.prune(99)
-
-
-def test_pruned_chain_still_detects_tampering():
-    ledger = small_chain(5, kind=LedgerKind.MEETING, tag=TxTag.MEETING_REQUEST)
-    ledger.prune(2)
-    raw = ledger.blocks[0].canonical_bytes()
-    mutated = raw[:40] + bytes([raw[40] ^ 0x01]) + raw[41:]
-    ledger.blocks[0] = parse_block(mutated, stored_hash=ledger.blocks[0].block_hash)
-    assert not ledger.verify_chain()
-
-
-def test_checkpoint_mismatch_detected():
-    ledger = small_chain(4, kind=LedgerKind.MEETING, tag=TxTag.MEETING_LEAVE)
-    ledger.prune(2)
-    good = ledger.checkpoint
-    ledger.checkpoint = (good[0], bytes(32))
-    assert not ledger.verify_chain()
-    ledger.checkpoint = None
-    assert not ledger.verify_chain()
-    ledger.checkpoint = good
-    assert ledger.verify_chain()
-
-
 def test_persistence_roundtrip():
     ledger = small_chain(3)
     lines = dump_hex_lines(ledger)
@@ -237,12 +192,11 @@ def test_persistence_roundtrip():
     assert loaded.blocks == ledger.blocks
 
 
-def test_persistence_roundtrip_after_prune():
-    ledger = small_chain(4, kind=LedgerKind.MEETING, tag=TxTag.MEETING_DISMISS)
-    ledger.prune(2)
-    loaded = load_hex_lines(LedgerKind.MEETING, dump_hex_lines(ledger))
-    assert loaded.checkpoint == ledger.checkpoint
-    assert loaded.verify_chain()
+def test_loading_replays_from_genesis_and_refuses_a_broken_link():
+    lines = dump_hex_lines(small_chain(3))
+    for broken in (lines[2:], lines[:2] + lines[3:]):  # no genesis; a gap
+        with pytest.raises(EncodingError):
+            load_hex_lines(LedgerKind.IDENTITY, broken)
 
 
 def test_parse_block_is_strict():

@@ -25,15 +25,16 @@ from chainmeet.errors import (
 from chainmeet.encoding import lp
 from chainmeet.ledger import Transaction, TxTag, dump_hex_lines
 from chainmeet.rng import DeterministicRng, FixedRng
+from test_state import load_both
 
 
 class World:
     """Identity ledger plus helpers to spin up actors and meetings."""
 
-    def __init__(self, seed=31337, rule=m.ReassignRule.DESIGNATION):
+    def __init__(self, seed=31337):
         self.rng = DeterministicRng(seed)
         self.identity_ledger = ident.new_identity_ledger()
-        self.meeting_ledger = m.new_meeting_ledger(self.identity_ledger, rule)
+        self.meeting_ledger = m.new_meeting_ledger(self.identity_ledger)
         self.tick = 0
 
     def actor(self, user, device="dev", register=True):
@@ -52,9 +53,9 @@ class World:
         return m.meeting_tx_verdict(tx, self.meeting_ledger)
 
 
-def standard_meeting(world, member_names=("bob", "carol")):
+def standard_meeting(world, member_names=("bob", "carol"), rule=m.ReassignRule.DESIGNATION):
     leader = world.actor("alice")
-    world.commit(m.publish_meeting(leader, "sync", world.rng))
+    world.commit(m.publish_meeting(leader, "sync", world.rng, rule))
     members = []
     for name in member_names:
         member = world.actor(name)
@@ -92,6 +93,15 @@ def test_request_body_layout():
     )
     assert body == manual
     assert m.MeetingRequest.parse(body) == m.MeetingRequest(mid, "bob", "phone", ivk, epk)
+
+
+def test_publish_body_layout():
+    rng = DeterministicRng(5)
+    mid, ivk, epk = rng.take(16), rng.take(32), rng.take(32)
+    publish = m.PublishMeeting(mid, "sync", m.ReassignRule.TIME_ORDER, ivk, epk)
+    manual = mid + len(b"sync").to_bytes(4, "big") + b"sync" + b"\x01" + ivk + epk
+    assert publish.encode() == manual
+    assert m.PublishMeeting.parse(manual) == publish
 
 
 def test_key_distribution_body_layout():
@@ -757,16 +767,33 @@ def test_epoch_space_cap():
 
 
 def handover_world(rule):
-    world = World(rule=rule)
-    leader, (bob, carol), _ = standard_meeting(world)
+    world = World()
+    leader, (bob, carol), _ = standard_meeting(world, rule=rule)
     return world, leader, bob, carol
+
+
+def forged_reassign(world, leader, prev_keypair, new_keypair, cosign=True):
+    """A handover from prev to new, built past build_reassign's checks and,
+    unless cosign is false, co-signed by prev."""
+    payload = m.LeaderReassign(
+        meeting_id=leader.meeting_id,
+        prev_leader_ivk=prev_keypair.ivk,
+        new_leader_ivk=new_keypair.ivk,
+        new_leader_epk=crypto.ephemeral_keygen(world.rng).epk,
+        prev_leader_sig=None,
+    )
+    if cosign:
+        payload = replace(
+            payload, prev_leader_sig=crypto.sign(prev_keypair, payload.handover_bytes())
+        )
+    return m.signed_tx(payload, new_keypair)
 
 
 def test_designation_handover_accepted_and_rekeyed():
     world, alice, bob, carol = handover_world(m.ReassignRule.DESIGNATION)
     view = m.build_view(world.meeting_ledger, alice.meeting_id)
     tx, ephemeral = m.build_reassign(
-        view, alice.keypair, bob.keypair, m.ReassignRule.DESIGNATION, world.rng
+        view, alice.keypair, bob.keypair, world.rng
     )
     assert world.verdict(tx) is None
     world.commit(tx)
@@ -788,10 +815,7 @@ def test_designation_handover_accepted_and_rekeyed():
 
 def test_designation_without_prev_signature_rejected():
     world, alice, bob, _ = handover_world(m.ReassignRule.DESIGNATION)
-    view = m.build_view(world.meeting_ledger, alice.meeting_id)
-    tx, _ = m.build_reassign(
-        view, alice.keypair, bob.keypair, m.ReassignRule.TIME_ORDER, world.rng
-    )  # built bare, validated under designation
+    tx = forged_reassign(world, alice, alice.keypair, bob.keypair, cosign=False)
     assert world.verdict(tx) == Reason.RULE_VIOLATION
 
 
@@ -813,11 +837,11 @@ def test_time_order_picks_earliest_remaining_member():
     world, alice, bob, carol = handover_world(m.ReassignRule.TIME_ORDER)
     view = m.build_view(world.meeting_ledger, alice.meeting_id)
     good, _ = m.build_reassign(
-        view, alice.keypair, bob.keypair, m.ReassignRule.TIME_ORDER, world.rng
+        view, alice.keypair, bob.keypair, world.rng
     )
     assert world.verdict(good) is None
     grab, _ = m.build_reassign(
-        view, alice.keypair, carol.keypair, m.ReassignRule.TIME_ORDER, world.rng
+        view, alice.keypair, carol.keypair, world.rng
     )
     assert world.verdict(grab) == Reason.RULE_VIOLATION
 
@@ -827,34 +851,68 @@ def test_time_order_succession_after_first_leaves():
     world.commit(m.make_leave(bob))
     view = m.build_view(world.meeting_ledger, alice.meeting_id)
     succession, _ = m.build_reassign(
-        view, alice.keypair, carol.keypair, m.ReassignRule.TIME_ORDER, world.rng
+        view, alice.keypair, carol.keypair, world.rng
     )
     assert world.verdict(succession) is None
 
 
 def test_time_order_rejects_gratuitous_cosignature():
     world, alice, bob, _ = handover_world(m.ReassignRule.TIME_ORDER)
-    view = m.build_view(world.meeting_ledger, alice.meeting_id)
-    tx, _ = m.build_reassign(
-        view, alice.keypair, bob.keypair, m.ReassignRule.DESIGNATION, world.rng
-    )  # carries a co-signature the rule does not want
+    # bob is the earliest member, but the co-signature is not wanted
+    tx = forged_reassign(world, alice, alice.keypair, bob.keypair)
     assert world.verdict(tx) == Reason.RULE_VIOLATION
 
 
-def forged_reassign(world, leader, prev_keypair, new_keypair):
-    """A designation handover from prev to new, built past build_reassign's
-    checks and co-signed by prev."""
-    payload = m.LeaderReassign(
-        meeting_id=leader.meeting_id,
-        prev_leader_ivk=prev_keypair.ivk,
-        new_leader_ivk=new_keypair.ivk,
-        new_leader_epk=crypto.ephemeral_keygen(world.rng).epk,
-        prev_leader_sig=None,
-    )
-    cosigned = replace(
-        payload, prev_leader_sig=crypto.sign(prev_keypair, payload.handover_bytes())
-    )
-    return m.signed_tx(cosigned, new_keypair)
+def test_each_meeting_is_handed_over_under_the_rule_its_publish_signed():
+    world = World()
+    alice, bob, carol = (world.actor(name) for name in ("alice", "bob", "carol"))
+    leaders = {}
+    for rule in m.ReassignRule:  # alice leads one meeting under each rule
+        leader = m.ParticipantState("alice", "dev", alice.keypair)
+        world.commit(m.publish_meeting(leader, rule.name, world.rng, rule))
+        for member in (bob, carol):
+            session = m.ParticipantState(member.user, member.device, member.keypair)
+            world.commit(
+                m.make_request(session, world.meeting_ledger, leader.meeting_id, world.rng)
+            )
+        leaders[rule] = leader
+    # (co-signed, bare) handovers to bob, the earliest member
+    expected = {
+        m.ReassignRule.DESIGNATION: (None, Reason.RULE_VIOLATION),
+        m.ReassignRule.TIME_ORDER: (Reason.RULE_VIOLATION, None),
+    }
+    for rule, leader in leaders.items():
+        assert m.build_view(world.meeting_ledger, leader.meeting_id).rule is rule
+        handovers = [
+            forged_reassign(world, leader, alice.keypair, bob.keypair, cosign)
+            for cosign in (True, False)
+        ]
+        verdicts = tuple(world.verdict(tx) for tx in handovers)
+        assert verdicts == expected[rule]
+        world.commit(handovers[verdicts.index(None)])
+    # re-admitted, each handover is judged under its own meeting's rule again
+    ledgers = (world.identity_ledger, world.meeting_ledger)
+    _, meeting_ledger = load_both(*(dump_hex_lines(ledger) for ledger in ledgers))
+    for rule, leader in leaders.items():
+        view = m.build_view(meeting_ledger, leader.meeting_id)
+        assert (view.rule, view.leader_ivk) == (rule, bob.keypair.ivk)
+
+
+def test_publish_with_a_rule_byte_outside_the_enum_is_malformed():
+    world = World()
+    alice = world.actor("alice")
+    body = bytearray(m.publish_meeting(alice, "sync", world.rng).body)
+    at = 16 + 4 + len(b"sync")  # after the meeting id and the info
+    assert body[at] == m.ReassignRule.DESIGNATION
+    for code in (2, 255):
+        body[at] = code
+        with pytest.raises(EncodingError):
+            m.PublishMeeting.parse(bytes(body))
+        signing_bytes = bytes([TxTag.MEETING_PUBLISH]) + body
+        tx = Transaction(
+            TxTag.MEETING_PUBLISH, bytes(body), crypto.sign(alice.keypair, signing_bytes)
+        )
+        assert world.verdict(tx) == Reason.MALFORMED_BODY
 
 
 def test_reassign_to_non_member_refused():
@@ -863,8 +921,7 @@ def test_reassign_to_non_member_refused():
     view = m.build_view(world.meeting_ledger, alice.meeting_id)
     with pytest.raises(NewLeaderNotMember):
         m.build_reassign(
-            view, alice.keypair, outsider.keypair, m.ReassignRule.DESIGNATION,
-            world.rng,
+            view, alice.keypair, outsider.keypair, world.rng,
         )
     forced = forged_reassign(world, alice, alice.keypair, outsider.keypair)
     assert world.verdict(forced) == Reason.RULE_VIOLATION
@@ -875,7 +932,7 @@ def test_reassign_from_non_leader_refused():
     view = m.build_view(world.meeting_ledger, alice.meeting_id)
     with pytest.raises(NotCurrentLeader):
         m.build_reassign(
-            view, carol.keypair, bob.keypair, m.ReassignRule.DESIGNATION, world.rng
+            view, carol.keypair, bob.keypair, world.rng
         )
     forced = forged_reassign(world, alice, carol.keypair, bob.keypair)
     assert world.verdict(forced) == Reason.RULE_VIOLATION

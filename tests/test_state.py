@@ -1,14 +1,14 @@
 """Kept chain state, written only by admission: blocks land whole or not at
-all and a refused block is put back in place, pruning keeps what the pruned
-blocks decided, a loaded ledger is re-admitted to the live state, and each
-admitted transaction has its signature checked once."""
+all and a refused block is put back in place, a loaded ledger is re-admitted
+to the live state, and each admitted transaction has its signature checked
+once, under the key it records as its signer."""
 
 from dataclasses import replace
 
 import pytest
 
 from chainmeet import crypto, identity as ident, meeting as m, sim
-from chainmeet.errors import EncodingError, InvalidTransaction, Reason
+from chainmeet.errors import InvalidTransaction, Reason
 from chainmeet.ledger import (
     LedgerKind, TxTag, dump_hex_lines, load_hex_lines, make_block, parse_block,
 )
@@ -56,7 +56,7 @@ def reviewed_meeting(seed=5):
 
 def view_facts(view):
     return (
-        view.exists, view.info, view.leader_ivk, view.dismissed, view.last_epoch,
+        view.exists, view.rule, view.leader_ivk, view.dismissed, view.last_epoch,
         dict(view.distributions), set(view.present_leader_ivks), set(view.request_txs),
         [(r.request, r.block_index, r.block_pos, r.active) for r in view.requests],
     )
@@ -187,31 +187,12 @@ def test_view_held_across_a_refused_block_reads_as_before_it():
 
 
 # ---------------------------------------------------------------------------
-# pruning keeps the state; loading re-admits it
+# loading re-admits the state
 
 
-def test_prune_keeps_the_state_and_refuses_replays():
-    rng, _, meeting_ledger, alice, _ = reviewed_meeting()
-    publish, request = (block.txs[0] for block in meeting_ledger.blocks[1:3])
-    meeting_ledger.append_block([m.distribute_key(alice, rng)], 3)
-    meeting_ledger.prune(3)  # drops the publish and the request
-    view = m.build_view(meeting_ledger, alice.meeting_id)
-    assert view.exists and view.last_epoch == 0
-    assert [r.request.user for r in view.members()] == ["bob"]
-    for replayed, reason in (
-        (publish, Reason.DUPLICATE_MEETING),
-        (request, Reason.REPLAYED_REQUEST),
-    ):
-        with pytest.raises(InvalidTransaction) as err:
-            meeting_ledger.append_block([replayed], timestamp=4)
-        assert err.value.reason == reason
-
-
-def load_both(simulation, identity_lines, meeting_lines):
+def load_both(identity_lines, meeting_lines):
     identity = load_hex_lines(LedgerKind.IDENTITY, identity_lines, ident.IdentityState())
-    meeting = load_hex_lines(
-        LedgerKind.MEETING, meeting_lines, m.MeetingState(identity, simulation.rule)
-    )
+    meeting = load_hex_lines(LedgerKind.MEETING, meeting_lines, m.MeetingState(identity))
     return identity, meeting
 
 
@@ -219,7 +200,6 @@ def load_both(simulation, identity_lines, meeting_lines):
 def test_loaded_ledgers_readmit_to_the_state_they_were_saved_with(name):
     simulation = sim.run_scenario_text(sim.load_scenario_text(name))
     identity, meeting = load_both(
-        simulation,
         dump_hex_lines(simulation.identity_ledger),
         dump_hex_lines(simulation.meeting_ledger),
     )
@@ -243,20 +223,20 @@ def test_loading_with_a_state_refuses_a_forged_body_in_a_relinked_chain():
     # hashes and links hold, so a stateless load cannot tell
     assert load_hex_lines(LedgerKind.MEETING, meeting_lines).verify_chain()
     with pytest.raises(InvalidTransaction) as err:
-        load_both(simulation, identity_lines, meeting_lines)
+        load_both(identity_lines, meeting_lines)
     assert err.value.reason == Reason.BAD_SIGNATURE
 
 
-def test_loading_a_pruned_file_with_a_state_is_refused():
-    _, identity_ledger, meeting_ledger, _, _ = reviewed_meeting()
-    meeting_ledger.prune(2)
-    lines = dump_hex_lines(meeting_ledger)
-    assert load_hex_lines(LedgerKind.MEETING, lines).verify_chain()
-    with pytest.raises(EncodingError):
-        load_hex_lines(
-            LedgerKind.MEETING, lines,
-            m.MeetingState(identity_ledger, m.ReassignRule.DESIGNATION),
-        )
+@pytest.mark.parametrize("name", sim.bundled_scenario_names())
+def test_admission_records_the_key_each_transaction_is_signed_under(name):
+    simulation = sim.run_scenario_text(sim.load_scenario_text(name))
+    live = (simulation.identity_ledger, simulation.meeting_ledger)
+    loaded = load_both(*(dump_hex_lines(ledger) for ledger in live))
+    for before, after in zip(live, loaded):
+        txs = [tx for _, _, tx in before.iter_txs()]
+        assert [tx.signer for _, _, tx in after.iter_txs()] == [tx.signer for tx in txs]
+        for tx in txs:
+            assert crypto.verify(tx.signer, tx.signing_bytes, tx.signature)
 
 
 def test_identity_registered_after_the_request_counts_from_then_on():
