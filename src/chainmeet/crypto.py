@@ -10,7 +10,9 @@ and `EphemeralKeyPair` hold their Ed25519 and X25519 private-key objects, and
 `AeadKey` holds an AES-GCM key for a caller that seals or opens many times
 under it. `sign`, `dh` and the AEAD functions take either the prepared form
 or raw bytes. No prepared key is kept anywhere but on its owner, so it goes
-when the owner goes.
+when the owner goes. `aead_open` is the one AES-GCM open, None on a failed
+tag: `aead_decrypt` raises on that, and a media delivery (`meeting.Delivery`)
+lays out ciphertext || tag once and opens it once per reader.
 """
 
 from __future__ import annotations
@@ -177,11 +179,21 @@ def aead_encrypt(
     return AeadBox(nonce=nonce, ciphertext=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
 
 
-def aead_decrypt(key: Union[bytes, AeadKey], box: AeadBox, aad: bytes) -> bytes:
+def aead_open(
+    key: Union[bytes, AeadKey], nonce: bytes, sealed: bytes, aad: bytes
+) -> Optional[bytes]:
+    """The plaintext of sealed (ciphertext || tag), or None on a failed tag."""
     try:
-        return _cipher(key).decrypt(box.nonce, box.ciphertext + box.tag, aad)
+        return _cipher(key).decrypt(nonce, sealed, aad)
     except InvalidTag:
-        raise AuthenticationFailure("AEAD tag check failed") from None
+        return None
+
+
+def aead_decrypt(key: Union[bytes, AeadKey], box: AeadBox, aad: bytes) -> bytes:
+    plaintext = aead_open(key, box.nonce, box.ciphertext + box.tag, aad)
+    if plaintext is None:
+        raise AuthenticationFailure("AEAD tag check failed")
+    return plaintext
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:

@@ -208,7 +208,8 @@ def load_hex_lines(
     The blocks replay from the genesis block through append_block, and each
     replayed block must equal the loaded one, so a loaded ledger is judged as
     the live one was. With no state only the ledger kind, the timestamps, the
-    links and the hashes are checked.
+    links and the hashes are checked. Each block is hashed once, by its
+    replay; the replay's bytes are compared with the stored line's.
 
     A meeting ledger is judged against its state's identity ledger as fully
     loaded. The two chains do not record how they interleave, so a
@@ -221,16 +222,17 @@ def load_hex_lines(
         if not line:
             continue
         try:
-            blocks.append(parse_block(bytes.fromhex(line)))
+            data = bytes.fromhex(line)
+            blocks.append((data, Block.parse(data)))
         except ValueError as exc:
             raise EncodingError(f"bad hex block line: {exc}") from None
     if not blocks:
         raise EncodingError("no blocks in ledger file")
     ledger = new_ledger(kind, state)
-    if blocks[0] != ledger.head:
+    if blocks[0][0] != ledger.head.encode():
         raise EncodingError(f"{kind.value} ledger: the first block is not the genesis block")
-    for block in blocks[1:]:
-        if ledger.append_block(list(block.txs), block.timestamp) != block:
+    for data, block in blocks[1:]:
+        if ledger.append_block(list(block.txs), block.timestamp).encode() != data:
             raise EncodingError(
                 f"{kind.value} ledger: block {block.index} does not replay to its stored bytes"
             )

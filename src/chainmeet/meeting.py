@@ -274,6 +274,30 @@ class MediaPacket(Wire):
     box: crypto.AeadBox = wire(nested(crypto.AeadBox))
 
 
+class Delivery:
+    """A packet received in one meeting: its header check, AAD and
+    ciphertext || tag are built once, so each reader's `open` is one
+    stream-context lookup and one AES-GCM open. A packet whose nonce is not
+    its header's opens under no key."""
+
+    __slots__ = ("packet", "header_ok", "aad", "sealed")
+
+    def __init__(self, meeting_id: bytes, packet: MediaPacket):
+        box = packet.box
+        self.packet = packet
+        self.header_ok = box.nonce == media_nonce(packet.epoch, packet.counter)
+        self.aad = media_aad(meeting_id, packet.stream_id)
+        self.sealed = box.ciphertext + box.tag
+
+    def open(self, key: MeetingKey) -> Optional[bytes]:
+        """The payload, or None unless the packet opens under this key."""
+        if not self.header_ok:
+            return None
+        packet = self.packet
+        _, aead_key = key.stream(packet.stream_id)
+        return crypto.aead_open(aead_key, packet.box.nonce, self.sealed, self.aad)
+
+
 # ---------------------------------------------------------------------------
 # ledger-derived meeting state
 
@@ -774,12 +798,13 @@ def encrypt_media(state: ParticipantState, stream_id: int, payload: bytes) -> Me
 def decrypt_media(state: ParticipantState, packet: MediaPacket) -> bytes:
     if state.known_mk is None:
         raise NoMeetingKey(f"{state.user} holds no meeting key")
-    if packet.box.nonce != media_nonce(packet.epoch, packet.counter):
+    delivery = Delivery(state.meeting_id, packet)
+    if not delivery.header_ok:
         raise AuthenticationFailure("nonce does not match the packet header")
-    _, aead_key = state.known_mk.stream(packet.stream_id)
-    return crypto.aead_decrypt(
-        aead_key, packet.box, media_aad(state.meeting_id, packet.stream_id)
-    )
+    payload = delivery.open(state.known_mk)
+    if payload is None:
+        raise AuthenticationFailure("AEAD tag check failed")
+    return payload
 
 
 def make_leave(state: ParticipantState) -> Transaction:

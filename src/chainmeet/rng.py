@@ -9,8 +9,10 @@ on every platform; it is for simulation only, not a place to mint real keys.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 BLOCK_LEN = 32  # one SHA-256 digest of keystream
+_BLOCK_INPUT = struct.Struct(">QQ")  # u64(seed) || u64(block counter)
 
 
 class Rng:
@@ -27,7 +29,6 @@ class DeterministicRng(Rng):
         if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in a u64")
         self.seed = seed
-        self._prefix = seed.to_bytes(8, "big")
         self._counter = 0
         self._buf = b""
 
@@ -36,11 +37,11 @@ class DeterministicRng(Rng):
         if short > 0:
             first = self._counter
             self._counter += -(-short // BLOCK_LEN)
-            prefix = self._prefix
-            self._buf += b"".join(
-                hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
+            seed, pack, sha256 = self.seed, _BLOCK_INPUT.pack, hashlib.sha256
+            self._buf += b"".join([
+                sha256(pack(seed, counter)).digest()
                 for counter in range(first, self._counter)
-            )
+            ])
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 

@@ -757,13 +757,14 @@ class Simulation:
             )
         )
         self.packets.append((meeting_id, packet))
-        self._deliver(actor, meeting_id, meeting_index, packet)
+        self._deliver(actor, meeting_id, meeting_index, m.Delivery(meeting_id, packet))
 
     def _deliver(
-        self, sender: Actor, meeting_id: bytes, meeting_index: int, packet: m.MediaPacket
+        self, sender: Actor, meeting_id: bytes, meeting_index: int, delivery: m.Delivery
     ) -> None:
         """Every reader, every ghost, the tamper probe and each eavesdropper
-        try the packet once."""
+        try the packet once, each with one open of the one delivery."""
+        packet = delivery.packet
         tick, stream, epoch, counter = (
             self.tick, packet.stream_id, packet.epoch, packet.counter
         )
@@ -775,11 +776,7 @@ class Simulation:
             session = actor.sessions[meeting_id]
             if session.known_mk is None:
                 continue
-            try:
-                m.decrypt_media(session, packet)
-                readable = True
-            except AuthenticationFailure:
-                readable = False
+            readable = delivery.open(session.known_mk) is not None
             emit(
                 DecryptEvent(
                     tick, actor.user, meeting_index, stream, epoch, counter,
@@ -792,11 +789,7 @@ class Simulation:
             stale = ghost.session
             if stale.meeting_id != meeting_id:
                 continue
-            try:
-                m.decrypt_media(stale, packet)
-                readable = True
-            except AuthenticationFailure:
-                readable = False
+            readable = delivery.open(stale.known_mk) is not None
             emit(
                 DecryptEvent(
                     tick, stale.user, meeting_index, stream, epoch, counter,
@@ -805,11 +798,8 @@ class Simulation:
             )
         if probe_target is not None:
             actor, session = probe_target
-            try:
-                m.decrypt_media(session, self._corrupt(packet))
-                readable = True
-            except AuthenticationFailure:
-                readable = False
+            corrupted = m.Delivery(meeting_id, self._corrupt(packet))
+            readable = corrupted.open(session.known_mk) is not None
             emit(
                 DecryptEvent(
                     tick, actor.user, meeting_index, stream, epoch, counter,
@@ -818,7 +808,7 @@ class Simulation:
             )
         for actor in self.eavesdroppers:
             if actor is not sender:
-                recovered = self._eavesdrop_attempt(meeting_id, packet)
+                recovered = self._eavesdrop_attempt(delivery)
                 emit(
                     AdversaryEvent(
                         tick, actor.user, "eavesdrop", recovered == 0,
@@ -842,22 +832,13 @@ class Simulation:
             crypto.AeadBox(packet.box.nonce, ct, tag),
         )
 
-    def _eavesdrop_attempt(self, meeting_id: bytes, packet: m.MediaPacket) -> int:
+    def _eavesdrop_attempt(self, delivery: m.Delivery) -> int:
         """Try opening a captured packet without the meeting key: all-zero
         and guessed keys both have to bounce off the tag check."""
-        stream = packet.stream_id
-        guess = self.rng.take(crypto.KEY_LEN)
-        aad = m.media_aad(meeting_id, stream)
-        try:
-            crypto.aead_decrypt(self.zero_key.stream(stream)[1], packet.box, aad)
+        guess = m.MeetingKey(self.rng.take(crypto.KEY_LEN), delivery.packet.epoch)
+        if delivery.open(self.zero_key) is not None:
             return 1
-        except AuthenticationFailure:
-            pass
-        try:
-            crypto.aead_decrypt(m.derive_stream_key(guess, stream), packet.box, aad)
-            return 1
-        except AuthenticationFailure:
-            return 0
+        return int(delivery.open(guess) is not None)
 
     def _act_leave(self, actor: Actor, args: tuple[str, ...]) -> None:
         meeting_id = self._meeting_at(self._int_arg(args, 0, 0))
@@ -1054,7 +1035,7 @@ class Simulation:
         if all(other is not actor for other in self.eavesdroppers):
             bisect.insort(self.eavesdroppers, actor, key=_rank)
         recovered = sum(
-            self._eavesdrop_attempt(meeting_id, packet)
+            self._eavesdrop_attempt(m.Delivery(meeting_id, packet))
             for meeting_id, packet in self.packets
         )
         self._emit(

@@ -324,8 +324,9 @@ def test_deterministic_rng_replays_and_diverges():
     assert b"".join(chunks) == DeterministicRng(0).take(64)
 
 
-def test_deterministic_rng_is_the_sha256_counter_stream():
-    seed = 0x0123456789ABCDEF
+# the ends of the u64 range, and a seed whose bytes differ, so byte order shows
+@pytest.mark.parametrize("seed", [0, 0x0123456789ABCDEF, 2**64 - 1])
+def test_deterministic_rng_is_the_sha256_counter_stream(seed):
     sizes = (0, 1, 31, 32, 33, 1200, 0, 5, 27, 64, 1, 95, 1200, 32, 7)
     expected = b"".join(
         hashlib.sha256(seed.to_bytes(8, "big") + ctr.to_bytes(8, "big")).digest()

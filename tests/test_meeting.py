@@ -530,6 +530,38 @@ def test_media_decrypt_failure_modes():
         m.decrypt_media(carol, forged_nonce)
 
 
+def test_a_delivery_binds_its_meeting():
+    """The right key with another meeting's id opens nothing: the AAD binds
+    the meeting."""
+    world = World()
+    _, (bob, carol), _ = standard_meeting(world)
+    packet = m.encrypt_media(bob, 9, b"payload bytes")
+    assert m.Delivery(carol.meeting_id, packet).open(carol.known_mk) == b"payload bytes"
+    elsewhere = bytes(b ^ 0xFF for b in carol.meeting_id)
+    assert m.Delivery(elsewhere, packet).open(carol.known_mk) is None
+
+
+def test_a_delivery_whose_nonce_is_not_its_header_makes_no_aead_call(monkeypatch):
+    world = World()
+    _, (bob, carol), _ = standard_meeting(world)
+    packet = m.encrypt_media(bob, 9, b"payload bytes")
+    relabeled = m.MediaPacket(packet.stream_id, packet.epoch, packet.counter + 1, packet.box)
+    opens = 0
+    real = crypto.aead_open
+
+    def counted(*args):
+        nonlocal opens
+        opens += 1
+        return real(*args)
+
+    monkeypatch.setattr(crypto, "aead_open", counted)
+    delivery = m.Delivery(carol.meeting_id, relabeled)
+    assert not delivery.header_ok
+    assert delivery.open(carol.known_mk) is None and opens == 0
+    assert m.Delivery(carol.meeting_id, packet).open(carol.known_mk) == b"payload bytes"
+    assert opens == 1
+
+
 def test_counter_exhaustion():
     world = World()
     _, (bob, _), _ = standard_meeting(world)

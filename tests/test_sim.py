@@ -432,7 +432,8 @@ def test_event_fields_keep_their_order_and_replace(kind):
 
 def test_each_packet_costs_one_open_per_attempt(monkeypatch):
     """Every reader, every ghost, the tamper probe and both guesses of each
-    eavesdropper open a packet exactly once."""
+    eavesdropper open a packet exactly once, and its nonce and AAD are laid
+    out three times (seal, delivery, tamper probe) however many read it."""
     simulation = sim.Simulation(
         sim.parse_scenario(
             """
@@ -458,13 +459,13 @@ def test_each_packet_costs_one_open_per_attempt(monkeypatch):
         )
     )
     opens = Counter()
-    real = crypto.aead_decrypt
+    for module, name in ((crypto, "aead_open"), (m, "media_nonce"), (m, "media_aad")):
 
-    def counted(*args):
-        opens[simulation.tick] += 1
-        return real(*args)
+        def counted(*args, name=name, real=getattr(module, name)):
+            opens[name, simulation.tick] += 1
+            return real(*args)
 
-    monkeypatch.setattr(crypto, "aead_decrypt", counted)
+        monkeypatch.setattr(module, name, counted)
     simulation.run()
     assert simulation.report.ok
 
@@ -473,14 +474,16 @@ def test_each_packet_costs_one_open_per_attempt(monkeypatch):
 
     # tick 6: alice, carol and dave read; tick 11: alice and bob read, dave's
     # ghost tries, and eve and frank eavesdrop
-    assert opens[6] == expected(readers=3, ghosts=0, eavesdroppers=0)
-    assert opens[11] == expected(readers=2, ghosts=1, eavesdroppers=2)
-    assert opens[7] == opens[10] == 2  # two guesses at the one captured packet
+    assert opens["aead_open", 6] == expected(readers=3, ghosts=0, eavesdroppers=0)
+    assert opens["aead_open", 11] == expected(readers=2, ghosts=1, eavesdroppers=2)
+    # two guesses at the one captured packet
+    assert opens["aead_open", 7] == opens["aead_open", 10] == 2
     for tick in (6, 11):
         events = [e for e in simulation.transcript if getattr(e, "tick", None) == tick]
         decrypts = sum(isinstance(e, sim.DecryptEvent) for e in events)
         guesses = 2 * sum(isinstance(e, sim.AdversaryEvent) for e in events)
-        assert opens[tick] == decrypts + guesses
+        assert opens["aead_open", tick] == decrypts + guesses
+        assert opens["media_nonce", tick] == opens["media_aad", tick] == 3
 
 
 @pytest.mark.parametrize("name", sim.bundled_scenario_names())

@@ -213,6 +213,26 @@ def test_loaded_ledgers_readmit_to_the_state_they_were_saved_with(name):
         assert view_facts(meeting.state.views[meeting_id]) == view_facts(view)
 
 
+def test_reloading_hashes_each_block_once(monkeypatch):
+    simulation = sim.run_scenario_text(sim.load_scenario_text("honest"))
+    identity = load_hex_lines(
+        LedgerKind.IDENTITY, dump_hex_lines(simulation.identity_ledger), ident.IdentityState()
+    )
+    meeting_lines = dump_hex_lines(simulation.meeting_ledger)
+    hashes = 0
+    real = crypto.sha256
+
+    def counted(data):
+        nonlocal hashes
+        hashes += 1
+        return real(data)
+
+    monkeypatch.setattr(crypto, "sha256", counted)
+    meeting = load_hex_lines(LedgerKind.MEETING, meeting_lines, m.MeetingState(identity))
+    assert meeting.blocks == simulation.meeting_ledger.blocks
+    assert hashes == len(meeting_lines) == 7
+
+
 def test_loading_with_a_state_refuses_a_forged_body_in_a_relinked_chain():
     simulation = sim.run_scenario_text(sim.load_scenario_text("join_rekey"))
     identity_lines = dump_hex_lines(simulation.identity_ledger)
