@@ -248,7 +248,9 @@ class MeetingKey:
     time the stream is sealed or opened under this key. It lives only on this
     object, so whatever drops the key drops its stream keys with it; it takes
     no part in equality, hashing or repr, and the key itself stays out of
-    repr.
+    repr. The simulator shares one `MeetingKey` among the parties that
+    unwrapped the same epoch key; its contexts go when the last party holding
+    it forgets it.
     """
 
     key: bytes = field(repr=False)
@@ -289,13 +291,18 @@ class Delivery:
         self.aad = media_aad(meeting_id, packet.stream_id)
         self.sealed = box.ciphertext + box.tag
 
-    def open(self, key: MeetingKey) -> Optional[bytes]:
-        """The payload, or None unless the packet opens under this key."""
+    def open(self, key: MeetingKey, sealed: Optional[bytes] = None) -> Optional[bytes]:
+        """The payload, or None unless the packet opens under this key.
+
+        `sealed` stands in for the packet's ciphertext || tag under the same
+        header and AAD, as a tamper probe's altered copy does."""
         if not self.header_ok:
             return None
         packet = self.packet
         _, aead_key = key.stream(packet.stream_id)
-        return crypto.aead_open(aead_key, packet.box.nonce, self.sealed, self.aad)
+        return crypto.aead_open(
+            aead_key, packet.box.nonce, self.sealed if sealed is None else sealed, self.aad
+        )
 
 
 # ---------------------------------------------------------------------------

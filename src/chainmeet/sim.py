@@ -534,6 +534,20 @@ def _rank(actor: Actor) -> int:
     return actor.rank
 
 
+def _bit_flipped(delivery: m.Delivery) -> bytes:
+    """The delivery's ciphertext || tag with one bit flipped: ciphertext byte
+    `counter % len(ciphertext)`, or the tag's first byte when there is no
+    ciphertext."""
+    sealed = delivery.sealed
+    ct_len = len(delivery.packet.box.ciphertext)
+    position = delivery.packet.counter % ct_len if ct_len else 0
+    return sealed[:position] + bytes([sealed[position] ^ 0x01]) + sealed[position + 1 :]
+
+
+def _holds_epoch(session: m.ParticipantState, epoch: int) -> bool:
+    return session.known_mk is not None and session.known_mk.epoch == epoch
+
+
 @dataclass(frozen=True)
 class Ghost:
     """A departed member's stale session, holding the key they walked away with."""
@@ -644,17 +658,20 @@ class Simulation:
             payload = m.parse_meeting_tx(tx)  # as admission decoded it
             if isinstance(payload, m.KeyDistribution):
                 meeting_index = self._meeting_index(payload.meeting_id)
-                for actor in self.parties.get(payload.meeting_id, ()):
-                    session = actor.sessions[payload.meeting_id]
-                    if (
-                        session.known_mk is not None
-                        and session.known_mk.epoch == payload.epoch
-                    ):
+                parties = self.parties.get(payload.meeting_id, ())
+                sessions = [actor.sessions[payload.meeting_id] for actor in parties]
+                held = next(
+                    (s.known_mk for s in sessions if _holds_epoch(s, payload.epoch)), None
+                )
+                for actor, session in zip(parties, sessions):
+                    if _holds_epoch(session, payload.epoch):
                         continue  # the distributing leader already holds it
                     if payload.entry_for(actor.keypair.ivk) is None:
                         continue
                     try:
-                        m.accept_key(session, payload)
+                        # one MeetingKey, so one set of stream contexts, per epoch key
+                        if m.accept_key(session, payload) == held:
+                            session.known_mk = held
                         accepted = True
                     except (AuthenticationFailure, NoEntryForMe):
                         accepted = False
@@ -798,8 +815,7 @@ class Simulation:
             )
         if probe_target is not None:
             actor, session = probe_target
-            corrupted = m.Delivery(meeting_id, self._corrupt(packet))
-            readable = corrupted.open(session.known_mk) is not None
+            readable = delivery.open(session.known_mk, _bit_flipped(delivery)) is not None
             emit(
                 DecryptEvent(
                     tick, actor.user, meeting_index, stream, epoch, counter,
@@ -816,21 +832,6 @@ class Simulation:
                         f" ctr={counter} recovered={recovered}",
                     )
                 )
-
-    @staticmethod
-    def _corrupt(packet: m.MediaPacket) -> m.MediaPacket:
-        ct, tag = packet.box.ciphertext, packet.box.tag
-        if ct:
-            position = packet.counter % len(ct)
-            ct = ct[:position] + bytes([ct[position] ^ 0x01]) + ct[position + 1 :]
-        else:
-            tag = bytes([tag[0] ^ 0x01]) + tag[1:]
-        return m.MediaPacket(
-            packet.stream_id,
-            packet.epoch,
-            packet.counter,
-            crypto.AeadBox(packet.box.nonce, ct, tag),
-        )
 
     def _eavesdrop_attempt(self, delivery: m.Delivery) -> int:
         """Try opening a captured packet without the meeting key: all-zero

@@ -433,7 +433,7 @@ def test_event_fields_keep_their_order_and_replace(kind):
 def test_each_packet_costs_one_open_per_attempt(monkeypatch):
     """Every reader, every ghost, the tamper probe and both guesses of each
     eavesdropper open a packet exactly once, and its nonce and AAD are laid
-    out three times (seal, delivery, tamper probe) however many read it."""
+    out twice (seal, delivery) however many read it."""
     simulation = sim.Simulation(
         sim.parse_scenario(
             """
@@ -483,7 +483,127 @@ def test_each_packet_costs_one_open_per_attempt(monkeypatch):
         decrypts = sum(isinstance(e, sim.DecryptEvent) for e in events)
         guesses = 2 * sum(isinstance(e, sim.AdversaryEvent) for e in events)
         assert opens["aead_open", tick] == decrypts + guesses
-        assert opens["media_nonce", tick] == opens["media_aad", tick] == 3
+        assert opens["media_nonce", tick] == opens["media_aad", tick] == 2
+
+
+@pytest.mark.parametrize("nbytes", [0, 32])
+def test_tamper_probe_flips_one_bit_of_the_delivered_bytes(nbytes, monkeypatch):
+    """The probe opens the delivery's own ciphertext || tag with one bit
+    flipped: ciphertext byte `counter % len`, or tag byte 0 for an empty
+    payload. It is refused while every honest reader succeeds."""
+    simulation = sim.Simulation(
+        sim.parse_scenario(
+            f"""
+            seed 4
+            actor alice a
+            actor bob b
+            actor carol c
+            tick 1 alice publish
+            tick 2 bob request
+            tick 3 carol request
+            tick 4 alice distribute
+            tick 5 bob packet 1 {nbytes}
+            tick 6 bob packet 1 {nbytes}
+            """
+        )
+    )
+    opened = []
+    real = crypto.aead_open
+
+    def recorded(key, nonce, sealed, aad):
+        if simulation.tick >= 5:
+            opened.append((simulation.tick, sealed))
+        return real(key, nonce, sealed, aad)
+
+    monkeypatch.setattr(crypto, "aead_open", recorded)
+    simulation.run()
+    assert simulation.report.ok
+    for (meeting_id, packet), tick in zip(simulation.packets, (5, 6)):
+        sealed = packet.box.ciphertext + packet.box.tag
+        assert len(sealed) == nbytes + crypto.TAG_LEN
+        position = packet.counter % nbytes if nbytes else 0
+        flipped = bytearray(sealed)
+        flipped[position] ^= 0x01
+        # alice and carol read the packet itself, then carol gets the probe
+        assert [s for t, s in opened if t == tick] == [sealed, sealed, bytes(flipped)]
+        decrypts = [
+            (e.actor, e.tampered, e.ok)
+            for e in events_of(simulation, sim.DecryptEvent)
+            if e.tick == tick
+        ]
+        assert decrypts == [
+            ("alice", False, True), ("carol", False, True), ("alice", True, False)
+        ]
+
+
+@pytest.mark.parametrize("members", [3, 6])
+def test_stream_contexts_are_derived_once_per_epoch_key(members, monkeypatch):
+    """Every member that unwraps the leader's key holds the leader's object,
+    so across two epochs a stream key is derived once per (epoch key,
+    stream) in use, plus once per eavesdropper guess, however many read."""
+    names = [f"m{i}" for i in range(members)]
+    first, second, leaver = names[0], names[1], names[-1]
+    lines = ["seed 17", "actor alice a", "actor bob b", "actor eve e adversary"]
+    lines += [f"actor {name} d{name}" for name in names]
+    script = ["alice publish", "bob publish"]
+    script += [f"{name} request" for name in names]
+    script += [
+        "alice distribute",
+        f"{first} packet 1 32",
+        f"{second} packet 2 32",
+        "alice packet 3 32",
+        "eve adversary.eavesdrop",
+        f"{leaver} leave",
+        "alice distribute",
+        f"{first} packet 1 32",
+        f"{second} packet 2 32",
+        f"{first} request 1",
+        "bob distribute 1",
+        f"eve adversary.mix_keys {first} 0 1",
+    ]
+    lines += [f"tick {tick} {action}" for tick, action in enumerate(script, 1)]
+    simulation = sim.Simulation(sim.parse_scenario("\n".join(lines)))
+    derived = []
+    real = m.derive_stream_key
+
+    def counted(meeting_key, stream_id):
+        derived.append((meeting_key, stream_id))
+        return real(meeting_key, stream_id)
+
+    monkeypatch.setattr(m, "derive_stream_key", counted)
+    simulation.run()
+    assert simulation.report.ok
+
+    packets = events_of(simulation, sim.PacketEvent)
+    in_use = {(p.meeting, p.epoch, p.stream) for p in packets}
+    assert len(in_use) == 5  # streams 1 to 3 in epoch 0, 1 and 2 in epoch 1
+    attacks = events_of(simulation, sim.AdversaryEvent)
+    (capture,) = [a for a in attacks if a.detail.startswith("captured=")]
+    guesses = int(capture.detail.split()[0].split("=")[1])  # captured=N
+    guesses += sum(a.attack == "eavesdrop" and a is not capture for a in attacks)
+    zero_key_streams = {p.stream for p in packets}
+    assert len(derived) == len(set(derived))
+    assert len(derived) == len(in_use) + len(zero_key_streams) + guesses
+
+    meeting_0, meeting_1 = simulation.meeting_order
+    for meeting_id, leader in ((meeting_0, "alice"), (meeting_1, "bob")):
+        held = simulation.actors[leader].sessions[meeting_id].known_mk
+        sessions = [actor.sessions[meeting_id] for actor in simulation.parties[meeting_id]]
+        assert len(sessions) > 1 and all(s.known_mk is held for s in sessions)
+
+    (ghost,) = simulation.ghosts
+    stale = ghost.session.known_mk
+    assert stale.epoch == 0  # the object it held when it left
+    opens = [
+        (packet.epoch, m.Delivery(meeting_id, packet).open(stale) is not None)
+        for meeting_id, packet in simulation.packets
+    ]
+    assert opens == [(0, True)] * 3 + [(1, False)] * 2
+    ghost_reads = [e for e in events_of(simulation, sim.DecryptEvent) if e.ghost]
+    assert len(ghost_reads) == 2 and not any(e.ok for e in ghost_reads)
+
+    (mix,) = [a for a in attacks if a.attack == "mix_keys"]
+    assert mix.failed and "key_untouched=1" in mix.detail
 
 
 @pytest.mark.parametrize("name", sim.bundled_scenario_names())
