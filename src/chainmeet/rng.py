@@ -4,6 +4,8 @@ Everything that needs randomness -- key generation, meeting ids, nonces --
 takes an explicit source so simulations replay byte-for-byte from a seed.
 The deterministic source is a SHA-256 counter stream, which behaves the same
 on every platform; it is for simulation only, not a place to mint real keys.
+Its `skip(n)` steps over n bytes nobody reads, leaving the stream where
+`take(n)` would, without hashing the blocks in between.
 """
 
 from __future__ import annotations
@@ -44,6 +46,21 @@ class DeterministicRng(Rng):
             ])
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
+
+    def skip(self, n: int) -> None:
+        """Leave the stream exactly where take(n) would, hashing at most the
+        last block it steps into, so a draw whose bytes go unread costs no
+        keystream."""
+        short = n - len(self._buf)
+        if short <= 0:
+            self._buf = self._buf[n:]
+            return
+        self._counter += -(-short // BLOCK_LEN)
+        left = -short % BLOCK_LEN  # bytes of the last block that take(n) keeps
+        self._buf = b""
+        if left:
+            last = _BLOCK_INPUT.pack(self.seed, self._counter - 1)
+            self._buf = hashlib.sha256(last).digest()[-left:]
 
 
 class FixedRng(Rng):

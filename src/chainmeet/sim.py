@@ -762,8 +762,10 @@ class Simulation:
             raise MalformedScenario("packet payloads are capped at 64 KiB")
         meeting_id = self._meeting_at(self._int_arg(args, 2, 0))
         session = self._session(actor, meeting_id)
-        payload = self.rng.take(nbytes)
-        packet = m.encrypt_media(session, stream, payload)
+        # nobody reads the payload, so it is zeros; stepping the stream over
+        # nbytes keeps every later draw where the pinned transcripts put it
+        self.rng.skip(nbytes)
+        packet = m.encrypt_media(session, stream, bytes(nbytes))
         stream_key, _ = session.known_mk.stream(stream)
         meeting_index = self._meeting_index(meeting_id)
         self._emit(
@@ -834,12 +836,19 @@ class Simulation:
                 )
 
     def _eavesdrop_attempt(self, delivery: m.Delivery) -> int:
-        """Try opening a captured packet without the meeting key: all-zero
-        and guessed keys both have to bounce off the tag check."""
-        guess = m.MeetingKey(self.rng.take(crypto.KEY_LEN), delivery.packet.epoch)
+        """Try opening a captured packet without the meeting key: the
+        all-zero meeting key and a random stream key both have to bounce off
+        the tag check. A random stream key is as good a guess as a random
+        meeting key, and needs no derivation."""
+        guess = self.rng.take(crypto.KEY_LEN)
         if delivery.open(self.zero_key) is not None:
             return 1
-        return int(delivery.open(guess) is not None)
+        if not delivery.header_ok:
+            return 0
+        opened = crypto.aead_open(
+            guess, delivery.packet.box.nonce, delivery.sealed, delivery.aad
+        )
+        return int(opened is not None)
 
     def _act_leave(self, actor: Actor, args: tuple[str, ...]) -> None:
         meeting_id = self._meeting_at(self._int_arg(args, 0, 0))

@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from chainmeet import crypto
@@ -324,15 +324,44 @@ def test_deterministic_rng_replays_and_diverges():
     assert b"".join(chunks) == DeterministicRng(0).take(64)
 
 
+def sha256_counter_stream(seed, nbytes):
+    """The first nbytes of SHA-256(u64(seed) || u64(counter)) for counter 0, 1, ..."""
+    return b"".join(
+        hashlib.sha256(seed.to_bytes(8, "big") + ctr.to_bytes(8, "big")).digest()
+        for ctr in range(-(-nbytes // 32))
+    )[:nbytes]
+
+
 # the ends of the u64 range, and a seed whose bytes differ, so byte order shows
 @pytest.mark.parametrize("seed", [0, 0x0123456789ABCDEF, 2**64 - 1])
 def test_deterministic_rng_is_the_sha256_counter_stream(seed):
     sizes = (0, 1, 31, 32, 33, 1200, 0, 5, 27, 64, 1, 95, 1200, 32, 7)
-    expected = b"".join(
-        hashlib.sha256(seed.to_bytes(8, "big") + ctr.to_bytes(8, "big")).digest()
-        for ctr in range(-(-sum(sizes) // 32))
-    )
+    expected = sha256_counter_stream(seed, sum(sizes))
     rng, pos = DeterministicRng(seed), 0
     for size in sizes:
         assert rng.take(size) == expected[pos : pos + size]
         pos += size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    offset=st.integers(min_value=0, max_value=100),
+    n=st.integers(min_value=0, max_value=65536),
+    m=st.integers(min_value=0, max_value=100),
+)
+# around a block edge, a typical packet and the 64 KiB cap, from inside a
+# block (offset 7) and from a block boundary (offset 0 or 64)
+@example(seed=0, offset=7, n=0, m=32)
+@example(seed=1, offset=7, n=1, m=32)
+@example(seed=2, offset=7, n=31, m=32)
+@example(seed=3, offset=0, n=32, m=32)
+@example(seed=4, offset=64, n=33, m=32)
+@example(seed=5, offset=7, n=1200, m=32)
+@example(seed=2**64 - 1, offset=0, n=65536, m=32)
+def test_skip_leaves_the_stream_where_take_would(seed, offset, n, m):
+    rng = DeterministicRng(seed)
+    rng.take(offset)
+    rng.skip(n)
+    expected = sha256_counter_stream(seed, offset + n + m)
+    assert rng.take(m) == expected[offset + n :]

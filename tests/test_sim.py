@@ -1,16 +1,19 @@
 """Scenario engine: parsing, determinism, goal checking, bundled runs."""
 
 import dataclasses
+import hashlib
+import types
 import typing
 from collections import Counter
 
 import pytest
 
-from chainmeet import crypto, meeting as m, sim
+from chainmeet import crypto, meeting as m, rng as rng_mod, sim
 from chainmeet.encoding import Wire
 from chainmeet.errors import MalformedScenario, Reason
-from chainmeet.ledger import Ledger, LedgerKind
+from chainmeet.ledger import Ledger, LedgerKind, dump_hex_lines
 from chainmeet.meeting import ReassignRule
+from chainmeet.rng import DeterministicRng
 
 
 def run_bundled(name, seed=None):
@@ -540,7 +543,8 @@ def test_tamper_probe_flips_one_bit_of_the_delivered_bytes(nbytes, monkeypatch):
 def test_stream_contexts_are_derived_once_per_epoch_key(members, monkeypatch):
     """Every member that unwraps the leader's key holds the leader's object,
     so across two epochs a stream key is derived once per (epoch key,
-    stream) in use, plus once per eavesdropper guess, however many read."""
+    stream) in use, however many read; the eavesdropper's guesses are stream
+    keys already and derive none."""
     names = [f"m{i}" for i in range(members)]
     first, second, leaver = names[0], names[1], names[-1]
     lines = ["seed 17", "actor alice a", "actor bob b", "actor eve e adversary"]
@@ -582,8 +586,9 @@ def test_stream_contexts_are_derived_once_per_epoch_key(members, monkeypatch):
     guesses = int(capture.detail.split()[0].split("=")[1])  # captured=N
     guesses += sum(a.attack == "eavesdrop" and a is not capture for a in attacks)
     zero_key_streams = {p.stream for p in packets}
+    assert guesses > 0
     assert len(derived) == len(set(derived))
-    assert len(derived) == len(in_use) + len(zero_key_streams) + guesses
+    assert len(derived) == len(in_use) + len(zero_key_streams)
 
     meeting_0, meeting_1 = simulation.meeting_order
     for meeting_id, leader in ((meeting_0, "alice"), (meeting_1, "bob")):
@@ -604,6 +609,85 @@ def test_stream_contexts_are_derived_once_per_epoch_key(members, monkeypatch):
 
     (mix,) = [a for a in attacks if a.attack == "mix_keys"]
     assert mix.failed and "key_untouched=1" in mix.detail
+
+
+# payload sizes either side of a keystream block, a typical packet and the cap
+SKIPPED_PAYLOADS = """
+    seed 23
+    actor alice a
+    actor bob b
+    actor carol c
+    actor dave d
+    actor eve e adversary
+    tick 1 alice publish
+    tick 2 bob request
+    tick 3 carol request
+    tick 4 alice distribute
+    tick 5 bob packet 1 0
+    tick 6 carol packet 2 1
+    tick 7 dave request
+    tick 8 alice packet 3 31
+    tick 9 alice distribute
+    tick 10 bob packet 1 33
+    tick 11 carol leave
+    tick 12 alice distribute
+    tick 13 eve adversary.eavesdrop
+    tick 14 bob packet 1 1200
+    tick 15 alice packet 3 65536
+    tick 16 eve adversary.eavesdrop
+    tick 17 dave packet 2 1200
+"""
+
+
+def test_skipped_payloads_leave_the_transcript_as_drawn_ones(monkeypatch):
+    """Stepping over a payload's keystream leaves every later key, nonce and
+    guess where drawing the bytes and dropping them would: the transcript and
+    both ledgers come out the same."""
+    skipped = sim.run_scenario_text(SKIPPED_PAYLOADS)
+    assert skipped.report.ok
+    assert {e.nbytes for e in events_of(skipped, sim.PacketEvent)} == {
+        0, 1, 31, 33, 1200, 65536
+    }
+
+    def take_and_drop(rng, n):
+        rng.take(n)
+
+    monkeypatch.setattr(DeterministicRng, "skip", take_and_drop)
+    drawn = sim.run_scenario_text(SKIPPED_PAYLOADS)
+    assert sim.render_transcript(skipped) == sim.render_transcript(drawn)
+    for ledger in ("identity_ledger", "meeting_ledger"):
+        assert dump_hex_lines(getattr(skipped, ledger)) == dump_hex_lines(getattr(drawn, ledger))
+
+
+def test_a_packet_hashes_at_most_one_keystream_block(monkeypatch):
+    """A 1,200 B payload steps over its 38 keystream blocks, hashing at most
+    the last one it steps into."""
+    simulation = sim.Simulation(
+        sim.parse_scenario(
+            """
+            seed 9
+            actor alice a
+            actor bob b
+            tick 1 alice publish
+            tick 2 bob request
+            tick 3 alice distribute
+            tick 4 bob packet 1 1200
+            tick 5 alice packet 2 1200
+            tick 6 bob packet 1 1200
+            """
+        )
+    )
+    blocks = Counter()
+
+    def counted(data):
+        blocks[simulation.tick] += 1
+        return hashlib.sha256(data)
+
+    monkeypatch.setattr(rng_mod, "hashlib", types.SimpleNamespace(sha256=counted))
+    simulation.run()
+    assert simulation.report.ok
+    assert [e.tick for e in events_of(simulation, sim.PacketEvent)] == [4, 5, 6]
+    assert all(blocks[tick] <= 1 for tick in (4, 5, 6))
 
 
 @pytest.mark.parametrize("name", sim.bundled_scenario_names())
