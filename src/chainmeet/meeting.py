@@ -313,20 +313,18 @@ class Delivery:
 class RequestRecord:
     request: MeetingRequest
     tx: Transaction
-    block_index: int
-    block_pos: int
-    active: bool = True
 
 
 @dataclass
 class MeetingView:
     """Everything a validator can derive about one meeting from the chain.
 
-    A request record keeps only what cannot change, and a leave replaces
-    it with an inactive copy, so `copy` needs no copy of a record. Whether
-    the requester's identity matches is resolved against the identity
-    ledger at each read, so a binding registered after the request counts
-    from then on.
+    `requests` keeps every request in arrival order, and `present` indexes
+    those not yet left by (user, device, ivk), so a lookup or a leave costs
+    the same however long the meeting has run. A record keeps only what
+    cannot change, so `copy` needs no copy of a record. Whether the
+    requester's identity matches is resolved against the identity ledger at
+    each read, so a binding registered after the request counts from then on.
     """
 
     meeting_id: bytes
@@ -335,37 +333,30 @@ class MeetingView:
     rule: ReassignRule = ReassignRule.DESIGNATION
     leader_ivk: bytes = b""
     dismissed: bool = False
-    last_epoch: Optional[int] = None
-    distributions: dict[int, KeyDistribution] = field(default_factory=dict)
+    last_distribution: Optional[KeyDistribution] = None
     requests: list[RequestRecord] = field(default_factory=list)
+    present: dict[tuple[str, str, bytes], RequestRecord] = field(default_factory=dict)
     # leaders (original or reassigned-in) who have not posted a leave
     present_leader_ivks: set[bytes] = field(default_factory=set)
     # the request transactions on the chain, so replays stand out
     request_txs: set[Transaction] = field(default_factory=set)
 
-    def record_for(
-        self, user: str, device: str, ivk: Optional[bytes] = None
-    ) -> Optional[RequestRecord]:
-        """Active request under this binding; pass ivk to pin the principal.
+    @property
+    def last_epoch(self) -> Optional[int]:
+        dist = self.last_distribution
+        return None if dist is None else dist.epoch
 
-        The ivk filter matters when a forged request squats on someone
-        else's (user, device): the honest record must still be reachable.
-        """
-        for record in self.requests:
-            request = record.request
-            if request.user != user or request.device != device or not record.active:
-                continue
-            if ivk is not None and request.ivk != ivk:
-                continue
-            return record
-        return None
+    def record_for(self, user: str, device: str, ivk: bytes) -> Optional[RequestRecord]:
+        """The present request of this principal; the ivk keeps an honest
+        record reachable when a forged request squats on its (user, device)."""
+        return self.present.get((user, device, ivk))
 
     def request_verdict(self, record: RequestRecord) -> Optional[Reason]:
         return verify_request(record.request, self.identity_ledger)
 
     def members(self) -> list[RequestRecord]:
         """Verified, still-present requesters in arrival order."""
-        return [r for r in self.requests if r.active and self.request_verdict(r) is None]
+        return [r for r in self.present.values() if self.request_verdict(r) is None]
 
     def member_with_ivk(self, ivk: bytes) -> Optional[RequestRecord]:
         for record in self.members():
@@ -377,13 +368,13 @@ class MeetingView:
         """This view as it stands, left as it is by later folds into this one."""
         return replace(
             self,
-            distributions=dict(self.distributions),
             requests=list(self.requests),
+            present=dict(self.present),
             present_leader_ivks=set(self.present_leader_ivks),
             request_txs=set(self.request_txs),
         )
 
-    def apply(self, tx: Transaction, block_index: int, pos: int) -> None:
+    def apply(self, tx: Transaction) -> None:
         """Fold in one admitted transaction of this meeting."""
         payload = tx.payload  # kept there by the verdict's decode
         if isinstance(payload, PublishMeeting):
@@ -392,15 +383,14 @@ class MeetingView:
             self.leader_ivk = payload.leader_ivk
             self.present_leader_ivks.add(payload.leader_ivk)
         elif isinstance(payload, MeetingRequest):
-            self.requests.append(RequestRecord(payload, tx, block_index, pos))
+            record = RequestRecord(payload, tx)
+            self.requests.append(record)
+            self.present[payload.user, payload.device, payload.ivk] = record
             self.request_txs.add(tx)
         elif isinstance(payload, KeyDistribution):
-            self.last_epoch = payload.epoch
-            self.distributions[payload.epoch] = payload
+            self.last_distribution = payload
         elif isinstance(payload, MeetingLeave):
-            record = self.record_for(payload.user, payload.device, payload.ivk)
-            if record is not None:
-                self.requests[self.requests.index(record)] = replace(record, active=False)
+            self.present.pop((payload.user, payload.device, payload.ivk), None)
             self.present_leader_ivks.discard(payload.ivk)
         elif isinstance(payload, LeaderReassign):
             self.leader_ivk = payload.new_leader_ivk
@@ -443,7 +433,7 @@ class MeetingState:
                 before[meeting_id] = None if view is None else view.copy()
             if view is None:
                 view = self.views[meeting_id] = MeetingView(meeting_id, self.identity_ledger)
-            view.apply(tx, block_index, pos)
+            view.apply(tx)
             # the key the verdict checked: the author's own for a request or a
             # leave, else the leader as this transaction leaves the meeting
             mine = isinstance(tx.payload, (MeetingRequest, MeetingLeave))
@@ -609,7 +599,7 @@ class ParticipantState:
     known_mk: Optional[MeetingKey] = None
     # leader bookkeeping: the admitted request of each member
     membership_view: dict[tuple[str, str], MeetingRequest] = field(default_factory=dict)
-    reviewed: set[tuple[int, int]] = field(default_factory=set)
+    reviewed: int = 0  # how many of the meeting's requests the leader has seen
     last_epoch: Optional[int] = None
     rekey_pending: bool = False
     # sender side: next counter per (stream, epoch)
@@ -629,6 +619,7 @@ def publish_meeting(
     state.ephemeral = ephemeral
     state.known_mk = None
     state.membership_view = {}
+    state.reviewed = 0
     state.last_epoch = None
     payload = PublishMeeting(
         meeting_id=meeting_id,
@@ -679,13 +670,10 @@ def review_requests(
         raise NotCurrentLeader(f"{state.user} is not leading")
     view = build_view(meeting_ledger, state.meeting_id)
     outcomes = []
-    for record in view.requests:
+    for record in view.requests[state.reviewed:]:
+        state.reviewed += 1
         request = record.request
-        mark = (record.block_index, record.block_pos)
-        if mark in state.reviewed:
-            continue
-        state.reviewed.add(mark)
-        if not record.active:
+        if view.record_for(request.user, request.device, request.ivk) is not record:
             continue  # arrived and already left
         reason = view.request_verdict(record)
         if reason is not None:
@@ -832,7 +820,7 @@ def purge_keys(state: ParticipantState) -> None:
     state.ephemeral = None
     state.stream_counters = {}
     state.membership_view = {}
-    state.reviewed = set()
+    state.reviewed = 0
     state.last_epoch = None
     state.rekey_pending = False
     state.role = Role.OUTSIDER
@@ -885,7 +873,7 @@ def adopt_leadership(
         for r in view.members()
         if r.request.ivk != state.keypair.ivk  # the leader is not their own member
     }
-    state.reviewed = {(r.block_index, r.block_pos) for r in view.requests}
+    state.reviewed = len(view.requests)
     state.rekey_pending = True
 
 

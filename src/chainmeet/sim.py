@@ -14,7 +14,8 @@ Scenario grammar, one directive per line ('#' starts a comment):
     actor <user> <device> [adversary]
     tick <n> <user> <action> [args...]
 
-Ticks must be strictly increasing; one action happens per tick. Actions:
+Ticks must be strictly increasing and fit in 64 bits, as the blocks' timestamps
+do; one action happens per tick. Actions:
 
     publish [info words...]
     request [meeting]
@@ -26,7 +27,7 @@ Ticks must be strictly increasing; one action happens per tick. Actions:
     dismiss [meeting]
     adversary.impersonate <victim> [meeting]
     adversary.tamper_ledger
-    adversary.mix_keys <victim> [meeting_a meeting_b]
+    adversary.mix_keys <victim> [meeting_a meeting_b]   (two different meetings)
     adversary.replay_request [meeting]
     adversary.eavesdrop
 
@@ -164,6 +165,8 @@ def parse_scenario(text: str) -> Scenario:
             if not _is_decimal(parts[1]):
                 raise fail(lineno, f"bad tick number {parts[1]!r}")
             tick = int(parts[1])
+            if tick >= 2**64:
+                raise fail(lineno, "tick does not fit in 64 bits")
             if tick <= last_tick:
                 raise fail(lineno, f"tick {tick} does not increase")
             last_tick = tick
@@ -550,10 +553,10 @@ def _holds_epoch(session: m.ParticipantState, epoch: int) -> bool:
 
 @dataclass(frozen=True)
 class Ghost:
-    """A departed member's stale session, holding the key they walked away with."""
+    """A departed member, holding the key they walked away with."""
 
-    session: m.ParticipantState
-    epoch_at_leave: int
+    actor: Actor
+    key: m.MeetingKey
 
 
 class Simulation:
@@ -569,7 +572,8 @@ class Simulation:
         self.parties: dict[bytes, list[Actor]] = {}
         self.eavesdroppers: list[Actor] = []
         self.meeting_order: list[bytes] = []
-        self.ghosts: list[Ghost] = []
+        # departed members of each meeting, until it is dismissed
+        self.ghosts: dict[bytes, list[Ghost]] = {}
         self.packets: list[tuple[bytes, m.MediaPacket]] = []
         # the eavesdropper's all-zero guess: its stream keys are public, so
         # each is derived once
@@ -689,6 +693,7 @@ class Simulation:
                     ):
                         session.role = m.Role.MEMBER  # demoted on the record
             elif isinstance(payload, m.MeetingDismiss):
+                self.ghosts.pop(payload.meeting_id, None)
                 for actor in self.parties.pop(payload.meeting_id, ()):
                     m.purge_keys(actor.sessions.pop(payload.meeting_id))
 
@@ -804,15 +809,12 @@ class Simulation:
             )
             if readable and not actor.adversary and probe_target is None:
                 probe_target = (actor, session)
-        for ghost in self.ghosts:
-            stale = ghost.session
-            if stale.meeting_id != meeting_id:
-                continue
-            readable = delivery.open(stale.known_mk) is not None
+        for ghost in self.ghosts.get(meeting_id, ()):
+            readable = delivery.open(ghost.key) is not None
             emit(
                 DecryptEvent(
-                    tick, stale.user, meeting_index, stream, epoch, counter,
-                    readable, stale.keypair.ivk, True, False, ghost.epoch_at_leave,
+                    tick, ghost.actor.user, meeting_index, stream, epoch, counter,
+                    readable, ghost.actor.keypair.ivk, True, False, ghost.key.epoch,
                 )
             )
         if probe_target is not None:
@@ -859,14 +861,7 @@ class Simulation:
         epoch_at_leave = None
         if session.known_mk is not None:
             epoch_at_leave = session.known_mk.epoch
-            stale = m.ParticipantState(
-                user=actor.user,
-                device=actor.device,
-                keypair=actor.keypair,
-                meeting_id=meeting_id,
-                known_mk=session.known_mk,
-            )
-            self.ghosts.append(Ghost(stale, epoch_at_leave))
+            self.ghosts.setdefault(meeting_id, []).append(Ghost(actor, session.known_mk))
         self._emit(
             DepartureEvent(
                 self.tick, actor.user, self._meeting_index(meeting_id), epoch_at_leave
@@ -986,12 +981,12 @@ class Simulation:
             raise MalformedScenario(f"unknown actor {args[0]!r}")
         mid_a = self._meeting_at(self._int_arg(args, 1, 0))
         mid_b = self._meeting_at(self._int_arg(args, 2, 1))
-        view_a = m.build_view(self.meeting_ledger, mid_a)
-        view_b = m.build_view(self.meeting_ledger, mid_b)
-        if view_a.last_epoch is None or view_b.last_epoch is None:
+        if mid_a == mid_b:
+            raise MalformedScenario("mix_keys splices between two different meetings")
+        dist_a = m.build_view(self.meeting_ledger, mid_a).last_distribution
+        dist_b = m.build_view(self.meeting_ledger, mid_b).last_distribution
+        if dist_a is None or dist_b is None:
             raise MalformedScenario("mix_keys needs key distributions to splice")
-        dist_a = view_a.distributions[view_a.last_epoch]
-        dist_b = view_b.distributions[view_b.last_epoch]
         session = self._session(victim, mid_a)
         key_before = session.known_mk
         spliced = (

@@ -6,7 +6,7 @@ import hmac as stdlib_hmac
 import pytest
 
 import oracles
-from chainmeet import cli, meeting as m
+from chainmeet import cli, meeting as m, sim
 from chainmeet.ledger import LedgerKind, TxTag, load_hex_lines
 from test_state import forged
 
@@ -223,6 +223,37 @@ def test_rekey_without_membership_change_exits_two(tmp_path, capsys):
     assert "error: rule_violation: rekey without a membership change" in (
         capsys.readouterr().err
     )
+
+
+def test_mix_keys_within_one_meeting_exits_two(tmp_path, capsys):
+    # a meeting's distribution spliced into itself is no attack to frustrate
+    path = tmp_path / "self_splice.txt"
+    text = sim.load_scenario_text("mix_keys")
+    path.write_text(text.replace("adversary.mix_keys bob 0 1", "adversary.mix_keys bob 0 0"))
+    assert cli.main(["goals", "--scenario", str(path)]) == 2
+    assert "mix_keys splices between two different meetings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("action", ["packet 1 32", "leave"])
+def test_tick_outside_64_bits_names_its_line(tmp_path, capsys, action):
+    path = tmp_path / "late.txt"
+    path.write_text(
+        "actor alice laptop\nactor bob phone\n"
+        "tick 1 alice publish\ntick 2 bob request\ntick 3 alice distribute\n"
+        f"tick 18446744073709551616 bob {action}\n"  # 2**64
+    )
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert "line 6: tick does not fit in 64 bits" in capsys.readouterr().err
+
+
+def test_last_u64_tick_lands_on_the_chain(tmp_path):
+    path = tmp_path / "last.txt"
+    path.write_text(
+        "actor alice laptop\nactor bob phone\n"
+        "tick 1 alice publish\ntick 2 bob request\ntick 3 alice distribute\n"
+        "tick 18446744073709551615 bob leave\n"  # 2**64 - 1
+    )
+    assert cli.main(["goals", "--scenario", str(path)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -780,8 +780,58 @@ def test_epoch_sequence_gap_free():
     world.commit(m.make_leave(carol))
     m.review_requests(leader, world.meeting_ledger)
     world.commit(m.distribute_key(leader, world.rng))
-    view = m.build_view(world.meeting_ledger, leader.meeting_id)
-    assert sorted(view.distributions) == [0, 1, 2]
+    epochs = [
+        m.parse_meeting_tx(tx).epoch
+        for _, _, tx in world.meeting_ledger.iter_txs()
+        if tx.tag == m.KeyDistribution.TAG
+    ]
+    assert epochs == [0, 1, 2]
+    assert m.build_view(world.meeting_ledger, leader.meeting_id).last_epoch == 2
+
+
+def records_read_per_step(monkeypatch, cycles):
+    """How many request records each admission and each review reads, as
+    members of a meeting leave and rejoin `cycles` times."""
+    read = object.__getattribute__
+    touched = set()
+
+    def counted(record, name):
+        touched.add(id(record))
+        return read(record, name)
+
+    world = World()
+    leader, members, _ = standard_meeting(world, ("bob", "carol", "dave"))
+    monkeypatch.setattr(m.RequestRecord, "__getattribute__", counted)
+    steps = {"admit": set(), "review": set()}
+
+    def step(kind, action):
+        touched.clear()
+        action()
+        steps[kind].add(len(touched))
+
+    def review_and_rekey():
+        step("review", lambda: m.review_requests(leader, world.meeting_ledger))
+        world.commit(m.distribute_key(leader, world.rng))
+
+    for cycle in range(cycles):
+        member = members[cycle % len(members)]
+        step("admit", lambda: world.commit(m.make_leave(member)))
+        m.purge_keys(member)
+        review_and_rekey()
+        step("admit", lambda: world.commit(
+            m.make_request(member, world.meeting_ledger, leader.meeting_id, world.rng)
+        ))
+        review_and_rekey()
+    monkeypatch.undo()
+    return steps
+
+
+def test_records_read_per_step_do_not_grow_with_history(monkeypatch):
+    short = records_read_per_step(monkeypatch, 20)
+    long = records_read_per_step(monkeypatch, 200)
+    assert long == short
+    # only a review reads a record: the one rejoined request it grants
+    assert short == {"admit": {0}, "review": {0, 1}}
 
 
 def test_epoch_space_cap():

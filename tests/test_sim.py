@@ -596,8 +596,8 @@ def test_stream_contexts_are_derived_once_per_epoch_key(members, monkeypatch):
         sessions = [actor.sessions[meeting_id] for actor in simulation.parties[meeting_id]]
         assert len(sessions) > 1 and all(s.known_mk is held for s in sessions)
 
-    (ghost,) = simulation.ghosts
-    stale = ghost.session.known_mk
+    (ghost,) = simulation.ghosts[meeting_0]
+    stale = ghost.key
     assert stale.epoch == 0  # the object it held when it left
     opens = [
         (packet.epoch, m.Delivery(meeting_id, packet).open(stale) is not None)
@@ -769,8 +769,9 @@ def test_delivery_follows_declaration_order_not_join_order():
         ("DecryptEvent", "dave", False, True),
         ("AdversaryEvent", "eve", False, False),
     ]
-    (ghost,) = simulation.ghosts
-    assert ghost.epoch_at_leave == 0 and ghost.session.known_mk.epoch == 0
-    # the dismissal took every session, and the meeting's party list with it
-    assert simulation.parties == {}
+    (ghost_read,) = [e for e in events_of(simulation, sim.DecryptEvent) if e.ghost]
+    assert ghost_read.epoch_at_leave == 0 and not ghost_read.ok
+    # the dismissal took every session, and the meeting's party and ghost
+    # lists with it
+    assert simulation.parties == {} and simulation.ghosts == {}
     assert all(not actor.sessions for actor in simulation.actors.values())

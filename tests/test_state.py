@@ -56,9 +56,9 @@ def reviewed_meeting(seed=5):
 
 def view_facts(view):
     return (
-        view.exists, view.rule, view.leader_ivk, view.dismissed, view.last_epoch,
-        dict(view.distributions), set(view.present_leader_ivks), set(view.request_txs),
-        [(r.request, r.block_index, r.block_pos, r.active) for r in view.requests],
+        view.exists, view.rule, view.leader_ivk, view.dismissed, view.last_distribution,
+        set(view.present_leader_ivks), set(view.request_txs),
+        list(view.requests), list(view.present.items()),
     )
 
 
@@ -144,7 +144,7 @@ def test_two_epoch_zero_distributions_in_one_block_refused():
         meeting_ledger.append_block([first, second], timestamp=3)
     assert err.value.reason == Reason.BAD_EPOCH
     view = m.build_view(meeting_ledger, alice.meeting_id)
-    assert view.last_epoch is None and view.distributions == {}
+    assert view.last_epoch is None and view.last_distribution is None
     meeting_ledger.append_block([second], timestamp=3)
     view = m.build_view(meeting_ledger, alice.meeting_id)
     assert view.last_epoch == 0
