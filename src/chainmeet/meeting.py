@@ -322,7 +322,7 @@ class MeetingView:
     `requests` keeps every request in arrival order, and `present` indexes
     those not yet left by (user, device, ivk), so a lookup or a leave costs
     the same however long the meeting has run. A record keeps only what
-    cannot change, so `copy` needs no copy of a record. Whether the
+    cannot change, so `mark` needs no copy of a record. Whether the
     requester's identity matches is resolved against the identity ledger at
     each read, so a binding registered after the request counts from then on.
     """
@@ -364,15 +364,22 @@ class MeetingView:
                 return record
         return None
 
-    def copy(self) -> "MeetingView":
-        """This view as it stands, left as it is by later folds into this one."""
-        return replace(
-            self,
-            requests=list(self.requests),
-            present=dict(self.present),
-            present_leader_ivks=set(self.present_leader_ivks),
-            request_txs=set(self.request_txs),
+    def mark(self) -> tuple:
+        """What `undo` needs to put this view back as it stands: `requests`
+        only grows, so its length stands for it and for `request_txs`."""
+        return (
+            self.exists, self.rule, self.leader_ivk, self.dismissed,
+            self.last_distribution, len(self.requests), dict(self.present),
+            set(self.present_leader_ivks),
         )
+
+    def undo(self, mark: tuple) -> None:
+        (
+            self.exists, self.rule, self.leader_ivk, self.dismissed,
+            self.last_distribution, kept, self.present, self.present_leader_ivks,
+        ) = mark
+        self.request_txs.difference_update([r.tx for r in self.requests[kept:]])
+        del self.requests[kept:]
 
     def apply(self, tx: Transaction) -> None:
         """Fold in one admitted transaction of this meeting."""
@@ -415,22 +422,22 @@ class MeetingState:
         return view
 
     def admit(self, txs: list[Transaction], ledger: Ledger, block_index: int) -> None:
-        # each view the block touched before its last transaction (whose
-        # refusal comes before its fold), as it was; None if the block made it
-        before: dict[bytes, Optional[MeetingView]] = {}
+        # the mark of each view the block touched before its last transaction
+        # (whose refusal comes before its fold); None if the block made it
+        before: dict[bytes, Optional[tuple]] = {}
         for pos, tx in enumerate(txs):
             reason = meeting_tx_verdict(tx, ledger)
             if reason is not None:
-                for meeting_id, saved in before.items():
-                    if saved is None:
+                for meeting_id, mark in before.items():
+                    if mark is None:
                         del self.views[meeting_id]
                     else:
-                        vars(self.views[meeting_id]).update(vars(saved))
+                        self.views[meeting_id].undo(mark)
                 raise InvalidTransaction(reason, at=(block_index, pos))
             meeting_id = tx.payload.meeting_id
             view = self.views.get(meeting_id)
             if pos < len(txs) - 1 and meeting_id not in before:
-                before[meeting_id] = None if view is None else view.copy()
+                before[meeting_id] = None if view is None else view.mark()
             if view is None:
                 view = self.views[meeting_id] = MeetingView(meeting_id, self.identity_ledger)
             view.apply(tx)
@@ -542,7 +549,11 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
             return Reason.BAD_SIGNATURE
         if tx in view.request_txs:
             return Reason.REPLAYED_REQUEST
-        if view.record_for(payload.user, payload.device, payload.ivk) is not None:
+        # a present leader is in the meeting too, demoted or not
+        if (
+            view.record_for(payload.user, payload.device, payload.ivk) is not None
+            or payload.ivk in view.present_leader_ivks
+        ):
             return Reason.DUPLICATE_REQUEST
         return None
 

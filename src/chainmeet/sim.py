@@ -15,24 +15,14 @@ Scenario grammar, one directive per line ('#' starts a comment):
     tick <n> <user> <action> [args...]
 
 Ticks must be strictly increasing and fit in 64 bits, as the blocks' timestamps
-do; one action happens per tick. Actions:
-
-    publish [info words...]
-    request [meeting]
-    verify_all [meeting]
-    distribute [meeting]
-    packet <stream> <nbytes> [meeting]
-    leave [meeting]
-    reassign <new_user> [meeting]
-    dismiss [meeting]
-    adversary.impersonate <victim> [meeting]
-    adversary.tamper_ledger
-    adversary.mix_keys <victim> [meeting_a meeting_b]   (two different meetings)
-    adversary.replay_request [meeting]
-    adversary.eavesdrop
-
-Meetings are addressed by the order they were published, starting at 0.
-Every meeting a run publishes signs the `rule` line (by default
+do; one action happens per tick. An action is a `Simulation._act_*` method
+(`adversary.mix_keys` is `_act_adversary_mix_keys`), and its signature
+declares the arguments the script gives it: an `int` is a decimal number, a
+`str` names a declared actor, a default marks an optional meeting index, and
+`*words` takes the rest of the line. `parse_scenario` checks and converts
+every argument, so a script that breaks a signature fails at load, naming
+its line. Meetings are addressed by the order they were published, starting
+at 0. Every meeting a run publishes signs the `rule` line (by default
 designation) into its publish.
 
 Transcript events are plain slotted dataclasses, written once into the
@@ -46,11 +36,14 @@ plain and positional, and a media packet builds about sixteen events.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
+import inspect
+import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
-from typing import NamedTuple, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import crypto, identity as identity_mod, meeting as m
 from .errors import (
@@ -63,22 +56,6 @@ from .errors import (
 )
 from .ledger import TxTag, parse_block
 from .rng import DeterministicRng
-
-ACTIONS = {
-    "publish",
-    "request",
-    "verify_all",
-    "distribute",
-    "packet",
-    "leave",
-    "reassign",
-    "dismiss",
-    "adversary.impersonate",
-    "adversary.tamper_ledger",
-    "adversary.mix_keys",
-    "adversary.replay_request",
-    "adversary.eavesdrop",
-}
 
 AVAILABILITY_NOTE = (
     "availability is reduced to admission: no transaction from an honest "
@@ -97,12 +74,11 @@ class ActorSpec:
     adversary: bool
 
 
-@dataclass(frozen=True)
-class ScriptedEvent:
+class ScriptedEvent(NamedTuple):
     tick: int
     user: str
     action: str
-    args: tuple[str, ...]
+    args: tuple  # as the action's handler takes them
 
 
 @dataclass(frozen=True)
@@ -125,17 +101,61 @@ def parse_scenario(text: str) -> Scenario:
     events: list[ScriptedEvent] = []
     users: dict[str, ActorSpec] = {}
     last_tick = 0
+    # each distinct action text, say `packet 1 1200`, as its handler takes it;
+    # an actor once named stays declared, so it is checked once
+    calls: dict[str, tuple[str, tuple]] = {}
 
     def fail(lineno: int, what: str) -> MalformedScenario:
         return MalformedScenario(f"line {lineno}: {what}")
+
+    def call(lineno: int, text: str) -> tuple[str, tuple]:
+        name, *words = text.split()
+        action = ACTIONS.get(name)
+        if action is None:
+            raise fail(lineno, f"unknown action {name!r}")
+        kinds = action.kinds
+        if len(words) < action.required or (len(words) > len(kinds) and not action.rest):
+            raise fail(lineno, f"{name} takes {action.usage}")
+        args = []
+        for kind, word in zip(kinds, words):
+            if kind is int:
+                if not _is_decimal(word):
+                    raise fail(lineno, f"expected a number, got {word!r}")
+                args.append(int(word))
+            elif word in users:
+                args.append(word)
+            else:
+                raise fail(lineno, f"unknown actor {word!r}")
+        return name, (*args, *words[len(kinds):])
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        parts = line.split(None, 3)
         keyword = parts[0]
-        if keyword == "seed":
+        if keyword == "tick":
+            if len(parts) < 4:
+                raise fail(lineno, "tick wants: n user action [args...]")
+            if not _is_decimal(parts[1]):
+                raise fail(lineno, f"bad tick number {parts[1]!r}")
+            tick = int(parts[1])
+            if tick >= 2**64:
+                raise fail(lineno, "tick does not fit in 64 bits")
+            if tick <= last_tick:
+                raise fail(lineno, f"tick {tick} does not increase")
+            last_tick = tick
+            user = parts[2]
+            if user not in users:
+                raise fail(lineno, f"unknown actor {user!r}")
+            known = calls.get(parts[3])
+            if known is None:
+                known = calls[parts[3]] = call(lineno, parts[3])
+            name, args = known
+            if name.startswith("adversary.") and not users[user].adversary:
+                raise fail(lineno, f"{user!r} is not flagged adversary")
+            events.append(ScriptedEvent(tick, user, name, args))
+        elif keyword == "seed":
             if len(parts) != 2 or not _is_decimal(parts[1]):
                 raise fail(lineno, "seed wants one unsigned integer")
             seed = int(parts[1])
@@ -159,25 +179,6 @@ def parse_scenario(text: str) -> Scenario:
             spec = ActorSpec(parts[1], parts[2], len(parts) == 4)
             users[spec.user] = spec
             actors.append(spec)
-        elif keyword == "tick":
-            if len(parts) < 4:
-                raise fail(lineno, "tick wants: n user action [args...]")
-            if not _is_decimal(parts[1]):
-                raise fail(lineno, f"bad tick number {parts[1]!r}")
-            tick = int(parts[1])
-            if tick >= 2**64:
-                raise fail(lineno, "tick does not fit in 64 bits")
-            if tick <= last_tick:
-                raise fail(lineno, f"tick {tick} does not increase")
-            last_tick = tick
-            user, action = parts[2], parts[3]
-            if user not in users:
-                raise fail(lineno, f"unknown actor {user!r}")
-            if action not in ACTIONS:
-                raise fail(lineno, f"unknown action {action!r}")
-            if action.startswith("adversary.") and not users[user].adversary:
-                raise fail(lineno, f"{user!r} is not flagged adversary")
-            events.append(ScriptedEvent(tick, user, action, tuple(parts[4:])))
         else:
             raise fail(lineno, f"unknown directive {keyword!r}")
     if not actors:
@@ -210,192 +211,165 @@ def load_scenario_text(ref: str) -> str:
 # transcript events
 
 
-@dataclass(slots=True)
-class TxEvent:
-    tick: int
-    actor: str
-    action: str
-    tag: str
-    ok: bool
-    reason: Optional[Reason]
-    block: Optional[int]
-    honest: bool
+_ROW = "row"
+
+
+def shown(
+    label: str,
+    fmt: Optional[Callable[[Any], object]] = None,
+    when: Optional[Callable[[Any], bool]] = None,
+    **default: Any,
+) -> Any:
+    """Declare an event field that its transcript line shows as
+    `label=fmt(event)`, by default the field's own value; with `when`, only
+    for the events it holds for. Fields show in field order, the way
+    `encoding.wire` fields encode in it."""
+    return field(metadata={_ROW: (label, fmt, when)}, **default)
+
+
+@functools.cache
+def _rows(kind: type) -> tuple[tuple[str, Callable[[Any], object], Any], ...]:
+    """(" label=", fmt, when) of each shown field of `kind`, in field order."""
+    rows = []
+    for f in fields(kind):
+        if _ROW in f.metadata:
+            label, fmt, when = f.metadata[_ROW]
+            rows.append((f" {label}=", fmt or operator.attrgetter(f.name), when))
+    return tuple(rows)
+
+
+def _verdict(reason: Optional[Reason]) -> object:
+    return "ok" if reason is None else reason
+
+
+class Event:
+    """Base of the transcript events. An event's line is `[t=<tick>] <word>`
+    followed by the fields that `shown` declares; an event without a tick
+    happens at the end."""
+
+    __slots__ = ()
+    word = ""
 
     def render(self) -> str:
-        line = (
-            f"[t={self.tick}] tx who={self.actor} action={self.action}"
-            f" tag={self.tag} ok={int(self.ok)}"
-        )
-        return line + (f" block={self.block}" if self.ok else f" reason={self.reason}")
-
-
-@dataclass(slots=True)
-class ValidateEvent:
-    tick: int
-    validator: str
-    tag: str
-    reason: Optional[Reason]
-
-    def render(self) -> str:
-        verdict = "ok" if self.reason is None else str(self.reason)
-        return (
-            f"[t={self.tick}] validate who={self.validator}"
-            f" tag={self.tag} verdict={verdict}"
-        )
-
-
-@dataclass(slots=True)
-class ReviewEvent:
-    tick: int
-    leader: str
-    meeting: int
-    subject_user: str
-    subject_device: str
-    verdict: Optional[Reason]
-    granted: bool
-
-    def render(self) -> str:
-        verdict = "ok" if self.verdict is None else str(self.verdict)
-        return (
-            f"[t={self.tick}] review leader={self.leader} m={self.meeting}"
-            f" subject={self.subject_user}/{self.subject_device}"
-            f" verdict={verdict} granted={int(self.granted)}"
-        )
-
-
-@dataclass(slots=True)
-class KeyEpochEvent:
-    tick: int
-    meeting: int
-    epoch: int
-    leader: str
-    leader_ivk: bytes
-    recipients: tuple[bytes, ...]
-    key_digest: bytes
-
-    def render(self) -> str:
-        return (
-            f"[t={self.tick}] key-epoch m={self.meeting} epoch={self.epoch}"
-            f" leader={self.leader} entries={len(self.recipients)}"
-            f" key={self.key_digest.hex()[:16]}"
-        )
-
-
-@dataclass(slots=True)
-class AcceptKeyEvent:
-    tick: int
-    actor: str
-    meeting: int
-    epoch: int
-    ok: bool
-
-    def render(self) -> str:
-        return (
-            f"[t={self.tick}] accept who={self.actor} m={self.meeting}"
-            f" epoch={self.epoch} ok={int(self.ok)}"
-        )
-
-
-@dataclass(slots=True)
-class PacketEvent:
-    tick: int
-    sender: str
-    meeting: int
-    stream: int
-    epoch: int
-    counter: int
-    nbytes: int
-    key_digest: bytes
-    nonce: bytes
-
-    def render(self) -> str:
-        return (
-            f"[t={self.tick}] packet from={self.sender} m={self.meeting}"
-            f" stream={self.stream} epoch={self.epoch} ctr={self.counter}"
-            f" bytes={self.nbytes} key={self.key_digest.hex()[:16]}"
-            f" nonce={self.nonce.hex()}"
-        )
-
-
-@dataclass(slots=True)
-class DecryptEvent:
-    tick: int
-    actor: str
-    meeting: int
-    stream: int
-    epoch: int
-    counter: int
-    ok: bool
-    actor_ivk: bytes
-    ghost: bool = False
-    tampered: bool = False
-    epoch_at_leave: Optional[int] = None
-
-    def render(self) -> str:
-        line = (
-            f"[t={self.tick}] decrypt who={self.actor} m={self.meeting}"
-            f" stream={self.stream} epoch={self.epoch} ctr={self.counter}"
-            f" ok={int(self.ok)}"
-        )
-        if self.ghost:
-            line += f" ghost=1 left_at={self.epoch_at_leave}"
-        if self.tampered:
-            line += " tampered=1"
+        line = f"[t={getattr(self, 'tick', 'end')}] {self.word}"
+        for prefix, fmt, when in _rows(type(self)):
+            if when is None or when(self):
+                line += f"{prefix}{fmt(self)}"
         return line
 
 
 @dataclass(slots=True)
-class DepartureEvent:
+class TxEvent(Event):
+    word = "tx"
     tick: int
-    actor: str
-    meeting: int
-    epoch_at_leave: Optional[int]
-
-    def render(self) -> str:
-        return (
-            f"[t={self.tick}] depart who={self.actor} m={self.meeting}"
-            f" epoch_at_leave={self.epoch_at_leave}"
-        )
+    actor: str = shown("who")
+    action: str = shown("action")
+    tag: str = shown("tag")
+    ok: bool = shown("ok", lambda e: int(e.ok))
+    reason: Optional[Reason] = shown("reason", when=lambda e: not e.ok)
+    block: Optional[int] = shown("block", when=lambda e: e.ok)
+    honest: bool
 
 
 @dataclass(slots=True)
-class AdversaryEvent:
+class ValidateEvent(Event):
+    word = "validate"
     tick: int
-    actor: str
-    attack: str
-    failed: bool
-    detail: str
-
-    def render(self) -> str:
-        return (
-            f"[t={self.tick}] adversary who={self.actor} attack={self.attack}"
-            f" failed={int(self.failed)} detail={self.detail}"
-        )
+    validator: str = shown("who")
+    tag: str = shown("tag")
+    reason: Optional[Reason] = shown("verdict", lambda e: _verdict(e.reason))
 
 
 @dataclass(slots=True)
-class CheckEvent:
-    name: str
-    ok: bool
-    detail: str = ""
+class ReviewEvent(Event):
+    word = "review"
+    tick: int
+    leader: str = shown("leader")
+    meeting: int = shown("m")
+    subject_user: str = shown("subject", lambda e: f"{e.subject_user}/{e.subject_device}")
+    subject_device: str
+    verdict: Optional[Reason] = shown("verdict", lambda e: _verdict(e.verdict))
+    granted: bool = shown("granted", lambda e: int(e.granted))
 
-    def render(self) -> str:
-        line = f"[t=end] check name={self.name} ok={int(self.ok)}"
-        return line + (f" detail={self.detail}" if self.detail else "")
+
+@dataclass(slots=True)
+class KeyEpochEvent(Event):
+    word = "key-epoch"
+    tick: int
+    meeting: int = shown("m")
+    epoch: int = shown("epoch")
+    leader: str = shown("leader")
+    leader_ivk: bytes
+    recipients: tuple[bytes, ...] = shown("entries", lambda e: len(e.recipients))
+    key_digest: bytes = shown("key", lambda e: e.key_digest.hex()[:16])
 
 
-Event = Union[
-    TxEvent,
-    ValidateEvent,
-    ReviewEvent,
-    KeyEpochEvent,
-    AcceptKeyEvent,
-    PacketEvent,
-    DecryptEvent,
-    DepartureEvent,
-    AdversaryEvent,
-    CheckEvent,
-]
+@dataclass(slots=True)
+class AcceptKeyEvent(Event):
+    word = "accept"
+    tick: int
+    actor: str = shown("who")
+    meeting: int = shown("m")
+    epoch: int = shown("epoch")
+    ok: bool = shown("ok", lambda e: int(e.ok))
+
+
+@dataclass(slots=True)
+class PacketEvent(Event):
+    word = "packet"
+    tick: int
+    sender: str = shown("from")
+    meeting: int = shown("m")
+    stream: int = shown("stream")
+    epoch: int = shown("epoch")
+    counter: int = shown("ctr")
+    nbytes: int = shown("bytes")
+    key_digest: bytes = shown("key", lambda e: e.key_digest.hex()[:16])
+    nonce: bytes = shown("nonce", lambda e: e.nonce.hex())
+
+
+@dataclass(slots=True)
+class DecryptEvent(Event):
+    word = "decrypt"
+    tick: int
+    actor: str = shown("who")
+    meeting: int = shown("m")
+    stream: int = shown("stream")
+    epoch: int = shown("epoch")
+    counter: int = shown("ctr")
+    ok: bool = shown("ok", lambda e: int(e.ok))
+    actor_ivk: bytes
+    # a ghost is never the tamper probe, so at most one of these two shows
+    ghost: bool = shown("ghost", lambda e: 1, lambda e: e.ghost, default=False)
+    tampered: bool = shown("tampered", lambda e: 1, lambda e: e.tampered, default=False)
+    epoch_at_leave: Optional[int] = shown("left_at", when=lambda e: e.ghost, default=None)
+
+
+@dataclass(slots=True)
+class DepartureEvent(Event):
+    word = "depart"
+    tick: int
+    actor: str = shown("who")
+    meeting: int = shown("m")
+    epoch_at_leave: Optional[int] = shown("epoch_at_leave")
+
+
+@dataclass(slots=True)
+class AdversaryEvent(Event):
+    word = "adversary"
+    tick: int
+    actor: str = shown("who")
+    attack: str = shown("attack")
+    failed: bool = shown("failed", lambda e: int(e.failed))
+    detail: str = shown("detail")
+
+
+@dataclass(slots=True)
+class CheckEvent(Event):
+    word = "check"
+    name: str = shown("name")
+    ok: bool = shown("ok", lambda e: int(e.ok))
+    detail: str = shown("detail", when=lambda e: bool(e.detail), default="")
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +561,9 @@ class Simulation:
     def _emit(self, event: Event) -> None:
         self.transcript.append(event)
 
+    def _attacked(self, actor: Actor, attack: str, failed: bool, detail: str) -> None:
+        self._emit(AdversaryEvent(self.tick, actor.user, attack, failed, detail))
+
     def _meeting_at(self, index: int) -> bytes:
         if not 0 <= index < len(self.meeting_order):
             raise MalformedScenario(f"no meeting with index {index}")
@@ -613,14 +590,6 @@ class Simulation:
         parties = self.parties[meeting_id]
         del parties[bisect.bisect_left(parties, actor.rank, key=_rank)]
         del actor.sessions[meeting_id]
-
-    @staticmethod
-    def _int_arg(args: tuple[str, ...], position: int, fallback: int) -> int:
-        if len(args) <= position:
-            return fallback
-        if not _is_decimal(args[position]):
-            raise MalformedScenario(f"expected a number, got {args[position]!r}")
-        return int(args[position])
 
     def _submit(self, actor: Actor, action: str, tx) -> Optional[Reason]:
         """Admit a transaction through the ledger, then fan out observation.
@@ -699,8 +668,8 @@ class Simulation:
 
     # -- scripted actions
 
-    def _act_publish(self, actor: Actor, args: tuple[str, ...]) -> None:
-        info = " ".join(args) if args else f"meeting-{len(self.meeting_order)}"
+    def _act_publish(self, actor: Actor, *words: str) -> None:
+        info = " ".join(words) if words else f"meeting-{len(self.meeting_order)}"
         session = m.ParticipantState(
             user=actor.user, device=actor.device, keypair=actor.keypair
         )
@@ -709,8 +678,8 @@ class Simulation:
             self.meeting_order.append(session.meeting_id)
             self._join(actor, session.meeting_id, session)
 
-    def _act_request(self, actor: Actor, args: tuple[str, ...]) -> None:
-        meeting_id = self._meeting_at(self._int_arg(args, 0, 0))
+    def _act_request(self, actor: Actor, meeting: int = 0) -> None:
+        meeting_id = self._meeting_at(meeting)
         session = m.ParticipantState(
             user=actor.user, device=actor.device, keypair=actor.keypair
         )
@@ -734,8 +703,8 @@ class Simulation:
                 )
             )
 
-    def _act_verify_all(self, actor: Actor, args: tuple[str, ...]) -> None:
-        self._review(actor, self._meeting_at(self._int_arg(args, 0, 0)))
+    def _act_verify_all(self, actor: Actor, meeting: int = 0) -> None:
+        self._review(actor, self._meeting_at(meeting))
 
     def _distribute(self, actor: Actor, meeting_id: bytes) -> None:
         self._review(actor, meeting_id)
@@ -755,17 +724,13 @@ class Simulation:
         )
         self._submit(actor, "distribute", tx)
 
-    def _act_distribute(self, actor: Actor, args: tuple[str, ...]) -> None:
-        self._distribute(actor, self._meeting_at(self._int_arg(args, 0, 0)))
+    def _act_distribute(self, actor: Actor, meeting: int = 0) -> None:
+        self._distribute(actor, self._meeting_at(meeting))
 
-    def _act_packet(self, actor: Actor, args: tuple[str, ...]) -> None:
-        if len(args) < 2:
-            raise MalformedScenario("packet wants: stream nbytes [meeting]")
-        stream = self._int_arg(args, 0, 0)
-        nbytes = self._int_arg(args, 1, 0)
+    def _act_packet(self, actor: Actor, stream: int, nbytes: int, meeting: int = 0) -> None:
         if nbytes > 65536:
             raise MalformedScenario("packet payloads are capped at 64 KiB")
-        meeting_id = self._meeting_at(self._int_arg(args, 2, 0))
+        meeting_id = self._meeting_at(meeting)
         session = self._session(actor, meeting_id)
         # nobody reads the payload, so it is zeros; stepping the stream over
         # nbytes keeps every later draw where the pinned transcripts put it
@@ -852,8 +817,8 @@ class Simulation:
         )
         return int(opened is not None)
 
-    def _act_leave(self, actor: Actor, args: tuple[str, ...]) -> None:
-        meeting_id = self._meeting_at(self._int_arg(args, 0, 0))
+    def _act_leave(self, actor: Actor, meeting: int = 0) -> None:
+        meeting_id = self._meeting_at(meeting)
         session = self._session(actor, meeting_id)
         tx = m.make_leave(session)
         if self._submit(actor, "leave", tx) is not None:
@@ -870,13 +835,9 @@ class Simulation:
         m.purge_keys(session)
         self._part(actor, meeting_id)
 
-    def _act_reassign(self, actor: Actor, args: tuple[str, ...]) -> None:
-        if not args:
-            raise MalformedScenario("reassign wants: new_user [meeting]")
-        successor = self.actors.get(args[0])
-        if successor is None:
-            raise MalformedScenario(f"unknown actor {args[0]!r}")
-        meeting_id = self._meeting_at(self._int_arg(args, 1, 0))
+    def _act_reassign(self, actor: Actor, new_user: str, meeting: int = 0) -> None:
+        successor = self.actors[new_user]
+        meeting_id = self._meeting_at(meeting)
         view = m.build_view(self.meeting_ledger, meeting_id)
         if view.leader_ivk == actor.keypair.ivk:
             tx, ephemeral = m.build_reassign(
@@ -896,14 +857,8 @@ class Simulation:
             )
             tx = m.signed_tx(payload, actor.keypair)
             verdict = self._submit(actor, "reassign", tx)
-            self._emit(
-                AdversaryEvent(
-                    tick=self.tick,
-                    actor=actor.user,
-                    attack="leadership_grab",
-                    failed=verdict is not None,
-                    detail=f"reason={verdict}",
-                )
+            self._attacked(
+                actor, "leadership_grab", verdict is not None, f"reason={verdict}"
             )
             if verdict is None:
                 self._install_leader(actor, meeting_id, ephemeral)
@@ -915,41 +870,32 @@ class Simulation:
         # leadership wrapped stops mattering
         self._distribute(successor, meeting_id)
 
-    def _act_dismiss(self, actor: Actor, args: tuple[str, ...]) -> None:
-        meeting_id = self._meeting_at(self._int_arg(args, 0, 0))
+    def _act_dismiss(self, actor: Actor, meeting: int = 0) -> None:
+        meeting_id = self._meeting_at(meeting)
         session = self._session(actor, meeting_id)
         self._submit(actor, "dismiss", m.dismiss_meeting(session))
 
     # -- adversary actions
 
-    def _act_adversary_impersonate(self, actor: Actor, args: tuple[str, ...]) -> None:
-        if not args:
-            raise MalformedScenario("impersonate wants: victim [meeting]")
-        victim = self.actors.get(args[0])
-        if victim is None:
-            raise MalformedScenario(f"unknown actor {args[0]!r}")
-        meeting_id = self._meeting_at(self._int_arg(args, 1, 0))
+    def _act_adversary_impersonate(self, actor: Actor, victim: str, meeting: int = 0) -> None:
+        claimed = self.actors[victim]
+        meeting_id = self._meeting_at(meeting)
         payload = m.MeetingRequest(
             meeting_id=meeting_id,
-            user=victim.user,
-            device=victim.device,
+            user=claimed.user,
+            device=claimed.device,
             ivk=actor.keypair.ivk,
             epk=crypto.ephemeral_keygen(self.rng).epk,
         )
         tx = m.signed_tx(payload, actor.keypair)
         verdict = self._submit(actor, "impersonate", tx)
         review = m.verify_request_tx(tx, self.identity_ledger)
-        self._emit(
-            AdversaryEvent(
-                tick=self.tick,
-                actor=actor.user,
-                attack="impersonate",
-                failed=verdict is not None or review is not None,
-                detail=f"claimed={victim.user} review={review or 'ok'}",
-            )
+        self._attacked(
+            actor, "impersonate", verdict is not None or review is not None,
+            f"claimed={victim} review={review or 'ok'}",
         )
 
-    def _act_adversary_tamper_ledger(self, actor: Actor, args: tuple[str, ...]) -> None:
+    def _act_adversary_tamper_ledger(self, actor: Actor) -> None:
         blocks = self.meeting_ledger.blocks
         target = blocks[self.rng.take(1)[0] % len(blocks)]
         raw = target.encode()
@@ -963,31 +909,22 @@ class Simulation:
             detected = forged.block_hash != crypto.sha256(forged.encode())
         except EncodingError:
             detected = True
-        self._emit(
-            AdversaryEvent(
-                tick=self.tick,
-                actor=actor.user,
-                attack="tamper_ledger",
-                failed=detected,
-                detail=f"block={target.index} byte={position}",
-            )
+        self._attacked(
+            actor, "tamper_ledger", detected, f"block={target.index} byte={position}"
         )
 
-    def _act_adversary_mix_keys(self, actor: Actor, args: tuple[str, ...]) -> None:
-        if not args:
-            raise MalformedScenario("mix_keys wants: victim [meeting_a meeting_b]")
-        victim = self.actors.get(args[0])
-        if victim is None:
-            raise MalformedScenario(f"unknown actor {args[0]!r}")
-        mid_a = self._meeting_at(self._int_arg(args, 1, 0))
-        mid_b = self._meeting_at(self._int_arg(args, 2, 1))
+    def _act_adversary_mix_keys(
+        self, actor: Actor, victim: str, meeting_a: int = 0, meeting_b: int = 1
+    ) -> None:
+        mid_a = self._meeting_at(meeting_a)
+        mid_b = self._meeting_at(meeting_b)
         if mid_a == mid_b:
             raise MalformedScenario("mix_keys splices between two different meetings")
         dist_a = m.build_view(self.meeting_ledger, mid_a).last_distribution
         dist_b = m.build_view(self.meeting_ledger, mid_b).last_distribution
         if dist_a is None or dist_b is None:
             raise MalformedScenario("mix_keys needs key distributions to splice")
-        session = self._session(victim, mid_a)
+        session = self._session(self.actors[victim], mid_a)
         key_before = session.known_mk
         spliced = (
             # another meeting's leader ephemeral over this meeting's entries
@@ -1004,21 +941,14 @@ class Simulation:
             except (AuthenticationFailure, NoEntryForMe):
                 rejected += 1
         untouched = session.known_mk == key_before
-        self._emit(
-            AdversaryEvent(
-                tick=self.tick,
-                actor=actor.user,
-                attack="mix_keys",
-                failed=rejected == len(spliced) and untouched,
-                detail=(
-                    f"victim={victim.user} variants={len(spliced)}"
-                    f" rejected={rejected} key_untouched={int(untouched)}"
-                ),
-            )
+        self._attacked(
+            actor, "mix_keys", rejected == len(spliced) and untouched,
+            f"victim={victim} variants={len(spliced)}"
+            f" rejected={rejected} key_untouched={int(untouched)}",
         )
 
-    def _act_adversary_replay_request(self, actor: Actor, args: tuple[str, ...]) -> None:
-        meeting_id = self._meeting_at(self._int_arg(args, 0, 0))
+    def _act_adversary_replay_request(self, actor: Actor, meeting: int = 0) -> None:
+        meeting_id = self._meeting_at(meeting)
         # earliest request wins: in the interesting runs that is the one a
         # since-departed member posted, so the replay is a re-enrol attempt
         requests = m.build_view(self.meeting_ledger, meeting_id).requests
@@ -1026,31 +956,20 @@ class Simulation:
             raise MalformedScenario("no request on the chain to replay")
         replayable = requests[0].tx
         verdict = self._submit(actor, "replay_request", replayable)
-        self._emit(
-            AdversaryEvent(
-                tick=self.tick,
-                actor=actor.user,
-                attack="replay_request",
-                failed=verdict is not None,
-                detail=f"reason={verdict}",
-            )
+        self._attacked(
+            actor, "replay_request", verdict is not None, f"reason={verdict}"
         )
 
-    def _act_adversary_eavesdrop(self, actor: Actor, args: tuple[str, ...]) -> None:
+    def _act_adversary_eavesdrop(self, actor: Actor) -> None:
         if all(other is not actor for other in self.eavesdroppers):
             bisect.insort(self.eavesdroppers, actor, key=_rank)
         recovered = sum(
             self._eavesdrop_attempt(m.Delivery(meeting_id, packet))
             for meeting_id, packet in self.packets
         )
-        self._emit(
-            AdversaryEvent(
-                tick=self.tick,
-                actor=actor.user,
-                attack="eavesdrop",
-                failed=recovered == 0,
-                detail=f"captured={len(self.packets)} recovered={recovered}",
-            )
+        self._attacked(
+            actor, "eavesdrop", recovered == 0,
+            f"captured={len(self.packets)} recovered={recovered}",
         )
 
     # -- the run loop
@@ -1089,11 +1008,45 @@ class Simulation:
         self._register_actors()
         for event in self.scenario.events:
             self.tick = event.tick
-            handler = getattr(self, "_act_" + event.action.replace(".", "_"))
-            handler(self.actors[event.user], event.args)
+            ACTIONS[event.action].handler(self, self.actors[event.user], *event.args)
         self.report = check_goals(self.transcript)
         self.transcript.extend(self.report.check_events())
         return self
+
+
+class Action(NamedTuple):
+    """A scripted action: its handler and the arguments its signature takes."""
+
+    handler: Callable[..., None]
+    kinds: tuple[type, ...]  # int or str, one per named argument
+    required: int
+    rest: bool  # `*words` takes the rest of the line
+    usage: str
+
+
+def _action(handler: Callable[..., None]) -> Action:
+    """The action of a `_act_*` handler, read off its signature once."""
+    params = list(inspect.signature(handler).parameters.values())[2:]  # self, actor
+    rest = bool(params) and params[-1].kind is inspect.Parameter.VAR_POSITIONAL
+    named = params[:-1] if rest else params
+    usage = [p.name if p.default is p.empty else f"[{p.name}]" for p in named]
+    if rest:
+        usage.append(f"[{params[-1].name}...]")
+    return Action(
+        handler,
+        tuple({"int": int, "str": str}[p.annotation] for p in named),
+        sum(p.default is p.empty for p in named),
+        rest,
+        " ".join(usage) or "no arguments",
+    )
+
+
+# every scripted action by name, as `tick` lines call it
+ACTIONS = {
+    name[len("_act_"):].replace("adversary_", "adversary.", 1): _action(handler)
+    for name, handler in vars(Simulation).items()
+    if name.startswith("_act_")
+}
 
 
 def render_transcript(sim: Simulation) -> str:

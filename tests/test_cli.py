@@ -276,6 +276,30 @@ def test_non_ascii_digits_exit_two(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+def test_surplus_action_argument_exits_two(tmp_path, capsys):
+    path = tmp_path / "surplus.txt"
+    path.write_text(
+        "actor alice laptop\nactor bob phone\n"
+        "tick 1 alice publish\ntick 2 bob request 0 junk\n"
+    )
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert "error: line 4: request takes [meeting]" in capsys.readouterr().err
+
+
+def test_leader_request_is_refused_and_the_leader_keeps_leading(tmp_path, capsys):
+    path = tmp_path / "leader_request.txt"
+    path.write_text(
+        "actor alice laptop\nactor bob phone\n"
+        "tick 1 alice publish\ntick 2 bob request\ntick 3 alice request\n"
+        "tick 4 alice distribute\n"
+    )
+    assert cli.main(["goals", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "violation: availability: honest alice refused at t=3 (duplicate_request)" in out
+    assert cli.main(["run", "--scenario", str(path)]) == 1
+    assert "[t=4] key-epoch m=0 epoch=0 leader=alice" in capsys.readouterr().out
+
+
 def test_inspect_of_a_broken_chain_exits_two(tmp_path, capsys):
     store = tmp_path / "ledgers"
     assert cli.main(["run", "--scenario", "join_rekey", "--out",

@@ -682,6 +682,24 @@ def test_replayed_and_duplicate_requests_rejected():
     assert world.verdict(fresh) == Reason.DUPLICATE_REQUEST
 
 
+def test_a_present_leader_cannot_request_to_join_its_own_meeting():
+    """A leader is in the meeting already, and so is one handed over from
+    until it leaves; a request would swap its session for a requester's."""
+    world, alice, bob, _ = handover_world(m.ReassignRule.DESIGNATION)
+
+    def own_request():
+        again = m.ParticipantState(user="alice", device="dev", keypair=alice.keypair)
+        return m.make_request(again, world.meeting_ledger, alice.meeting_id, world.rng)
+
+    assert world.verdict(own_request()) == Reason.DUPLICATE_REQUEST
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
+    world.commit(m.build_reassign(view, alice.keypair, bob.keypair, world.rng)[0])
+    assert view.leader_ivk == bob.keypair.ivk
+    assert world.verdict(own_request()) == Reason.DUPLICATE_REQUEST
+    world.commit(m.make_leave(alice))
+    assert world.verdict(own_request()) is None
+
+
 def test_forged_request_cannot_squat_the_victims_binding():
     """A self-signed request under someone else's name must not block
     the real person from joining, leaving, or being rekeyed out."""

@@ -74,6 +74,35 @@ def test_parse_scenario_rejects_malformed(text):
         sim.parse_scenario(text)
 
 
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("alice reassign", "line 4: reassign takes new_user [meeting]"),
+        ("bob request 0 junk", "line 4: request takes [meeting]"),
+        ("bob packet 1 1e3", "line 4: expected a number, got '1e3'"),
+        ("alice reassign zed", "line 4: unknown actor 'zed'"),
+    ],
+    ids=["missing", "surplus", "not-decimal", "unknown-actor"],
+)
+def test_action_arguments_are_checked_at_load(monkeypatch, tail, message):
+    monkeypatch.setattr(sim.Simulation, "run", None)  # no event may run
+    text = f"actor alice laptop\nactor bob phone\ntick 1 alice publish\ntick 2 {tail}\n"
+    with pytest.raises(MalformedScenario) as err:
+        sim.run_scenario_text(text)
+    assert str(err.value) == message
+
+
+def test_action_arguments_arrive_as_their_handler_declares_them():
+    scenario = sim.parse_scenario(
+        "actor alice laptop\nactor bob phone\nactor eve lair adversary\n"
+        "tick 1 alice publish\ntick 2 alice packet 3 1200\n"
+        "tick 3 eve adversary.mix_keys bob\ntick 4 alice reassign bob 0\n"
+    )
+    assert [e.args for e in scenario.events] == [(), (3, 1200), ("bob",), ("bob", 0)]
+    assert sim.ACTIONS["adversary.mix_keys"].usage == "victim [meeting_a] [meeting_b]"
+    assert sim.ACTIONS["publish"].usage == "[words...]"
+
+
 def test_bundled_scenarios_present_and_loadable():
     names = sim.bundled_scenario_names()
     for expected in (

@@ -3,6 +3,7 @@ all and a refused block is put back in place, a loaded ledger is re-admitted
 to the live state, and each admitted transaction has its signature checked
 once, under the key it records as its signer."""
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -184,6 +185,61 @@ def test_view_held_across_a_refused_block_reads_as_before_it():
     meeting_ledger.append_block([request], timestamp=3)
     assert [r.request.user for r in view.members()] == ["bob", "carol"]
     assert request in view.request_txs
+
+
+def churned_meeting(cycles):
+    """A reviewed meeting that carol has joined and left `cycles` + 1 times,
+    so its request history holds `cycles` + 2 requests."""
+    rng, identity_ledger, meeting_ledger, alice, bob = reviewed_meeting()
+    carol = registered(rng, identity_ledger, "carol")
+    tick = 3
+    for _ in range(cycles + 1):
+        meeting_ledger.append_block(
+            [m.make_request(carol, meeting_ledger, alice.meeting_id, rng)], tick
+        )
+        meeting_ledger.append_block([m.make_leave(carol)], tick + 1)
+        tick += 2
+    return meeting_ledger, alice, bob, carol, rng, tick
+
+
+def refuse_leave_and_rejoin(meeting_ledger, alice, bob, rng, tick):
+    """Offer a block in which bob leaves and requests again, then repeats
+    the meeting's publish; the block is refused at its third transaction."""
+    rejoin = m.ParticipantState(user="bob", device="dev", keypair=bob.keypair)
+    txs = [
+        m.make_leave(bob),
+        m.make_request(rejoin, meeting_ledger, alice.meeting_id, rng),
+        meeting_ledger.blocks[1].txs[0],
+    ]
+    with pytest.raises(InvalidTransaction) as err:
+        meeting_ledger.append_block(txs, timestamp=tick)
+    assert err.value.reason == Reason.DUPLICATE_MEETING
+
+
+def test_refused_block_puts_the_view_back_exactly():
+    meeting_ledger, alice, bob, carol, rng, tick = churned_meeting(2)
+    meeting_ledger.append_block(
+        [m.make_request(carol, meeting_ledger, alice.meeting_id, rng)], tick
+    )
+    view = m.build_view(meeting_ledger, alice.meeting_id)
+    assert [key[0] for key in view.present] == ["bob", "carol"]
+    facts = view_facts(view)
+    # the refused leave moved bob behind carol before the block was undone
+    refuse_leave_and_rejoin(meeting_ledger, alice, bob, rng, tick + 1)
+    assert m.build_view(meeting_ledger, alice.meeting_id) is view
+    assert view_facts(view) == facts
+
+
+def test_undoing_a_refused_block_costs_the_live_meeting_not_its_history():
+    peaks = []
+    for cycles in (20, 2000):
+        meeting_ledger, alice, bob, _, rng, tick = churned_meeting(cycles)
+        assert len(m.build_view(meeting_ledger, alice.meeting_id).requests) == cycles + 2
+        tracemalloc.start()
+        refuse_leave_and_rejoin(meeting_ledger, alice, bob, rng, tick)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 # ---------------------------------------------------------------------------
