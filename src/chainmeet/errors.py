@@ -44,10 +44,6 @@ class NonMonotonicTimestamp(ChainmeetError):
     """New block's timestamp is older than the chain head's."""
 
 
-class NotFound(ChainmeetError):
-    """No identity record for the requested (user, device)."""
-
-
 class MeetingNotFound(ChainmeetError):
     """No meeting with that id has been published."""
 

@@ -16,21 +16,22 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import crypto
-from .encoding import LP, U8, Wire, fixed, utf8, wire
-from .errors import EncodingError, InvalidTransaction, NotFound, Reason
-from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger
+from .encoding import Kind, Reader, Wire, fixed, lp, utf8, wire
+from .errors import EncodingError, InvalidTransaction, Reason
+from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger, signed_tx
 
 MAX_NAME_BYTES = 64
 MAX_INFO_BYTES = 1024
 NAME = utf8(1, MAX_NAME_BYTES)
 
-_INFO_PLAIN = 0
-_INFO_COMMITMENT = 1
-
 
 @dataclass(frozen=True)
 class PlainInfo:
     data: bytes
+
+    def __post_init__(self) -> None:
+        if len(self.data) > MAX_INFO_BYTES:
+            raise EncodingError(f"user info larger than {MAX_INFO_BYTES} bytes")
 
 
 @dataclass(frozen=True)
@@ -39,45 +40,49 @@ class CommittedInfo:
 
     mac: bytes
 
+    def __post_init__(self) -> None:
+        if len(self.mac) != crypto.KEY_LEN:
+            raise EncodingError("commitment must be 32 bytes")
+
 
 UserInfo = Union[PlainInfo, CommittedInfo]
+
+
+def _read_info(reader: Reader) -> UserInfo:
+    kind = reader.u8()
+    if kind == 0:
+        return PlainInfo(reader.lp())
+    if kind == 1:
+        return CommittedInfo(reader.lp())
+    raise EncodingError(f"unknown info kind {kind}")
+
+
+def _write_info(info: UserInfo) -> bytes:
+    if isinstance(info, PlainInfo):
+        return b"\x00" + lp(info.data)
+    if isinstance(info, CommittedInfo):
+        return b"\x01" + lp(info.mac)
+    raise EncodingError(f"unknown user info {info!r}")
+
+
+# u8 kind (0 plain, 1 commitment) || LP data
+USER_INFO = Kind(_read_info, _write_info)
 
 
 @dataclass(frozen=True)
 class IdentityRecord(Wire):
     """A registration body; both directions check its limits."""
 
+    TAG = TxTag.IDENTITY
+
     user: str = wire(NAME)
     device: str = wire(NAME)
     ivk: bytes = wire(fixed(crypto.KEY_LEN))
-    info_kind: int = wire(U8)  # 0 plain, 1 commitment
-    info_data: bytes = wire(LP)
-
-    def __post_init__(self) -> None:
-        if self.info_kind == _INFO_PLAIN:
-            if len(self.info_data) > MAX_INFO_BYTES:
-                raise EncodingError(f"user info larger than {MAX_INFO_BYTES} bytes")
-        elif self.info_kind == _INFO_COMMITMENT:
-            if len(self.info_data) != crypto.KEY_LEN:
-                raise EncodingError("commitment must be 32 bytes")
-        else:
-            raise EncodingError(f"unknown info kind {self.info_kind}")
-
-    @property
-    def info(self) -> UserInfo:
-        if self.info_kind == _INFO_PLAIN:
-            return PlainInfo(self.info_data)
-        return CommittedInfo(self.info_data)
+    info: UserInfo = wire(USER_INFO)
 
 
 def encode_identity_body(user: str, device: str, ivk: bytes, info: UserInfo) -> bytes:
-    if isinstance(info, PlainInfo):
-        kind, data = _INFO_PLAIN, info.data
-    elif isinstance(info, CommittedInfo):
-        kind, data = _INFO_COMMITMENT, info.mac
-    else:
-        raise EncodingError(f"unknown user info {info!r}")
-    return IdentityRecord(user, device, ivk, kind, data).encode()
+    return IdentityRecord(user, device, ivk, info).encode()
 
 
 def parse_identity_body(body: bytes) -> IdentityRecord:
@@ -91,13 +96,8 @@ def register_identity(
     info: Optional[UserInfo] = None,
 ) -> Transaction:
     """Build the signed registration transaction for this device."""
-    body = encode_identity_body(user, device, keypair.ivk, info or PlainInfo(b""))
-    draft = Transaction(tag=TxTag.IDENTITY, body=body, signature=b"\x00" * crypto.SIG_LEN)
-    return Transaction(
-        tag=TxTag.IDENTITY,
-        body=body,
-        signature=crypto.sign(keypair, draft.signing_bytes),
-    )
+    record = IdentityRecord(user, device, keypair.ivk, info or PlainInfo(b""))
+    return signed_tx(record, keypair)
 
 
 def commit_userinfo(plaintext: bytes, blinding: bytes) -> CommittedInfo:
@@ -125,18 +125,16 @@ class IdentityState:
         self.ivks: dict[bytes, tuple[str, str]] = {}
 
     def admit(self, txs: list[Transaction], ledger: Ledger, block_index: int) -> None:
+        before = len(self.records), len(self.ivks)
         for pos, tx in enumerate(txs):
             try:
                 record = validate_identity_tx(tx, ledger)
             except InvalidTransaction as exc:
-                # each earlier transaction added a new binding, and perhaps
-                # the first binding of its ivk; undone last first, so a key
-                # shared by two of them is dropped by the one that added it
-                for earlier in reversed(txs[:pos]):
-                    binding = (earlier.payload.user, earlier.payload.device)
-                    del self.records[binding]
-                    if self.ivks[earlier.payload.ivk] == binding:
-                        del self.ivks[earlier.payload.ivk]
+                # both maps only gain keys, in insertion order, so trimming
+                # them back to their lengths before the block undoes it
+                for mapping, length in zip((self.records, self.ivks), before):
+                    while len(mapping) > length:
+                        mapping.popitem()
                 exc.at = (block_index, pos)
                 raise
             object.__setattr__(tx, "signer", record.ivk)
@@ -147,13 +145,6 @@ class IdentityState:
 
 def find_identity(ledger: Ledger, user: str, device: str) -> Optional[IdentityRecord]:
     return ledger.state.records.get((user, device))
-
-
-def resolve_identity(ledger: Ledger, user: str, device: str) -> bytes:
-    record = find_identity(ledger, user, device)
-    if record is None:
-        raise NotFound(f"no identity for ({user}, {device})")
-    return record.ivk
 
 
 def ivk_registered(ledger: Ledger, ivk: bytes) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Optional, Protocol
+from typing import Any, Iterator, Optional, Protocol, Union
 
 from . import crypto
 from .encoding import LP, U8, U64, Wire, fixed, u8, vector, wire
@@ -75,6 +75,14 @@ class Transaction(Wire):
     @property
     def signing_bytes(self) -> bytes:
         return u8(self.tag) + self.body
+
+
+def signed_tx(payload: Wire, signer: Union[bytes, crypto.IdentityKeyPair]) -> Transaction:
+    """Wrap a payload as a transaction of its class's TAG, signed by
+    `signer`, a key pair or its raw isk; both ledgers sign this way."""
+    body = payload.encode()
+    signature = crypto.sign(signer, u8(payload.TAG) + body)
+    return Transaction(tag=payload.TAG, body=body, signature=signature)
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,9 @@ from .errors import (
     NoMeetingKey,
     NotAMember,
     NotCurrentLeader,
-    NotFound,
     Reason,
 )
-from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger
+from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger, signed_tx
 from .rng import Rng
 
 MEETING_ID_LEN = 16
@@ -196,16 +195,6 @@ def _decode(tx: Transaction) -> MeetingTx:
     return payload.parse(tx.body)
 
 
-def signed_tx(
-    payload: MeetingTx, signer: Union[bytes, crypto.IdentityKeyPair]
-) -> Transaction:
-    """Wrap a meeting payload as a ledger transaction signed by `signer`, a
-    key pair or its raw isk."""
-    body = payload.encode()
-    signature = crypto.sign(signer, u8(payload.TAG) + body)
-    return Transaction(tag=payload.TAG, body=body, signature=signature)
-
-
 # ---------------------------------------------------------------------------
 # derivations
 
@@ -351,18 +340,10 @@ class MeetingView:
         record reachable when a forged request squats on its (user, device)."""
         return self.present.get((user, device, ivk))
 
-    def request_verdict(self, record: RequestRecord) -> Optional[Reason]:
-        return verify_request(record.request, self.identity_ledger)
-
     def members(self) -> list[RequestRecord]:
         """Verified, still-present requesters in arrival order."""
-        return [r for r in self.present.values() if self.request_verdict(r) is None]
-
-    def member_with_ivk(self, ivk: bytes) -> Optional[RequestRecord]:
-        for record in self.members():
-            if record.request.ivk == ivk:
-                return record
-        return None
+        ledger = self.identity_ledger
+        return [r for r in self.present.values() if verify_request(r.request, ledger) is None]
 
     def mark(self) -> tuple:
         """What `undo` needs to put this view back as it stands: `requests`
@@ -449,13 +430,10 @@ class MeetingState:
 
 def verify_request(request: MeetingRequest, identity_ledger: Ledger) -> Optional[Reason]:
     """Leader-side check of one admitted join request; None means accepted."""
-    try:
-        expected_ivk = identity_mod.resolve_identity(
-            identity_ledger, request.user, request.device
-        )
-    except NotFound:
+    record = identity_mod.find_identity(identity_ledger, request.user, request.device)
+    if record is None:
         return Reason.UNKNOWN_IDENTITY
-    if expected_ivk != request.ivk:
+    if record.ivk != request.ivk:
         return Reason.KEY_MISMATCH
     return None
 
@@ -686,7 +664,7 @@ def review_requests(
         request = record.request
         if view.record_for(request.user, request.device, request.ivk) is not record:
             continue  # arrived and already left
-        reason = view.request_verdict(record)
+        reason = verify_request(request, view.identity_ledger)
         if reason is not None:
             outcomes.append(
                 ReviewOutcome(request.user, request.device, reason, granted=False)
@@ -853,7 +831,7 @@ def build_reassign(
     """
     if view.leader_ivk != prev_keypair.ivk:
         raise NotCurrentLeader("handover must name the current leader")
-    if view.member_with_ivk(new_keypair.ivk) is None:
+    if all(r.request.ivk != new_keypair.ivk for r in view.members()):
         raise NewLeaderNotMember("successor must be a verified member")
     ephemeral = crypto.ephemeral_keygen(rng)
     payload = LeaderReassign(

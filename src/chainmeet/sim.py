@@ -687,15 +687,14 @@ class Simulation:
         if self._submit(actor, "request", tx) is None:
             self._join(actor, meeting_id, session)
 
-    def _review(self, actor: Actor, meeting_id: bytes) -> None:
-        session = self._session(actor, meeting_id)
-        meeting_index = self._meeting_index(meeting_id)
+    def _act_verify_all(self, actor: Actor, meeting: int = 0) -> None:
+        session = self._session(actor, self._meeting_at(meeting))
         for outcome in m.review_requests(session, self.meeting_ledger):
             self._emit(
                 ReviewEvent(
                     tick=self.tick,
                     leader=actor.user,
-                    meeting=meeting_index,
+                    meeting=meeting,
                     subject_user=outcome.user,
                     subject_device=outcome.device,
                     verdict=outcome.verdict,
@@ -703,18 +702,15 @@ class Simulation:
                 )
             )
 
-    def _act_verify_all(self, actor: Actor, meeting: int = 0) -> None:
-        self._review(actor, self._meeting_at(meeting))
-
-    def _distribute(self, actor: Actor, meeting_id: bytes) -> None:
-        self._review(actor, meeting_id)
-        session = self._session(actor, meeting_id)
+    def _act_distribute(self, actor: Actor, meeting: int = 0) -> None:
+        self._act_verify_all(actor, meeting)
+        session = self._session(actor, self._meeting_at(meeting))
         tx = m.distribute_key(session, self.rng)
         # the key was just wrapped to each member of the leader's membership view
         self._emit(
             KeyEpochEvent(
                 tick=self.tick,
-                meeting=self._meeting_index(meeting_id),
+                meeting=meeting,
                 epoch=session.known_mk.epoch,
                 leader=actor.user,
                 leader_ivk=actor.keypair.ivk,
@@ -723,9 +719,6 @@ class Simulation:
             )
         )
         self._submit(actor, "distribute", tx)
-
-    def _act_distribute(self, actor: Actor, meeting: int = 0) -> None:
-        self._distribute(actor, self._meeting_at(meeting))
 
     def _act_packet(self, actor: Actor, stream: int, nbytes: int, meeting: int = 0) -> None:
         if nbytes > 65536:
@@ -844,7 +837,7 @@ class Simulation:
                 view, actor.keypair, successor.keypair, self.rng
             )
             if self._submit(actor, "reassign", tx) is None:
-                self._install_leader(successor, meeting_id, ephemeral)
+                self._install_leader(successor, meeting, ephemeral)
         else:
             # a grab: nobody handed leadership over
             ephemeral = crypto.ephemeral_keygen(self.rng)
@@ -861,14 +854,14 @@ class Simulation:
                 actor, "leadership_grab", verdict is not None, f"reason={verdict}"
             )
             if verdict is None:
-                self._install_leader(actor, meeting_id, ephemeral)
+                self._install_leader(actor, meeting, ephemeral)
 
-    def _install_leader(self, successor, meeting_id, ephemeral) -> None:
-        session = self._session(successor, meeting_id)
+    def _install_leader(self, successor: Actor, meeting: int, ephemeral) -> None:
+        session = self._session(successor, self._meeting_at(meeting))
         m.adopt_leadership(session, ephemeral, self.meeting_ledger)
         # the new leader rotates the key right away so the one the old
         # leadership wrapped stops mattering
-        self._distribute(successor, meeting_id)
+        self._act_distribute(successor, meeting)
 
     def _act_dismiss(self, actor: Actor, meeting: int = 0) -> None:
         meeting_id = self._meeting_at(meeting)
@@ -1008,7 +1001,10 @@ class Simulation:
         self._register_actors()
         for event in self.scenario.events:
             self.tick = event.tick
-            ACTIONS[event.action].handler(self, self.actors[event.user], *event.args)
+            try:
+                ACTIONS[event.action].handler(self, self.actors[event.user], *event.args)
+            except MalformedScenario as exc:
+                raise MalformedScenario(f"t={self.tick}: {exc}") from exc
         self.report = check_goals(self.transcript)
         self.transcript.extend(self.report.check_events())
         return self

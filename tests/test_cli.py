@@ -32,6 +32,15 @@ def test_vectors_are_deterministic():
     assert cli.make_vectors() == cli.make_vectors()
 
 
+def test_vectors_command_writes_or_prints_the_vectors(tmp_path, capsys):
+    path = tmp_path / "vectors.txt"
+    assert cli.main(["vectors", "--out", str(path)]) == 0
+    assert path.read_text(encoding="utf-8") == cli.make_vectors()
+    assert capsys.readouterr().out == ""
+    assert cli.main(["vectors"]) == 0
+    assert capsys.readouterr().out == cli.make_vectors()
+
+
 def test_ed25519_vector_matches_reference():
     (rec,) = vectors_by_op()["ed25519_sign"]
     assert oracles.ed25519_public(rec["secret"]) == rec["public"]
@@ -202,6 +211,32 @@ def test_seed_outside_64_bits_is_a_usage_error(seed, capsys):
         assert "64 unsigned bits" in capsys.readouterr().err
 
 
+def test_seed_that_is_not_a_number_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["run", "--scenario", "honest", "--seed", "abc"])
+    assert err.value.code == 2
+    assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        ("alice packet 1 70000", "error: t=4: packet payloads are capped at 64 KiB"),
+        ("bob leave 7", "error: t=4: no meeting with index 7"),
+    ],
+    ids=["packet-cap", "meeting-index"],
+)
+def test_errors_found_while_running_name_their_tick(tmp_path, capsys, action, message):
+    path = tmp_path / "late_error.txt"
+    path.write_text(
+        "actor alice laptop\nactor bob phone\n"
+        "tick 1 alice publish\ntick 2 bob request\ntick 3 alice distribute\n"
+        f"tick 4 {action}\n"
+    )
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert message in capsys.readouterr().err.splitlines()
+
+
 def test_packet_before_holding_a_key_exits_two(tmp_path, capsys):
     path = tmp_path / "early.txt"
     path.write_text(
@@ -310,6 +345,33 @@ def test_inspect_of_a_broken_chain_exits_two(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert cli.main(["inspect", "--persist", str(store)]) == 2
     assert "ledger=meeting block=2 pos=0 reason=bad_signature" in capsys.readouterr().err
+
+
+def test_inspect_skips_blank_lines_between_blocks(tmp_path, capsys):
+    store = tmp_path / "ledgers"
+    assert cli.main(["run", "--scenario", "honest", "--out",
+                     str(tmp_path / "t.txt"), "--persist", str(store)]) == 0
+    path = store / "meeting.ledger"
+    blocks = path.read_text().splitlines()
+    path.write_text("\n\n".join(blocks) + "\n")
+    capsys.readouterr()
+    assert cli.main(["inspect", "--persist", str(store)]) == 0
+    assert f"ledger=meeting blocks={len(blocks)}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("not hex at all\n", "bad hex block line"), ("", "no blocks in ledger file")],
+    ids=["not-hex", "empty"],
+)
+def test_inspect_of_an_unreadable_ledger_file_exits_two(tmp_path, capsys, text, message):
+    store = tmp_path / "ledgers"
+    assert cli.main(["run", "--scenario", "honest", "--out",
+                     str(tmp_path / "t.txt"), "--persist", str(store)]) == 0
+    (store / "identity.ledger").write_text(text)
+    capsys.readouterr()
+    assert cli.main(["inspect", "--persist", str(store)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def flip_last_byte(body):

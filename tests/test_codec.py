@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from chainmeet import crypto, meeting as m
 from chainmeet.encoding import UTF8, Reader, lp
 from chainmeet.errors import EncodingError, Reason
-from chainmeet.identity import IdentityRecord, parse_identity_body
+from chainmeet.identity import CommittedInfo, IdentityRecord, PlainInfo, parse_identity_body
 from chainmeet.ledger import Block, Transaction, TxTag
 
 
@@ -31,9 +31,10 @@ STRUCTS = {
     crypto.AeadBox: BOXES,
     Transaction: TXS,
     Block: st.builds(Block, U64S, exact(32), U64S, tuples(TXS)),
-    IdentityRecord: st.builds(IdentityRecord, NAMES, NAMES, exact(32), st.just(0),
-                              st.binary(max_size=40))
-    | st.builds(IdentityRecord, NAMES, NAMES, exact(32), st.just(1), exact(32)),
+    IdentityRecord: st.builds(
+        IdentityRecord, NAMES, NAMES, exact(32),
+        st.builds(PlainInfo, st.binary(max_size=40)) | st.builds(CommittedInfo, exact(32)),
+    ),
     m.PublishMeeting: st.builds(
         m.PublishMeeting, exact(16), TEXT, st.sampled_from(m.ReassignRule), exact(32),
         exact(32),

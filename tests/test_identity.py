@@ -6,7 +6,8 @@ import hmac as stdlib_hmac
 import pytest
 
 from chainmeet import crypto
-from chainmeet.errors import EncodingError, InvalidTransaction, NotFound, Reason
+from chainmeet.encoding import lp
+from chainmeet.errors import EncodingError, InvalidTransaction, Reason
 from chainmeet.identity import (
     CommittedInfo,
     PlainInfo,
@@ -17,7 +18,6 @@ from chainmeet.identity import (
     new_identity_ledger,
     parse_identity_body,
     register_identity,
-    resolve_identity,
     validate_identity_tx,
     verify_userinfo,
 )
@@ -65,13 +65,11 @@ def test_registration_signature_covers_tag_and_body(rng):
 def test_register_and_resolve(rng):
     ledger = new_identity_ledger()
     pair = registered(rng, ledger, "ada", "laptop")
-    assert resolve_identity(ledger, "ada", "laptop") == pair.ivk
+    assert find_identity(ledger, "ada", "laptop").ivk == pair.ivk
     assert ivk_registered(ledger, pair.ivk)
     assert not ivk_registered(ledger, bytes(32))
-    with pytest.raises(NotFound):
-        resolve_identity(ledger, "ada", "phone")
-    with pytest.raises(NotFound):
-        resolve_identity(ledger, "bob", "laptop")
+    assert find_identity(ledger, "ada", "phone") is None
+    assert find_identity(ledger, "bob", "laptop") is None
 
 
 def test_duplicate_binding_rejected_same_and_different_key(rng):
@@ -84,7 +82,7 @@ def test_duplicate_binding_rejected_same_and_different_key(rng):
             )
         assert err.value.reason == Reason.DUPLICATE_BINDING
     # the original binding is untouched
-    assert resolve_identity(ledger, "ada", "laptop") == pair.ivk
+    assert find_identity(ledger, "ada", "laptop").ivk == pair.ivk
 
 
 def test_one_user_many_devices_and_shared_device_names(rng):
@@ -92,9 +90,9 @@ def test_one_user_many_devices_and_shared_device_names(rng):
     laptop = registered(rng, ledger, "ada", "laptop")
     phone = registered(rng, ledger, "ada", "phone")
     bobs = registered(rng, ledger, "bob", "laptop")
-    assert resolve_identity(ledger, "ada", "laptop") == laptop.ivk
-    assert resolve_identity(ledger, "ada", "phone") == phone.ivk
-    assert resolve_identity(ledger, "bob", "laptop") == bobs.ivk
+    assert find_identity(ledger, "ada", "laptop").ivk == laptop.ivk
+    assert find_identity(ledger, "ada", "phone").ivk == phone.ivk
+    assert find_identity(ledger, "bob", "laptop").ivk == bobs.ivk
 
 
 def test_bad_signature_rejected(rng):
@@ -123,7 +121,13 @@ def test_signature_by_someone_else_rejected(rng):
 
 def test_malformed_body_rejected(rng):
     ledger = new_identity_ledger()
-    for body in (b"", b"\x00\x00\x00\x01a", bytes(100)):
+    names = lp(b"ada") + lp(b"laptop") + bytes(32)
+    info_out_of_its_kind = (
+        names + b"\x02" + lp(b""),  # no such kind
+        names + b"\x01" + lp(bytes(31)),  # a commitment short of 32 bytes
+        names + b"\x00" + lp(bytes(1025)),  # plain info over its cap
+    )
+    for body in (b"", b"\x00\x00\x00\x01a", bytes(100), *info_out_of_its_kind):
         with pytest.raises(InvalidTransaction) as err:
             validate_identity_tx(
                 Transaction(TxTag.IDENTITY, body, bytes(64)), ledger
@@ -149,6 +153,8 @@ def test_userinfo_size_cap(rng):
         encode_identity_body("u", "d", pair.ivk, PlainInfo(b"a" * 1025))
     with pytest.raises(EncodingError):
         commit_userinfo(b"a" * 1025, bytes(32))
+    with pytest.raises(EncodingError):  # only a UserInfo encodes as one
+        encode_identity_body("u", "d", pair.ivk, b"a")
 
 
 def test_commitment_matches_hmac_oracle_and_verifies(rng):
@@ -189,4 +195,4 @@ def test_many_bindings_resolve_independently():
         pairs[(user, device)] = registered(rng, ledger, user, device)
     assert ledger.verify_chain()
     for (user, device), pair in pairs.items():
-        assert resolve_identity(ledger, user, device) == pair.ivk
+        assert find_identity(ledger, user, device).ivk == pair.ivk

@@ -889,6 +889,46 @@ def forged_reassign(world, leader, prev_keypair, new_keypair, cosign=True):
     return m.signed_tx(payload, new_keypair)
 
 
+def request_for_an_unpublished_meeting(world, alice, bob, carol):
+    request = m.MeetingRequest(bytes(16), "bob", "dev", bob.keypair.ivk, bob.ephemeral.epk)
+    return world.verdict(m.signed_tx(request, bob.keypair))
+
+
+def leave_signed_by_another_key(world, alice, bob, carol):
+    leave = m.MeetingLeave(alice.meeting_id, "bob", "dev", bob.keypair.ivk)
+    return world.verdict(m.signed_tx(leave, carol.keypair))
+
+
+def handover_to_an_unregistered_successor(world, alice, bob, carol):
+    stranger = world.actor("zed", register=False)
+    return world.verdict(forged_reassign(world, alice, alice.keypair, stranger.keypair))
+
+
+def handover_with_a_bad_successor_signature(world, alice, bob, carol):
+    tx = forged_reassign(world, alice, alice.keypair, bob.keypair)
+    flipped = bytes([tx.signature[0] ^ 1]) + tx.signature[1:]
+    return world.verdict(Transaction(tx.tag, tx.body, flipped))
+
+
+def request_check_of_a_non_request_body(world, alice, bob, carol):
+    return m.verify_request_tx(m.make_leave(bob), world.identity_ledger)
+
+
+@pytest.mark.parametrize(
+    "refused, reason",
+    [
+        (request_for_an_unpublished_meeting, Reason.MEETING_NOT_FOUND),
+        (leave_signed_by_another_key, Reason.BAD_SIGNATURE),
+        (handover_to_an_unregistered_successor, Reason.UNKNOWN_IDENTITY),
+        (handover_with_a_bad_successor_signature, Reason.BAD_SIGNATURE),
+        (request_check_of_a_non_request_body, Reason.MALFORMED_BODY),
+    ],
+    ids=lambda case: getattr(case, "__name__", None),
+)
+def test_each_refusal_names_its_reason(refused, reason):
+    assert refused(*handover_world(m.ReassignRule.DESIGNATION)) == reason
+
+
 def test_designation_handover_accepted_and_rekeyed():
     world, alice, bob, carol = handover_world(m.ReassignRule.DESIGNATION)
     view = m.build_view(world.meeting_ledger, alice.meeting_id)

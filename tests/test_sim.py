@@ -190,6 +190,23 @@ def test_reassign_rules_converge_on_the_same_leader():
     assert ordered.meeting_ledger.verify_chain()
 
 
+def test_verify_all_reviews_without_distributing_and_distribute_reviews_first():
+    simulation = sim.run_scenario_text(
+        "actor alice laptop\nactor bob phone\nactor carol tablet\n"
+        "tick 1 alice publish\ntick 2 bob request\ntick 3 alice verify_all\n"
+        "tick 4 carol request\ntick 5 alice distribute\n"
+    )
+    lines = sim.render_transcript(simulation).splitlines()
+
+    def words_at(tick):
+        return [line.split()[1] for line in lines if line.startswith(f"[t={tick}] ")]
+
+    assert words_at(3) == ["review"]
+    # distribute reviews what came in since, then wraps the key
+    assert words_at(5)[:2] == ["review", "key-epoch"]
+    assert [line.split()[0] for line in lines if " key-epoch " in line] == ["[t=5]"]
+
+
 def test_violation_rejected_by_every_honest_validator():
     simulation = run_bundled("reassign_violation")
     assert simulation.report.ok

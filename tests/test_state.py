@@ -83,7 +83,7 @@ def test_two_bindings_of_one_device_in_one_block_refused():
     assert ident.find_identity(ledger, "ada", "laptop") is None
     assert not ident.ivk_registered(ledger, first.ivk)
     ledger.append_block(block[:1], timestamp=1)
-    assert ident.resolve_identity(ledger, "ada", "laptop") == first.ivk
+    assert ident.find_identity(ledger, "ada", "laptop").ivk == first.ivk
 
 
 def test_refused_block_keeps_a_key_registered_before_it():
@@ -326,12 +326,12 @@ def test_identity_registered_after_the_request_counts_from_then_on():
         [m.make_request(late, meeting_ledger, alice.meeting_id, rng)], 2
     )
     view = m.build_view(meeting_ledger, alice.meeting_id)
-    assert view.request_verdict(view.requests[0]) == Reason.UNKNOWN_IDENTITY
+    assert m.verify_request(view.requests[0].request, identity_ledger) == Reason.UNKNOWN_IDENTITY
     assert view.members() == []
     identity_ledger.append_block(
         [ident.register_identity("lee", "dev", late.keypair)], 3
     )
-    assert view.request_verdict(view.requests[0]) is None
+    assert m.verify_request(view.requests[0].request, identity_ledger) is None
     assert [r.request.user for r in view.members()] == ["lee"]
 
 
