@@ -233,9 +233,9 @@ def load_hex_lines(
             data = bytes.fromhex(line)
             blocks.append((data, Block.parse(data)))
         except ValueError as exc:
-            raise EncodingError(f"bad hex block line: {exc}") from None
+            raise EncodingError(f"{kind.value} ledger: bad hex block line: {exc}") from None
     if not blocks:
-        raise EncodingError("no blocks in ledger file")
+        raise EncodingError(f"{kind.value} ledger: no blocks in ledger file")
     ledger = new_ledger(kind, state)
     if blocks[0][0] != ledger.head.encode():
         raise EncodingError(f"{kind.value} ledger: the first block is not the genesis block")

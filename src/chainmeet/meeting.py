@@ -267,9 +267,11 @@ class MediaPacket(Wire):
 
 class Delivery:
     """A packet received in one meeting: its header check, AAD and
-    ciphertext || tag are built once, so each reader's `open` is one
-    stream-context lookup and one AES-GCM open. A packet whose nonce is not
-    its header's opens under no key."""
+    ciphertext || tag are built once, so each `open` is one stream-context
+    lookup and one AES-GCM open. An open's answer depends only on the key and
+    the bytes, so readers that hold one key object can share it, as the
+    simulator's do. A packet whose nonce is not its header's opens under no
+    key."""
 
     __slots__ = ("packet", "header_ok", "aad", "sealed")
 
@@ -431,6 +433,13 @@ class MeetingState:
 def verify_request(request: MeetingRequest, identity_ledger: Ledger) -> Optional[Reason]:
     """Leader-side check of one admitted join request; None means accepted."""
     record = identity_mod.find_identity(identity_ledger, request.user, request.device)
+    return _identity_verdict(request, record)
+
+
+def _identity_verdict(
+    request: MeetingRequest, record: Optional[identity_mod.IdentityRecord]
+) -> Optional[Reason]:
+    """The check of `verify_request` against the identity already looked up."""
     if record is None:
         return Reason.UNKNOWN_IDENTITY
     if record.ivk != request.ivk:
@@ -664,15 +673,15 @@ def review_requests(
         request = record.request
         if view.record_for(request.user, request.device, request.ivk) is not record:
             continue  # arrived and already left
-        reason = verify_request(request, view.identity_ledger)
+        found = identity_mod.find_identity(
+            view.identity_ledger, request.user, request.device
+        )
+        reason = _identity_verdict(request, found)
         if reason is not None:
             outcomes.append(
                 ReviewOutcome(request.user, request.device, reason, granted=False)
             )
             continue
-        found = identity_mod.find_identity(
-            view.identity_ledger, request.user, request.device
-        )
         if policy(request.user, request.device, found.info):
             state.membership_view[(request.user, request.device)] = request
             state.rekey_pending = True

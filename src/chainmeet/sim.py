@@ -745,20 +745,30 @@ class Simulation:
         self, sender: Actor, meeting_id: bytes, meeting_index: int, delivery: m.Delivery
     ) -> None:
         """Every reader, every ghost, the tamper probe and each eavesdropper
-        try the packet once, each with one open of the one delivery."""
+        try the packet once, and each gets its own event.
+
+        Readers and ghosts that hold the key object just opened take its
+        answer, as an open of the same key, nonce, bytes and AAD gives the
+        same one; the members of an epoch share one `MeetingKey`, so they
+        share one open. The probe's bytes and the eavesdroppers' keys differ,
+        so each of those is opened."""
         packet = delivery.packet
         tick, stream, epoch, counter = (
             self.tick, packet.stream_id, packet.epoch, packet.counter
         )
         emit = self.transcript.append
         probe_target: Optional[tuple[Actor, m.ParticipantState]] = None
+        opened: Optional[m.MeetingKey] = None  # the key whose answer `readable` is
+        readable = False
         for actor in self.parties[meeting_id]:
             if actor is sender:
                 continue
             session = actor.sessions[meeting_id]
-            if session.known_mk is None:
+            key = session.known_mk
+            if key is None:
                 continue
-            readable = delivery.open(session.known_mk) is not None
+            if key is not opened:
+                opened, readable = key, delivery.open(key) is not None
             emit(
                 DecryptEvent(
                     tick, actor.user, meeting_index, stream, epoch, counter,
@@ -768,7 +778,8 @@ class Simulation:
             if readable and not actor.adversary and probe_target is None:
                 probe_target = (actor, session)
         for ghost in self.ghosts.get(meeting_id, ()):
-            readable = delivery.open(ghost.key) is not None
+            if ghost.key is not opened:
+                opened, readable = ghost.key, delivery.open(ghost.key) is not None
             emit(
                 DecryptEvent(
                     tick, ghost.actor.user, meeting_index, stream, epoch, counter,

@@ -360,18 +360,25 @@ def test_inspect_skips_blank_lines_between_blocks(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, message",
-    [("not hex at all\n", "bad hex block line"), ("", "no blocks in ledger file")],
-    ids=["not-hex", "empty"],
+    "kind, text, message",
+    [
+        ("identity", "not hex at all\n", "bad hex block line"),
+        ("identity", "", "no blocks in ledger file"),
+        ("meeting", "not hex at all\n", "bad hex block line"),
+        ("meeting", "", "no blocks in ledger file"),
+    ],
+    ids=["not-hex", "empty", "meeting-not-hex", "meeting-empty"],
 )
-def test_inspect_of_an_unreadable_ledger_file_exits_two(tmp_path, capsys, text, message):
+def test_inspect_of_an_unreadable_ledger_file_exits_two(
+    tmp_path, capsys, kind, text, message
+):
     store = tmp_path / "ledgers"
     assert cli.main(["run", "--scenario", "honest", "--out",
                      str(tmp_path / "t.txt"), "--persist", str(store)]) == 0
-    (store / "identity.ledger").write_text(text)
+    (store / f"{kind}.ledger").write_text(text)
     capsys.readouterr()
     assert cli.main(["inspect", "--persist", str(store)]) == 2
-    assert message in capsys.readouterr().err
+    assert f"error: {kind} ledger: {message}" in capsys.readouterr().err
 
 
 def flip_last_byte(body):

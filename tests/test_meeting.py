@@ -330,6 +330,50 @@ def test_leader_review_rejects_forged_and_keeps_them_out():
     assert m.review_requests(leader, world.meeting_ledger) == []
 
 
+def test_review_looks_up_each_request_identity_once(monkeypatch):
+    """One identity lookup per reviewed request serves both the key check and
+    the policy's user info, whatever the verdict."""
+    world = World()
+    leader = world.actor("alice")
+    world.commit(m.publish_meeting(leader, "m", world.rng))
+    for name in ("bob", "carol"):
+        member = world.actor(name)
+        world.commit(
+            m.make_request(member, world.meeting_ledger, leader.meeting_id, world.rng)
+        )
+    world.actor("victim")
+    mallory = world.actor("mallory")
+    forged = m.MeetingRequest(
+        leader.meeting_id, "victim", "dev", mallory.keypair.ivk,
+        crypto.ephemeral_keygen(world.rng).epk,
+    )
+    world.commit(m.signed_tx(forged, mallory.keypair.isk))
+    lookups = []
+    real = ident.find_identity
+
+    def counted(ledger, user, device):
+        lookups.append(user)
+        return real(ledger, user, device)
+
+    monkeypatch.setattr(ident, "find_identity", counted)
+    seen = []
+
+    def policy(user, device, info):
+        seen.append((user, info))
+        return user != "carol"
+
+    outcomes = m.review_requests(leader, world.meeting_ledger, policy)
+    assert [(o.user, o.verdict, o.granted) for o in outcomes] == [
+        ("bob", None, True),
+        ("carol", None, False),
+        ("victim", Reason.KEY_MISMATCH, False),
+    ]
+    assert lookups == ["bob", "carol", "victim"]
+    assert seen == [
+        (user, real(world.identity_ledger, user, "dev").info) for user in ("bob", "carol")
+    ]
+
+
 def test_policy_gate_with_committed_userinfo():
     world = World()
     leader = world.actor("alice")

@@ -480,9 +480,11 @@ def test_event_fields_keep_their_order_and_replace(kind):
 
 
 def test_each_packet_costs_one_open_per_attempt(monkeypatch):
-    """Every reader, every ghost, the tamper probe and both guesses of each
-    eavesdropper open a packet exactly once, and its nonce and AAD are laid
-    out twice (seal, delivery) however many read it."""
+    """A packet is opened once for each key object its readers and ghosts
+    hold (here no two holders of one key are apart), once for the tamper
+    probe and twice for each eavesdropper, while every reader and ghost still
+    gets its own event; its nonce and AAD are laid out twice (seal, delivery)
+    however many read it."""
     simulation = sim.Simulation(
         sim.parse_scenario(
             """
@@ -518,21 +520,114 @@ def test_each_packet_costs_one_open_per_attempt(monkeypatch):
     simulation.run()
     assert simulation.report.ok
 
-    def expected(readers, ghosts, eavesdroppers):
-        return readers + ghosts + 1 + 2 * eavesdroppers
+    def expected(keys, eavesdroppers):
+        return keys + 1 + 2 * eavesdroppers
 
-    # tick 6: alice, carol and dave read; tick 11: alice and bob read, dave's
-    # ghost tries, and eve and frank eavesdrop
-    assert opens["aead_open", 6] == expected(readers=3, ghosts=0, eavesdroppers=0)
-    assert opens["aead_open", 11] == expected(readers=2, ghosts=1, eavesdroppers=2)
+    # tick 6: alice, carol and dave read under epoch 0's one key; tick 11:
+    # alice and bob read under epoch 1's, dave's ghost tries epoch 0's, and
+    # eve and frank eavesdrop
+    assert opens["aead_open", 6] == expected(keys=1, eavesdroppers=0)
+    assert opens["aead_open", 11] == expected(keys=2, eavesdroppers=2)
     # two guesses at the one captured packet
     assert opens["aead_open", 7] == opens["aead_open", 10] == 2
-    for tick in (6, 11):
+    for tick, readers, ghosts in ((6, 3, 0), (11, 2, 1)):
         events = [e for e in simulation.transcript if getattr(e, "tick", None) == tick]
-        decrypts = sum(isinstance(e, sim.DecryptEvent) for e in events)
-        guesses = 2 * sum(isinstance(e, sim.AdversaryEvent) for e in events)
-        assert opens["aead_open", tick] == decrypts + guesses
+        decrypts = [e for e in events if isinstance(e, sim.DecryptEvent)]
+        assert sum(e.ghost for e in decrypts) == ghosts
+        assert sum(not e.ghost and not e.tampered for e in decrypts) == readers
+        assert sum(e.tampered for e in decrypts) == 1
         assert opens["media_nonce", tick] == opens["media_aad", tick] == 2
+
+
+class OwnKeyCopies(sim.Simulation):
+    """Every party keeps its own copy of each key it holds, so each reader
+    and ghost of a packet opens it for itself."""
+
+    def _observe(self, block):
+        super()._observe(block)
+        for meeting_id, parties in self.parties.items():
+            for actor in parties:
+                session = actor.sessions[meeting_id]
+                if session.known_mk is not None:
+                    session.known_mk = m.MeetingKey(
+                        session.known_mk.key, session.known_mk.epoch
+                    )
+
+
+# one packet's readers and ghosts hold different key objects: dave leaves
+# before a rekey and erin after it; bob sits in a second meeting whose key
+# distribution mallory splices into the first; alice hands over to bob, whose
+# rekey leaves her, still present, with the old key
+MIXED_KEYS = """
+seed 31
+actor alice laptop
+actor bob phone
+actor carol tablet
+actor dave desk
+actor erin watch
+actor frank den
+actor mallory lair adversary
+tick 1 alice publish first room
+tick 2 frank publish second room
+tick 3 bob request 0
+tick 4 carol request 0
+tick 5 dave request 0
+tick 6 erin request 0
+tick 7 bob request 1
+tick 8 alice distribute 0
+tick 9 frank distribute 1
+tick 10 mallory adversary.eavesdrop
+tick 11 bob packet 1 32 0
+tick 12 dave leave 0
+tick 13 alice distribute 0
+tick 14 erin leave 0
+tick 15 carol packet 2 32 0
+tick 16 mallory adversary.mix_keys bob 0 1
+tick 17 bob packet 1 40 0
+tick 18 bob packet 1 40 1
+tick 19 alice distribute 0
+tick 20 alice packet 3 24 0
+tick 21 alice reassign bob 0
+tick 22 carol packet 2 20 0
+"""
+
+
+@pytest.mark.parametrize("name", sim.bundled_scenario_names() + ["mixed_keys"])
+def test_shared_opens_match_every_reader_opening_for_itself(name, monkeypatch):
+    """Readers and ghosts that share a key object share its open; the
+    transcript and both ledgers are byte for byte those of a run in which
+    every party holds its own copy of each key and opens for itself."""
+    text = MIXED_KEYS if name == "mixed_keys" else sim.load_scenario_text(name)
+    calls = []
+    real = crypto.aead_open
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crypto, "aead_open", counted)
+    shared = sim.Simulation(sim.parse_scenario(text)).run()
+    shared_opens = len(calls)
+    own = OwnKeyCopies(sim.parse_scenario(text)).run()
+    own_opens = len(calls) - shared_opens
+    assert sim.render_transcript(shared) == sim.render_transcript(own)
+    for ledger in ("identity_ledger", "meeting_ledger"):
+        assert dump_hex_lines(getattr(shared, ledger)) == dump_hex_lines(getattr(own, ledger))
+    assert shared.report.ok and own.report.ok
+    assert own_opens >= shared_opens
+    if name == "mixed_keys":
+        # sharing saves 3 opens at t=11, where four readers hold epoch 0's
+        # key, and 1 at each of t=15, 17 and 20, where two readers share a
+        # key and the ghosts hold others
+        assert own_opens - shared_opens == 6
+        decrypts = events_of(shared, sim.DecryptEvent)
+        ghosts = {(e.tick, e.actor): e.ok for e in decrypts if e.ghost}
+        assert ghosts[15, "dave"] is False and ghosts[15, "erin"] is True
+        assert ghosts[20, "erin"] is False
+        readers = {
+            e.actor: e.ok for e in decrypts if e.tick == 22 and not (e.ghost or e.tampered)
+        }
+        assert readers == {"alice": False, "bob": True}
 
 
 @pytest.mark.parametrize("nbytes", [0, 32])
@@ -573,8 +668,9 @@ def test_tamper_probe_flips_one_bit_of_the_delivered_bytes(nbytes, monkeypatch):
         position = packet.counter % nbytes if nbytes else 0
         flipped = bytearray(sealed)
         flipped[position] ^= 0x01
-        # alice and carol read the packet itself, then carol gets the probe
-        assert [s for t, s in opened if t == tick] == [sealed, sealed, bytes(flipped)]
+        # alice and carol share one open of the packet itself, then carol
+        # gets the probe
+        assert [s for t, s in opened if t == tick] == [sealed, bytes(flipped)]
         decrypts = [
             (e.actor, e.tampered, e.ok)
             for e in events_of(simulation, sim.DecryptEvent)
