@@ -333,9 +333,10 @@ class MeetingView:
     request_txs: set[Transaction] = field(default_factory=set)
 
     @property
-    def last_epoch(self) -> Optional[int]:
+    def next_epoch(self) -> int:
+        """The epoch the meeting's next key distribution must carry."""
         dist = self.last_distribution
-        return None if dist is None else dist.epoch
+        return 0 if dist is None else dist.epoch + 1
 
     def record_for(self, user: str, device: str, ivk: bytes) -> Optional[RequestRecord]:
         """The present request of this principal; the ivk keeps an honest
@@ -547,8 +548,7 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
     if isinstance(payload, KeyDistribution):
         if not crypto.verify(view.leader_ivk, tx.signing_bytes, tx.signature):
             return Reason.NOT_CURRENT_LEADER
-        expected = 0 if view.last_epoch is None else view.last_epoch + 1
-        if payload.epoch != expected:
+        if payload.epoch != view.next_epoch:
             return Reason.BAD_EPOCH
         return None
 
@@ -598,7 +598,6 @@ class ParticipantState:
     # leader bookkeeping: the admitted request of each member
     membership_view: dict[tuple[str, str], MeetingRequest] = field(default_factory=dict)
     reviewed: int = 0  # how many of the meeting's requests the leader has seen
-    last_epoch: Optional[int] = None
     rekey_pending: bool = False
     # sender side: next counter per (stream, epoch)
     stream_counters: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -618,7 +617,6 @@ def publish_meeting(
     state.known_mk = None
     state.membership_view = {}
     state.reviewed = 0
-    state.last_epoch = None
     payload = PublishMeeting(
         meeting_id=meeting_id,
         info=info,
@@ -696,15 +694,19 @@ def review_requests(
     return outcomes
 
 
-def distribute_key(state: ParticipantState, rng: Rng) -> Transaction:
-    """Mint the next epoch's meeting key and wrap it to every member.
+def distribute_key(
+    state: ParticipantState, meeting_ledger: Ledger, rng: Rng
+) -> tuple[Transaction, MeetingKey]:
+    """Mint the key of the epoch the chain expects next, wrapped to every
+    member; the session is untouched until `install_key`.
 
     Epoch 0 rides on the ephemeral announced at publish (or handover); every
     later epoch requires a membership change and gets a fresh ephemeral.
     """
     if state.role is not Role.LEADER:
         raise NotCurrentLeader(f"{state.user} is not leading")
-    epoch = 0 if state.last_epoch is None else state.last_epoch + 1
+    epoch = build_view(meeting_ledger, state.meeting_id).next_epoch
+    ephemeral = state.ephemeral
     if epoch > 0:
         if not state.rekey_pending:
             raise InvalidTransaction(
@@ -712,14 +714,13 @@ def distribute_key(state: ParticipantState, rng: Rng) -> Transaction:
             )
         if epoch > MAX_EPOCH:
             raise InvalidTransaction(Reason.BAD_EPOCH, "epoch space exhausted")
-        state.ephemeral = crypto.ephemeral_keygen(rng)
+        ephemeral = crypto.ephemeral_keygen(rng)
     meeting_key = rng.take(crypto.KEY_LEN)
     entries = []
     for member in state.membership_view.values():
-        shared = crypto.dh(state.ephemeral, member.epk)
+        shared = crypto.dh(ephemeral, member.epk)
         enc_key = crypto.derive_enc_key(
-            shared,
-            kdf_context(state.meeting_id, epoch, state.ephemeral.epk, member.epk),
+            shared, kdf_context(state.meeting_id, epoch, ephemeral.epk, member.epk)
         )
         box = crypto.aead_encrypt(
             enc_key,
@@ -728,16 +729,19 @@ def distribute_key(state: ParticipantState, rng: Rng) -> Transaction:
             wrap_aad(state.meeting_id, epoch, member.ivk),
         )
         entries.append(KeyEntry(member.ivk, box))
-    state.known_mk = MeetingKey(meeting_key, epoch)
-    state.last_epoch = epoch
-    state.rekey_pending = False
     payload = KeyDistribution(
         meeting_id=state.meeting_id,
         epoch=epoch,
-        leader_epk=state.ephemeral.epk,
+        leader_epk=ephemeral.epk,
         entries=tuple(entries),
     )
-    return signed_tx(payload, state.keypair)
+    return signed_tx(payload, state.keypair), MeetingKey(meeting_key, epoch)
+
+
+def install_key(state: ParticipantState, key: MeetingKey) -> None:
+    """The leader takes up the key of its distribution once the chain admits it."""
+    state.known_mk = key
+    state.rekey_pending = False
 
 
 def accept_key(state: ParticipantState, dist: KeyDistribution) -> MeetingKey:
@@ -819,7 +823,6 @@ def purge_keys(state: ParticipantState) -> None:
     state.stream_counters = {}
     state.membership_view = {}
     state.reviewed = 0
-    state.last_epoch = None
     state.rekey_pending = False
     state.role = Role.OUTSIDER
 
@@ -865,7 +868,6 @@ def adopt_leadership(
     view = build_view(meeting_ledger, state.meeting_id)
     state.role = Role.LEADER
     state.ephemeral = ephemeral
-    state.last_epoch = view.last_epoch
     state.membership_view = {
         (r.request.user, r.request.device): r.request
         for r in view.members()

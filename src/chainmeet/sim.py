@@ -521,10 +521,6 @@ def _bit_flipped(delivery: m.Delivery) -> bytes:
     return sealed[:position] + bytes([sealed[position] ^ 0x01]) + sealed[position + 1 :]
 
 
-def _holds_epoch(session: m.ParticipantState, epoch: int) -> bool:
-    return session.known_mk is not None and session.known_mk.epoch == epoch
-
-
 @dataclass(frozen=True)
 class Ghost:
     """A departed member, holding the key they walked away with."""
@@ -591,8 +587,9 @@ class Simulation:
         del parties[bisect.bisect_left(parties, actor.rank, key=_rank)]
         del actor.sessions[meeting_id]
 
-    def _submit(self, actor: Actor, action: str, tx) -> Optional[Reason]:
-        """Admit a transaction through the ledger, then fan out observation.
+    def _submit(self, actor: Actor, action: str, tx, key=None) -> Optional[Reason]:
+        """Admit a transaction through the ledger, then fan out observation; a
+        leader takes up its distribution's `key` only once the chain admits it.
 
         Every honest actor validates an adversary's transaction against the
         same pre-append chain state, modelling independent full nodes that
@@ -622,29 +619,26 @@ class Simulation:
                 if not other.adversary:
                     self._emit(ValidateEvent(self.tick, other.user, tag, verdict))
         if block is not None:
-            self._observe(block)
+            if key is not None:
+                m.install_key(actor.sessions[tx.payload.meeting_id], key)
+            self._observe(block, key)
         return verdict
 
-    def _observe(self, block) -> None:
-        """What everyone else does upon seeing a freshly appended block."""
+    def _observe(self, block, key: Optional[m.MeetingKey]) -> None:
+        """What everyone else does upon seeing a freshly appended block; `key`
+        is the one its leader's distribution carries."""
         for tx in block.txs:
             payload = m.parse_meeting_tx(tx)  # as admission decoded it
             if isinstance(payload, m.KeyDistribution):
                 meeting_index = self._meeting_index(payload.meeting_id)
-                parties = self.parties.get(payload.meeting_id, ())
-                sessions = [actor.sessions[payload.meeting_id] for actor in parties]
-                held = next(
-                    (s.known_mk for s in sessions if _holds_epoch(s, payload.epoch)), None
-                )
-                for actor, session in zip(parties, sessions):
-                    if _holds_epoch(session, payload.epoch):
-                        continue  # the distributing leader already holds it
+                for actor in self.parties.get(payload.meeting_id, ()):
                     if payload.entry_for(actor.keypair.ivk) is None:
-                        continue
+                        continue  # the leader, or a member it did not key
+                    session = actor.sessions[payload.meeting_id]
                     try:
                         # one MeetingKey, so one set of stream contexts, per epoch key
-                        if m.accept_key(session, payload) == held:
-                            session.known_mk = held
+                        if m.accept_key(session, payload) == key:
+                            session.known_mk = key
                         accepted = True
                     except (AuthenticationFailure, NoEntryForMe):
                         accepted = False
@@ -705,20 +699,20 @@ class Simulation:
     def _act_distribute(self, actor: Actor, meeting: int = 0) -> None:
         self._act_verify_all(actor, meeting)
         session = self._session(actor, self._meeting_at(meeting))
-        tx = m.distribute_key(session, self.rng)
+        tx, key = m.distribute_key(session, self.meeting_ledger, self.rng)
         # the key was just wrapped to each member of the leader's membership view
         self._emit(
             KeyEpochEvent(
                 tick=self.tick,
                 meeting=meeting,
-                epoch=session.known_mk.epoch,
+                epoch=key.epoch,
                 leader=actor.user,
                 leader_ivk=actor.keypair.ivk,
                 recipients=tuple(r.ivk for r in session.membership_view.values()),
-                key_digest=hashlib.sha256(session.known_mk.key).digest(),
+                key_digest=hashlib.sha256(key.key).digest(),
             )
         )
-        self._submit(actor, "distribute", tx)
+        self._submit(actor, "distribute", tx, key)
 
     def _act_packet(self, actor: Actor, stream: int, nbytes: int, meeting: int = 0) -> None:
         if nbytes > 65536:

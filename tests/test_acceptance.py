@@ -210,7 +210,7 @@ def _twenty_block_ledger():
 
     def rekey():
         m.review_requests(leader, ledger)
-        commit(m.distribute_key(leader, rng))
+        commit(m.distribute_key(leader, ledger, rng)[0])
 
     def leave(user):
         commit(m.make_leave(actors[user]))
@@ -300,7 +300,7 @@ def test_criterion_06_spliced_key_entries_always_fail_closed():
             )
             sessions[(member, label)] = state
         m.review_requests(leader, ledger)
-        dist_tx = m.distribute_key(leader, rng)
+        dist_tx, _ = m.distribute_key(leader, ledger, rng)
         commit(dist_tx)
         dists[label] = m.KeyDistribution.parse(dist_tx.body)
         leaders[label] = leader

@@ -52,6 +52,13 @@ class World:
     def verdict(self, tx):
         return m.meeting_tx_verdict(tx, self.meeting_ledger)
 
+    def distribute(self, leader):
+        """The leader's next key distribution, committed, with its key installed."""
+        tx, key = m.distribute_key(leader, self.meeting_ledger, self.rng)
+        self.commit(tx)
+        m.install_key(leader, key)
+        return tx
+
 
 def standard_meeting(world, member_names=("bob", "carol"), rule=m.ReassignRule.DESIGNATION):
     leader = world.actor("alice")
@@ -69,9 +76,7 @@ def standard_meeting(world, member_names=("bob", "carol"), rule=m.ReassignRule.D
         )
         members.append(member)
     m.review_requests(leader, world.meeting_ledger)
-    dist_tx = m.distribute_key(leader, world.rng)
-    world.commit(dist_tx)
-    dist = m.KeyDistribution.parse(dist_tx.body)
+    dist = m.KeyDistribution.parse(world.distribute(leader).body)
     for member in members:
         m.accept_key(member, dist)
     return leader, members, dist
@@ -462,10 +467,8 @@ def two_meetings(seed=555):
     )
     m.review_requests(alice, world.meeting_ledger)
     m.review_requests(dave, world.meeting_ledger)
-    dist_a_tx = m.distribute_key(alice, world.rng)
-    dist_b_tx = m.distribute_key(dave, world.rng)
-    world.commit(dist_a_tx)
-    world.commit(dist_b_tx)
+    dist_a_tx = world.distribute(alice)
+    dist_b_tx = world.distribute(dave)
     dist_a = m.KeyDistribution.parse(dist_a_tx.body)
     dist_b = m.KeyDistribution.parse(dist_b_tx.body)
     return world, alice, dave, bob_a, bob_b, dist_a, dist_b
@@ -771,7 +774,7 @@ def test_forged_request_cannot_squat_the_victims_binding():
         ("victim", False), ("victim", True)
     ]
     assert ("victim", "dev") in leader.membership_view
-    dist = m.KeyDistribution.parse(m.distribute_key(leader, world.rng).body)
+    dist = m.KeyDistribution.parse(world.distribute(leader).body)
     assert dist.entry_for(victim.keypair.ivk) is not None
     assert dist.entry_for(mallory.keypair.ivk) is None
     # the real member can still leave while the forged record lingers
@@ -829,7 +832,7 @@ def test_rekey_requires_membership_change():
     world = World()
     leader, _, _ = standard_meeting(world)
     with pytest.raises(InvalidTransaction) as err:
-        m.distribute_key(leader, world.rng)
+        m.distribute_key(leader, world.meeting_ledger, world.rng)
     assert err.value.reason == Reason.RULE_VIOLATION
 
 
@@ -838,17 +841,72 @@ def test_epoch_sequence_gap_free():
     leader, (bob, carol), _ = standard_meeting(world)
     world.commit(m.make_leave(bob))
     m.review_requests(leader, world.meeting_ledger)
-    world.commit(m.distribute_key(leader, world.rng))
+    world.distribute(leader)
     world.commit(m.make_leave(carol))
     m.review_requests(leader, world.meeting_ledger)
-    world.commit(m.distribute_key(leader, world.rng))
+    world.distribute(leader)
     epochs = [
         m.parse_meeting_tx(tx).epoch
         for _, _, tx in world.meeting_ledger.iter_txs()
         if tx.tag == m.KeyDistribution.TAG
     ]
     assert epochs == [0, 1, 2]
-    assert m.build_view(world.meeting_ledger, leader.meeting_id).last_epoch == 2
+    assert m.build_view(world.meeting_ledger, leader.meeting_id).next_epoch == 3
+
+
+def test_lost_epoch_zero_distribution_does_not_wedge_its_leader():
+    world = World()
+    leader = world.actor("alice")
+    world.commit(m.publish_meeting(leader, "sync", world.rng))
+    bob, carol = world.actor("bob"), world.actor("carol")
+    world.commit(m.make_request(bob, world.meeting_ledger, leader.meeting_id, world.rng))
+    m.review_requests(leader, world.meeting_ledger)
+    lost, _ = m.distribute_key(leader, world.meeting_ledger, world.rng)
+    assert m.KeyDistribution.parse(lost.body).epoch == 0
+    # never appended: the leader holds no key, and the chain still expects epoch 0
+    assert leader.known_mk is None
+    world.commit(m.make_request(carol, world.meeting_ledger, leader.meeting_id, world.rng))
+    m.review_requests(leader, world.meeting_ledger)
+    dist = m.KeyDistribution.parse(world.distribute(leader).body)
+    assert dist.epoch == 0 and len(dist.entries) == 2
+    for member in (bob, carol):
+        assert m.accept_key(member, dist) == leader.known_mk
+    packet = m.encrypt_media(leader, 1, b"after the loss")
+    assert m.decrypt_media(carol, packet) == b"after the loss"
+
+
+def test_lost_later_distribution_does_not_wedge_its_leader():
+    world = World()
+    leader, (bob, carol), _ = standard_meeting(world)
+    held = leader.known_mk
+    world.commit(m.make_leave(bob))
+    m.review_requests(leader, world.meeting_ledger)
+    lost, _ = m.distribute_key(leader, world.meeting_ledger, world.rng)
+    assert m.KeyDistribution.parse(lost.body).epoch == 1
+    # never appended: the leader keeps the key its members share, and still owes a rekey
+    assert leader.known_mk is held and leader.rekey_pending
+    dist = m.KeyDistribution.parse(world.distribute(leader).body)
+    assert dist.epoch == 1
+    assert m.build_view(world.meeting_ledger, leader.meeting_id).next_epoch == 2
+    assert m.accept_key(carol, dist) == leader.known_mk != held
+    packet = m.encrypt_media(leader, 1, b"after the loss")
+    assert m.decrypt_media(carol, packet) == b"after the loss"
+
+
+def test_lost_publish_or_request_does_not_wedge_its_session():
+    world = World()
+    leader, bob = world.actor("alice"), world.actor("bob")
+    m.publish_meeting(leader, "lost", world.rng)  # never appended
+    publish = m.publish_meeting(leader, "sync", world.rng)
+    assert world.verdict(publish) is None
+    world.commit(publish)
+    m.make_request(bob, world.meeting_ledger, leader.meeting_id, world.rng)  # never appended
+    request = m.make_request(bob, world.meeting_ledger, leader.meeting_id, world.rng)
+    assert world.verdict(request) is None
+    world.commit(request)
+    m.review_requests(leader, world.meeting_ledger)
+    dist = m.KeyDistribution.parse(world.distribute(leader).body)
+    assert m.accept_key(bob, dist) == leader.known_mk
 
 
 def records_read_per_step(monkeypatch, cycles):
@@ -873,7 +931,7 @@ def records_read_per_step(monkeypatch, cycles):
 
     def review_and_rekey():
         step("review", lambda: m.review_requests(leader, world.meeting_ledger))
-        world.commit(m.distribute_key(leader, world.rng))
+        world.distribute(leader)
 
     for cycle in range(cycles):
         member = members[cycle % len(members)]
@@ -896,13 +954,18 @@ def test_records_read_per_step_do_not_grow_with_history(monkeypatch):
     assert short == {"admit": {0}, "review": {0, 1}}
 
 
-def test_epoch_space_cap():
+def test_epoch_space_cap(monkeypatch):
+    monkeypatch.setattr(m, "MAX_EPOCH", 1)
     world = World()
-    leader, _, _ = standard_meeting(world)
-    leader.last_epoch = 2**32 - 1
-    leader.rekey_pending = True
+    leader, (bob, carol), _ = standard_meeting(world)
+    world.commit(m.make_leave(bob))
+    m.review_requests(leader, world.meeting_ledger)
+    world.distribute(leader)  # epoch 1, the last there is
+    world.commit(m.make_leave(carol))
+    m.review_requests(leader, world.meeting_ledger)
+    assert m.build_view(world.meeting_ledger, leader.meeting_id).next_epoch == 2
     with pytest.raises(InvalidTransaction) as err:
-        m.distribute_key(leader, world.rng)
+        m.distribute_key(leader, world.meeting_ledger, world.rng)
     assert err.value.reason == Reason.BAD_EPOCH
 
 
@@ -985,9 +1048,7 @@ def test_designation_handover_accepted_and_rekeyed():
         bob, ephemeral,
         world.meeting_ledger,
     )
-    dist_tx = m.distribute_key(bob, world.rng)
-    world.commit(dist_tx)
-    dist = m.KeyDistribution.parse(dist_tx.body)
+    dist = m.KeyDistribution.parse(world.distribute(bob).body)
     assert dist.epoch == 1
     # the rekey mints its own ephemeral; the handover one is superseded
     assert dist.leader_epk != ephemeral.epk
@@ -1182,8 +1243,7 @@ def test_stream_contexts_are_derived_once_per_held_key(monkeypatch):
     world.commit(m.make_leave(carol))
     m.purge_keys(carol)
     m.review_requests(leader, world.meeting_ledger)
-    dist_tx = m.distribute_key(leader, world.rng)
-    world.commit(dist_tx)
+    dist_tx = world.distribute(leader)
     m.accept_key(bob, m.KeyDistribution.parse(dist_tx.body))
     del derived[:]
     later = m.encrypt_media(bob, 7, b"after the rekey")
@@ -1255,8 +1315,7 @@ def test_private_keys_are_built_once_per_keygen(monkeypatch):
     leader, members, _ = standard_meeting(world, ("bob", "carol", "dave"))
     world.commit(m.make_leave(members[-1]))
     m.review_requests(leader, world.meeting_ledger)
-    dist_tx = m.distribute_key(leader, world.rng)
-    world.commit(dist_tx)
+    dist_tx = world.distribute(leader)
     for member in members[:-1]:
         m.accept_key(member, m.KeyDistribution.parse(dist_tx.body))
 

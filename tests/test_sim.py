@@ -543,8 +543,8 @@ class OwnKeyCopies(sim.Simulation):
     """Every party keeps its own copy of each key it holds, so each reader
     and ghost of a packet opens it for itself."""
 
-    def _observe(self, block):
-        super()._observe(block)
+    def _observe(self, block, key):
+        super()._observe(block, key)
         for meeting_id, parties in self.parties.items():
             for actor in parties:
                 session = actor.sessions[meeting_id]

@@ -137,18 +137,17 @@ def test_two_identical_publishes_in_one_block_refused():
 
 def test_two_epoch_zero_distributions_in_one_block_refused():
     rng, identity_ledger, meeting_ledger, alice, _ = reviewed_meeting()
-    first = m.distribute_key(alice, rng)
-    alice.last_epoch = None  # mint a second, competing epoch 0
-    second = m.distribute_key(alice, rng)
+    first, _ = m.distribute_key(alice, meeting_ledger, rng)
+    second, _ = m.distribute_key(alice, meeting_ledger, rng)  # a competing epoch 0
     assert m.KeyDistribution.parse(second.body).epoch == 0
     with pytest.raises(InvalidTransaction) as err:
         meeting_ledger.append_block([first, second], timestamp=3)
     assert err.value.reason == Reason.BAD_EPOCH
     view = m.build_view(meeting_ledger, alice.meeting_id)
-    assert view.last_epoch is None and view.last_distribution is None
+    assert view.next_epoch == 0 and view.last_distribution is None
     meeting_ledger.append_block([second], timestamp=3)
     view = m.build_view(meeting_ledger, alice.meeting_id)
-    assert view.last_epoch == 0
+    assert view.next_epoch == 1
 
 
 def test_block_of_consistent_transactions_lands_whole():
