@@ -46,13 +46,6 @@ MEETING_ID_LEN = 16
 MAX_EPOCH = 2**32 - 1
 
 
-class Role(enum.Enum):
-    OUTSIDER = "outsider"
-    REQUESTER = "requester"
-    MEMBER = "member"
-    LEADER = "leader"
-
-
 class ReassignRule(enum.IntEnum):
     """How leadership passes on; each meeting's publish signs in its own."""
 
@@ -323,6 +316,8 @@ class MeetingView:
     exists: bool = False
     rule: ReassignRule = ReassignRule.DESIGNATION
     leader_ivk: bytes = b""
+    # the epk announced with the current leader, at publish or handover
+    leader_epk: bytes = b""
     dismissed: bool = False
     last_distribution: Optional[KeyDistribution] = None
     requests: list[RequestRecord] = field(default_factory=list)
@@ -352,14 +347,14 @@ class MeetingView:
         """What `undo` needs to put this view back as it stands: `requests`
         only grows, so its length stands for it and for `request_txs`."""
         return (
-            self.exists, self.rule, self.leader_ivk, self.dismissed,
+            self.exists, self.rule, self.leader_ivk, self.leader_epk, self.dismissed,
             self.last_distribution, len(self.requests), dict(self.present),
             set(self.present_leader_ivks),
         )
 
     def undo(self, mark: tuple) -> None:
         (
-            self.exists, self.rule, self.leader_ivk, self.dismissed,
+            self.exists, self.rule, self.leader_ivk, self.leader_epk, self.dismissed,
             self.last_distribution, kept, self.present, self.present_leader_ivks,
         ) = mark
         self.request_txs.difference_update([r.tx for r in self.requests[kept:]])
@@ -372,6 +367,7 @@ class MeetingView:
             self.exists = True
             self.rule = payload.rule
             self.leader_ivk = payload.leader_ivk
+            self.leader_epk = payload.leader_epk
             self.present_leader_ivks.add(payload.leader_ivk)
         elif isinstance(payload, MeetingRequest):
             record = RequestRecord(payload, tx)
@@ -385,6 +381,7 @@ class MeetingView:
             self.present_leader_ivks.discard(payload.ivk)
         elif isinstance(payload, LeaderReassign):
             self.leader_ivk = payload.new_leader_ivk
+            self.leader_epk = payload.new_leader_epk
             self.present_leader_ivks.add(payload.new_leader_ivk)
         elif isinstance(payload, MeetingDismiss):
             self.dismissed = True
@@ -586,13 +583,13 @@ def allow_all(user: str, device: str, info: Optional[identity_mod.UserInfo]) -> 
 
 @dataclass
 class ParticipantState:
-    """One actor's view of one meeting."""
+    """One actor's session in one meeting: its secrets and, while it leads,
+    the grants it has made. Whether it leads is the chain's to say."""
 
     user: str
     device: str
     keypair: crypto.IdentityKeyPair
     meeting_id: Optional[bytes] = None
-    role: Role = Role.OUTSIDER
     ephemeral: Optional[crypto.EphemeralKeyPair] = None
     known_mk: Optional[MeetingKey] = None
     # leader bookkeeping: the admitted request of each member
@@ -608,11 +605,10 @@ def publish_meeting(
     rule: ReassignRule = ReassignRule.DESIGNATION,
 ) -> Transaction:
     """Create a meeting whose leadership passes on under `rule`; the caller
-    becomes its leader."""
+    leads it once the chain admits the publish."""
     meeting_id = rng.take(MEETING_ID_LEN)
     ephemeral = crypto.ephemeral_keygen(rng)
     state.meeting_id = meeting_id
-    state.role = Role.LEADER
     state.ephemeral = ephemeral
     state.known_mk = None
     state.membership_view = {}
@@ -637,7 +633,6 @@ def make_request(
         raise MeetingDismissed(meeting_id.hex())
     ephemeral = crypto.ephemeral_keygen(rng)
     state.meeting_id = meeting_id
-    state.role = Role.REQUESTER
     state.ephemeral = ephemeral
     payload = MeetingRequest(
         meeting_id=meeting_id,
@@ -647,6 +642,18 @@ def make_request(
         epk=ephemeral.epk,
     )
     return signed_tx(payload, state.keypair)
+
+
+def _led_view(state: ParticipantState, meeting_ledger: Ledger) -> MeetingView:
+    """The meeting's view, if the chain names this session its leader: its
+    ivk, and the ephemeral it announced at publish or adopted at handover."""
+    view = build_view(meeting_ledger, state.meeting_id)
+    ephemeral = state.ephemeral
+    if ephemeral is None or (view.leader_ivk, view.leader_epk) != (
+        state.keypair.ivk, ephemeral.epk
+    ):
+        raise NotCurrentLeader(f"{state.user} is not leading")
+    return view
 
 
 @dataclass(frozen=True)
@@ -662,9 +669,7 @@ def review_requests(
 ) -> list[ReviewOutcome]:
     """Leader pass over the chain: verify new requests, apply policy, track
     departures. Returns one outcome per newly reviewed request."""
-    if state.role is not Role.LEADER:
-        raise NotCurrentLeader(f"{state.user} is not leading")
-    view = build_view(meeting_ledger, state.meeting_id)
+    view = _led_view(state, meeting_ledger)
     outcomes = []
     for record in view.requests[state.reviewed:]:
         state.reviewed += 1
@@ -703,9 +708,7 @@ def distribute_key(
     Epoch 0 rides on the ephemeral announced at publish (or handover); every
     later epoch requires a membership change and gets a fresh ephemeral.
     """
-    if state.role is not Role.LEADER:
-        raise NotCurrentLeader(f"{state.user} is not leading")
-    epoch = build_view(meeting_ledger, state.meeting_id).next_epoch
+    epoch = _led_view(state, meeting_ledger).next_epoch
     ephemeral = state.ephemeral
     if epoch > 0:
         if not state.rekey_pending:
@@ -770,7 +773,6 @@ def accept_key(state: ParticipantState, dist: KeyDistribution) -> MeetingKey:
     if len(meeting_key) != crypto.KEY_LEN:
         raise AuthenticationFailure("meeting key has the wrong size")
     state.known_mk = MeetingKey(meeting_key, dist.epoch)
-    state.role = Role.MEMBER
     return state.known_mk
 
 
@@ -805,7 +807,7 @@ def decrypt_media(state: ParticipantState, packet: MediaPacket) -> bytes:
 
 
 def make_leave(state: ParticipantState) -> Transaction:
-    if state.role not in (Role.REQUESTER, Role.MEMBER, Role.LEADER):
+    if state.ephemeral is None:
         raise NotAMember(f"{state.user} is not in a meeting")
     payload = MeetingLeave(
         meeting_id=state.meeting_id,
@@ -824,7 +826,6 @@ def purge_keys(state: ParticipantState) -> None:
     state.membership_view = {}
     state.reviewed = 0
     state.rekey_pending = False
-    state.role = Role.OUTSIDER
 
 
 def build_reassign(
@@ -864,9 +865,9 @@ def build_reassign(
 def adopt_leadership(
     state: ParticipantState, ephemeral: crypto.EphemeralKeyPair, meeting_ledger: Ledger
 ) -> None:
-    """Switch a member's state to leading, seeded from the chain's view."""
+    """Seed a member's session to lead, from the chain's view, with the
+    ephemeral its admitted handover announced."""
     view = build_view(meeting_ledger, state.meeting_id)
-    state.role = Role.LEADER
     state.ephemeral = ephemeral
     state.membership_view = {
         (r.request.user, r.request.device): r.request
@@ -877,8 +878,7 @@ def adopt_leadership(
     state.rekey_pending = True
 
 
-def dismiss_meeting(state: ParticipantState) -> Transaction:
-    if state.role is not Role.LEADER:
-        raise NotCurrentLeader(f"{state.user} is not leading")
+def dismiss_meeting(state: ParticipantState, meeting_ledger: Ledger) -> Transaction:
+    _led_view(state, meeting_ledger)
     payload = MeetingDismiss(meeting_id=state.meeting_id)
     return signed_tx(payload, state.keypair)

@@ -48,6 +48,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from . import crypto, identity as identity_mod, meeting as m
 from .errors import (
     AuthenticationFailure,
+    ChainmeetError,
     EncodingError,
     InvalidTransaction,
     MalformedScenario,
@@ -647,14 +648,6 @@ class Simulation:
                             self.tick, actor.user, meeting_index, payload.epoch, accepted
                         )
                     )
-            elif isinstance(payload, m.LeaderReassign):
-                for actor in self.parties.get(payload.meeting_id, ()):
-                    session = actor.sessions[payload.meeting_id]
-                    if (
-                        actor.keypair.ivk == payload.prev_leader_ivk
-                        and session.role is m.Role.LEADER
-                    ):
-                        session.role = m.Role.MEMBER  # demoted on the record
             elif isinstance(payload, m.MeetingDismiss):
                 self.ghosts.pop(payload.meeting_id, None)
                 for actor in self.parties.pop(payload.meeting_id, ()):
@@ -871,7 +864,7 @@ class Simulation:
     def _act_dismiss(self, actor: Actor, meeting: int = 0) -> None:
         meeting_id = self._meeting_at(meeting)
         session = self._session(actor, meeting_id)
-        self._submit(actor, "dismiss", m.dismiss_meeting(session))
+        self._submit(actor, "dismiss", m.dismiss_meeting(session, self.meeting_ledger))
 
     # -- adversary actions
 
@@ -1008,8 +1001,10 @@ class Simulation:
             self.tick = event.tick
             try:
                 ACTIONS[event.action].handler(self, self.actors[event.user], *event.args)
-            except MalformedScenario as exc:
-                raise MalformedScenario(f"t={self.tick}: {exc}") from exc
+            except ChainmeetError as exc:
+                # the error keeps its class and fields; its message names the tick
+                exc.args = (f"t={self.tick}: {exc}",)
+                raise
         self.report = check_goals(self.transcript)
         self.transcript.extend(self.report.check_events())
         return self

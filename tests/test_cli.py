@@ -223,8 +223,13 @@ def test_seed_that_is_not_a_number_is_a_usage_error(capsys):
     [
         ("alice packet 1 70000", "error: t=4: packet payloads are capped at 64 KiB"),
         ("bob leave 7", "error: t=4: no meeting with index 7"),
+        (
+            "alice reassign bob\ntick 5 alice distribute",
+            "error: t=5: alice is not leading",
+        ),
+        ("bob dismiss", "error: t=4: bob is not leading"),
     ],
-    ids=["packet-cap", "meeting-index"],
+    ids=["packet-cap", "meeting-index", "demoted-leader-distributes", "member-dismisses"],
 )
 def test_errors_found_while_running_name_their_tick(tmp_path, capsys, action, message):
     path = tmp_path / "late_error.txt"
@@ -244,7 +249,7 @@ def test_packet_before_holding_a_key_exits_two(tmp_path, capsys):
         "tick 1 alice publish\ntick 2 bob request\ntick 3 bob packet 1 8\n"
     )
     assert cli.main(["run", "--scenario", str(path)]) == 2
-    assert "error: bob holds no meeting key" in capsys.readouterr().err
+    assert "error: t=3: bob holds no meeting key" in capsys.readouterr().err
 
 
 def test_rekey_without_membership_change_exits_two(tmp_path, capsys):
@@ -255,7 +260,7 @@ def test_rekey_without_membership_change_exits_two(tmp_path, capsys):
         "tick 3 alice distribute\ntick 4 alice distribute\n"
     )
     assert cli.main(["goals", "--scenario", str(path)]) == 2
-    assert "error: rule_violation: rekey without a membership change" in (
+    assert "error: t=4: rule_violation: rekey without a membership change" in (
         capsys.readouterr().err
     )
 

@@ -218,7 +218,8 @@ def test_honest_flow_distributes_one_key_to_all():
     leader, (bob, carol), dist = standard_meeting(world)
     assert dist.epoch == 0 and len(dist.entries) == 2
     assert bob.known_mk == carol.known_mk == leader.known_mk
-    assert bob.role is m.Role.MEMBER
+    members = m.build_view(world.meeting_ledger, leader.meeting_id).members()
+    assert bob.keypair.ivk in [record.request.ivk for record in members]
     packet = m.encrypt_media(carol, 4, b"media payload")
     assert m.decrypt_media(bob, packet) == b"media payload"
     assert m.decrypt_media(leader, packet) == b"media payload"
@@ -694,7 +695,7 @@ def test_request_for_missing_or_dismissed_meeting():
         )
     leader = world.actor("alice")
     world.commit(m.publish_meeting(leader, "m", world.rng))
-    world.commit(m.dismiss_meeting(leader))
+    world.commit(m.dismiss_meeting(leader, world.meeting_ledger))
     with pytest.raises(MeetingDismissed):
         m.make_request(
             bob, world.meeting_ledger,
@@ -1058,6 +1059,49 @@ def test_designation_handover_accepted_and_rekeyed():
     assert m.decrypt_media(carol, packet) == b"new regime"
 
 
+def assert_not_leading(world, session):
+    """Each step only the meeting's leader may take is refused."""
+    for operation in (
+        lambda: m.review_requests(session, world.meeting_ledger),
+        lambda: m.distribute_key(session, world.meeting_ledger, world.rng),
+        lambda: m.dismiss_meeting(session, world.meeting_ledger),
+    ):
+        with pytest.raises(NotCurrentLeader):
+            operation()
+
+
+def handed_over_to_bob():
+    """A meeting alice has handed over to bob on the chain; bob has not yet
+    adopted the handover's ephemeral, which is returned alongside."""
+    world, alice, bob, carol = handover_world(m.ReassignRule.DESIGNATION)
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
+    tx, ephemeral = m.build_reassign(view, alice.keypair, bob.keypair, world.rng)
+    world.commit(tx)
+    return world, alice, bob, ephemeral
+
+
+def test_the_chain_demotes_the_leader_that_handed_over():
+    world, alice, _, _ = handed_over_to_bob()
+    assert_not_leading(world, alice)
+
+
+def test_a_successor_leads_only_once_it_adopts_the_handover():
+    world, _, bob, ephemeral = handed_over_to_bob()
+    # the chain names bob's ivk, but bob still holds his member ephemeral
+    assert_not_leading(world, bob)
+    m.adopt_leadership(bob, ephemeral, world.meeting_ledger)
+    assert m.review_requests(bob, world.meeting_ledger) == []
+    assert world.verdict(m.dismiss_meeting(bob, world.meeting_ledger)) is None
+    assert m.KeyDistribution.parse(world.distribute(bob).body).epoch == 1
+
+
+def test_a_session_whose_publish_was_never_appended_cannot_lead():
+    world = World()
+    alice = world.actor("alice")
+    m.publish_meeting(alice, "lost", world.rng)
+    assert_not_leading(world, alice)
+
+
 def test_designation_without_prev_signature_rejected():
     world, alice, bob, _ = handover_world(m.ReassignRule.DESIGNATION)
     tx = forged_reassign(world, alice, alice.keypair, bob.keypair, cosign=False)
@@ -1187,10 +1231,10 @@ def test_dismiss_only_by_leader_then_everything_stops():
     world = World()
     leader, (bob, _), _ = standard_meeting(world)
     with pytest.raises(NotCurrentLeader):
-        m.dismiss_meeting(bob)
+        m.dismiss_meeting(bob, world.meeting_ledger)
     crafted = m.signed_tx(m.MeetingDismiss(leader.meeting_id), bob.keypair.isk)
     assert world.verdict(crafted) == Reason.NOT_CURRENT_LEADER
-    world.commit(m.dismiss_meeting(leader))
+    world.commit(m.dismiss_meeting(leader, world.meeting_ledger))
     late_leave = m.signed_tx(
         m.MeetingLeave(leader.meeting_id, "bob", "dev", bob.keypair.ivk),
         bob.keypair.isk,
@@ -1204,7 +1248,6 @@ def test_purge_is_idempotent_and_total():
     m.encrypt_media(bob, 1, b"before purge")
     for _ in range(2):
         m.purge_keys(bob)
-        assert bob.role is m.Role.OUTSIDER
         assert bob.known_mk is None and bob.ephemeral is None
         assert bob.stream_counters == {}
     with pytest.raises(NoMeetingKey):
