@@ -10,9 +10,11 @@ and `EphemeralKeyPair` hold their Ed25519 and X25519 private-key objects, and
 `AeadKey` holds an AES-GCM key for a caller that seals or opens many times
 under it. `sign`, `dh` and the AEAD functions take either the prepared form
 or raw bytes. No prepared key is kept anywhere but on its owner, so it goes
-when the owner goes. `aead_open` is the one AES-GCM open, None on a failed
-tag: `aead_decrypt` raises on that, and a media delivery (`meeting.Delivery`)
-lays out ciphertext || tag once and opens it once per reader.
+when the owner goes. `AeadKey.open` is the one AES-GCM open, None on a
+failed tag: `aead_open` calls it for a raw-byte key, `aead_decrypt` raises on
+that None, and a media delivery (`meeting.Delivery`) lays out ciphertext ||
+tag once and opens it once per reader, straight through the stream's
+`AeadKey`.
 """
 
 from __future__ import annotations
@@ -95,9 +97,16 @@ class AeadKey:
     def __init__(self, key: bytes):
         self._cipher = AESGCM(key)
 
+    def open(self, nonce: bytes, sealed: bytes, aad: bytes) -> Optional[bytes]:
+        """The plaintext of sealed (ciphertext || tag), or None on a failed tag."""
+        try:
+            return self._cipher.decrypt(nonce, sealed, aad)
+        except InvalidTag:
+            return None
 
-def _cipher(key: Union[bytes, AeadKey]) -> AESGCM:
-    return key._cipher if isinstance(key, AeadKey) else AESGCM(key)
+
+def _aead_key(key: Union[bytes, AeadKey]) -> AeadKey:
+    return key if isinstance(key, AeadKey) else AeadKey(key)
 
 
 def _signing_key(isk: Union[bytes, IdentityKeyPair]) -> Ed25519PrivateKey:
@@ -175,18 +184,15 @@ def aead_encrypt(
 ) -> AeadBox:
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-    sealed = _cipher(key).encrypt(nonce, plaintext, aad)
+    sealed = _aead_key(key)._cipher.encrypt(nonce, plaintext, aad)
     return AeadBox(nonce=nonce, ciphertext=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
 
 
 def aead_open(
     key: Union[bytes, AeadKey], nonce: bytes, sealed: bytes, aad: bytes
 ) -> Optional[bytes]:
-    """The plaintext of sealed (ciphertext || tag), or None on a failed tag."""
-    try:
-        return _cipher(key).decrypt(nonce, sealed, aad)
-    except InvalidTag:
-        return None
+    """`AeadKey.open` under a key that may still be raw bytes."""
+    return _aead_key(key).open(nonce, sealed, aad)
 
 
 def aead_decrypt(key: Union[bytes, AeadKey], box: AeadBox, aad: bytes) -> bytes:

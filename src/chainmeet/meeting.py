@@ -261,10 +261,11 @@ class MediaPacket(Wire):
 class Delivery:
     """A packet received in one meeting: its header check, AAD and
     ciphertext || tag are built once, so each `open` is one stream-context
-    lookup and one AES-GCM open. An open's answer depends only on the key and
-    the bytes, so readers that hold one key object can share it, as the
-    simulator's do. A packet whose nonce is not its header's opens under no
-    key."""
+    lookup (a dict get once the stream is warm) and one call of the stream's
+    `crypto.AeadKey.open`, the package's one AES-GCM decrypt. An open's answer
+    depends only on the key and the bytes, so readers that hold one key
+    object can share it, as the simulator's do. A packet whose nonce is not
+    its header's opens under no key."""
 
     __slots__ = ("packet", "header_ok", "aad", "sealed")
 
@@ -283,9 +284,9 @@ class Delivery:
         if not self.header_ok:
             return None
         packet = self.packet
-        _, aead_key = key.stream(packet.stream_id)
-        return crypto.aead_open(
-            aead_key, packet.box.nonce, self.sealed if sealed is None else sealed, self.aad
+        context = key._streams.get(packet.stream_id) or key.stream(packet.stream_id)
+        return context[1].open(
+            packet.box.nonce, self.sealed if sealed is None else sealed, self.aad
         )
 
 
@@ -543,7 +544,7 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
         return None
 
     if isinstance(payload, KeyDistribution):
-        if not crypto.verify(view.leader_ivk, tx.signing_bytes, tx.signature):
+        if not _leader_signed(view, tx):
             return Reason.NOT_CURRENT_LEADER
         if payload.epoch != view.next_epoch:
             return Reason.BAD_EPOCH
@@ -561,9 +562,17 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
         return reassign_verdict(payload, tx, view)
 
     assert isinstance(payload, MeetingDismiss)
-    if not crypto.verify(view.leader_ivk, tx.signing_bytes, tx.signature):
+    if not _leader_signed(view, tx):
         return Reason.NOT_CURRENT_LEADER
     return None
+
+
+def _leader_signed(view: MeetingView, tx: Transaction) -> bool:
+    """Whether the meeting's leader, still present, signed tx: a leader's
+    leave takes its leading with it, until a handover names another."""
+    return view.leader_ivk in view.present_leader_ivks and crypto.verify(
+        view.leader_ivk, tx.signing_bytes, tx.signature
+    )
 
 
 def new_meeting_ledger(identity_ledger: Ledger) -> Ledger:
@@ -645,12 +654,15 @@ def make_request(
 
 
 def _led_view(state: ParticipantState, meeting_ledger: Ledger) -> MeetingView:
-    """The meeting's view, if the chain names this session its leader: its
-    ivk, and the ephemeral it announced at publish or adopted at handover."""
+    """The meeting's view, if the chain names this session its leader, still
+    present: its ivk, and the ephemeral it announced at publish or adopted at
+    handover."""
     view = build_view(meeting_ledger, state.meeting_id)
     ephemeral = state.ephemeral
-    if ephemeral is None or (view.leader_ivk, view.leader_epk) != (
-        state.keypair.ivk, ephemeral.epk
+    if (
+        ephemeral is None
+        or (view.leader_ivk, view.leader_epk) != (state.keypair.ivk, ephemeral.epk)
+        or view.leader_ivk not in view.present_leader_ivks
     ):
         raise NotCurrentLeader(f"{state.user} is not leading")
     return view

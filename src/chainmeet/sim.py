@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import gc
 import hashlib
 import inspect
 import operator
@@ -512,14 +513,14 @@ def _rank(actor: Actor) -> int:
     return actor.rank
 
 
-def _bit_flipped(delivery: m.Delivery) -> bytes:
+def _bit_flipped(delivery: m.Delivery) -> bytearray:
     """The delivery's ciphertext || tag with one bit flipped: ciphertext byte
     `counter % len(ciphertext)`, or the tag's first byte when there is no
     ciphertext."""
-    sealed = delivery.sealed
+    flipped = bytearray(delivery.sealed)
     ct_len = len(delivery.packet.box.ciphertext)
-    position = delivery.packet.counter % ct_len if ct_len else 0
-    return sealed[:position] + bytes([sealed[position] ^ 0x01]) + sealed[position + 1 :]
+    flipped[delivery.packet.counter % ct_len if ct_len else 0] ^= 0x01
+    return flipped
 
 
 @dataclass(frozen=True)
@@ -988,25 +989,34 @@ class Simulation:
             )
 
     def run(self) -> "Simulation":
-        for spec in self.scenario.actors:
-            self.actors[spec.user] = Actor(
-                user=spec.user,
-                device=spec.device,
-                adversary=spec.adversary,
-                keypair=crypto.identity_keygen(self.rng),
-                rank=len(self.actors),
-            )
-        self._register_actors()
-        for event in self.scenario.events:
-            self.tick = event.tick
-            try:
-                ACTIONS[event.action].handler(self, self.actors[event.user], *event.args)
-            except ChainmeetError as exc:
-                # the error keeps its class and fields; its message names the tick
-                exc.args = (f"t={self.tick}: {exc}",)
-                raise
-        self.report = check_goals(self.transcript)
-        self.transcript.extend(self.report.check_events())
+        # A run makes no reference cycles (tests/test_sim.py checks each
+        # bundled scenario), so the cycle collector's passes over the growing
+        # transcript would free nothing: it is paused until the run ends.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for spec in self.scenario.actors:
+                self.actors[spec.user] = Actor(
+                    user=spec.user,
+                    device=spec.device,
+                    adversary=spec.adversary,
+                    keypair=crypto.identity_keygen(self.rng),
+                    rank=len(self.actors),
+                )
+            self._register_actors()
+            for event in self.scenario.events:
+                self.tick = event.tick
+                try:
+                    ACTIONS[event.action].handler(self, self.actors[event.user], *event.args)
+                except ChainmeetError as exc:
+                    # the error keeps its class and fields; its message names the tick
+                    exc.args = (f"t={self.tick}: {exc}",)
+                    raise
+            self.report = check_goals(self.transcript)
+            self.transcript.extend(self.report.check_events())
+        finally:
+            if collecting:
+                gc.enable()
         return self
 
 

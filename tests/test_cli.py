@@ -218,6 +218,15 @@ def test_seed_that_is_not_a_number_is_a_usage_error(capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+def late_error_script(action):
+    """alice leads bob in a keyed meeting, then `action` runs at t=4."""
+    return (
+        "actor alice laptop\nactor bob phone\n"
+        "tick 1 alice publish\ntick 2 bob request\ntick 3 alice distribute\n"
+        f"tick 4 {action}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "action, message",
     [
@@ -233,11 +242,7 @@ def test_seed_that_is_not_a_number_is_a_usage_error(capsys):
 )
 def test_errors_found_while_running_name_their_tick(tmp_path, capsys, action, message):
     path = tmp_path / "late_error.txt"
-    path.write_text(
-        "actor alice laptop\nactor bob phone\n"
-        "tick 1 alice publish\ntick 2 bob request\ntick 3 alice distribute\n"
-        f"tick 4 {action}\n"
-    )
+    path.write_text(late_error_script(action))
     assert cli.main(["run", "--scenario", str(path)]) == 2
     assert message in capsys.readouterr().err.splitlines()
 

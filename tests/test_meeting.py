@@ -595,14 +595,14 @@ def test_a_delivery_whose_nonce_is_not_its_header_makes_no_aead_call(monkeypatch
     packet = m.encrypt_media(bob, 9, b"payload bytes")
     relabeled = m.MediaPacket(packet.stream_id, packet.epoch, packet.counter + 1, packet.box)
     opens = 0
-    real = crypto.aead_open
+    real = crypto.AeadKey.open
 
     def counted(*args):
         nonlocal opens
         opens += 1
         return real(*args)
 
-    monkeypatch.setattr(crypto, "aead_open", counted)
+    monkeypatch.setattr(crypto.AeadKey, "open", counted)
     delivery = m.Delivery(carol.meeting_id, relabeled)
     assert not delivery.header_ok
     assert delivery.open(carol.known_mk) is None and opens == 0
@@ -1100,6 +1100,19 @@ def test_a_session_whose_publish_was_never_appended_cannot_lead():
     alice = world.actor("alice")
     m.publish_meeting(alice, "lost", world.rng)
     assert_not_leading(world, alice)
+
+
+def test_a_leader_that_left_leads_no_more():
+    """A leader's admitted leave ends its leading: the library refuses it
+    first, and the chain refuses a distribution or dismissal it signs anyway."""
+    world = World()
+    alice, (bob, _), _ = standard_meeting(world)
+    world.commit(m.make_leave(alice))
+    world.commit(m.make_leave(bob))
+    assert_not_leading(world, alice)
+    rekey = m.KeyDistribution(alice.meeting_id, 1, alice.ephemeral.epk, ())
+    for payload in (rekey, m.MeetingDismiss(alice.meeting_id)):
+        assert world.verdict(m.signed_tx(payload, alice.keypair)) == Reason.NOT_CURRENT_LEADER
 
 
 def test_designation_without_prev_signature_rejected():

@@ -1,6 +1,7 @@
 """Scenario engine: parsing, determinism, goal checking, bundled runs."""
 
 import dataclasses
+import gc
 import hashlib
 import types
 import typing
@@ -10,10 +11,11 @@ import pytest
 
 from chainmeet import crypto, meeting as m, rng as rng_mod, sim
 from chainmeet.encoding import Wire
-from chainmeet.errors import MalformedScenario, Reason
+from chainmeet.errors import MalformedScenario, NotCurrentLeader, Reason
 from chainmeet.ledger import Ledger, LedgerKind, dump_hex_lines
 from chainmeet.meeting import ReassignRule
 from chainmeet.rng import DeterministicRng
+from test_cli import late_error_script
 
 
 def run_bundled(name, seed=None):
@@ -510,7 +512,7 @@ def test_each_packet_costs_one_open_per_attempt(monkeypatch):
         )
     )
     opens = Counter()
-    for module, name in ((crypto, "aead_open"), (m, "media_nonce"), (m, "media_aad")):
+    for module, name in ((crypto.AeadKey, "open"), (m, "media_nonce"), (m, "media_aad")):
 
         def counted(*args, name=name, real=getattr(module, name)):
             opens[name, simulation.tick] += 1
@@ -526,10 +528,10 @@ def test_each_packet_costs_one_open_per_attempt(monkeypatch):
     # tick 6: alice, carol and dave read under epoch 0's one key; tick 11:
     # alice and bob read under epoch 1's, dave's ghost tries epoch 0's, and
     # eve and frank eavesdrop
-    assert opens["aead_open", 6] == expected(keys=1, eavesdroppers=0)
-    assert opens["aead_open", 11] == expected(keys=2, eavesdroppers=2)
+    assert opens["open", 6] == expected(keys=1, eavesdroppers=0)
+    assert opens["open", 11] == expected(keys=2, eavesdroppers=2)
     # two guesses at the one captured packet
-    assert opens["aead_open", 7] == opens["aead_open", 10] == 2
+    assert opens["open", 7] == opens["open", 10] == 2
     for tick, readers, ghosts in ((6, 3, 0), (11, 2, 1)):
         events = [e for e in simulation.transcript if getattr(e, "tick", None) == tick]
         decrypts = [e for e in events if isinstance(e, sim.DecryptEvent)]
@@ -599,13 +601,13 @@ def test_shared_opens_match_every_reader_opening_for_itself(name, monkeypatch):
     every party holds its own copy of each key and opens for itself."""
     text = MIXED_KEYS if name == "mixed_keys" else sim.load_scenario_text(name)
     calls = []
-    real = crypto.aead_open
+    real = crypto.AeadKey.open
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(crypto, "aead_open", counted)
+    monkeypatch.setattr(crypto.AeadKey, "open", counted)
     shared = sim.Simulation(sim.parse_scenario(text)).run()
     shared_opens = len(calls)
     own = OwnKeyCopies(sim.parse_scenario(text)).run()
@@ -652,14 +654,14 @@ def test_tamper_probe_flips_one_bit_of_the_delivered_bytes(nbytes, monkeypatch):
         )
     )
     opened = []
-    real = crypto.aead_open
+    real = crypto.AeadKey.open
 
     def recorded(key, nonce, sealed, aad):
         if simulation.tick >= 5:
             opened.append((simulation.tick, sealed))
         return real(key, nonce, sealed, aad)
 
-    monkeypatch.setattr(crypto, "aead_open", recorded)
+    monkeypatch.setattr(crypto.AeadKey, "open", recorded)
     simulation.run()
     assert simulation.report.ok
     for (meeting_id, packet), tick in zip(simulation.packets, (5, 6)):
@@ -679,6 +681,49 @@ def test_tamper_probe_flips_one_bit_of_the_delivered_bytes(nbytes, monkeypatch):
         assert decrypts == [
             ("alice", False, True), ("carol", False, True), ("alice", True, False)
         ]
+
+
+def cyclic_garbage(run):
+    """How many objects only the cycle collector could free after `run()`,
+    with the collector off from a clean start until then, and their types."""
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        return found, Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if collecting:
+            gc.enable()
+
+
+@pytest.mark.parametrize("name", sim.bundled_scenario_names() + ["mixed_keys"])
+def test_a_run_leaves_nothing_for_the_cycle_collector(name):
+    """`Simulation.run` pauses the collector because a run makes no
+    reference cycles: afterwards it finds nothing unreachable."""
+    text = MIXED_KEYS if name == "mixed_keys" else sim.load_scenario_text(name)
+    found, types = cyclic_garbage(lambda: sim.run_scenario_text(text))
+    assert found == 0, f"unreachable after the run: {dict(types)}"
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_run_leaves_the_collector_as_it_found_it(collecting):
+    honest = sim.load_scenario_text("honest")
+    failing = late_error_script("alice reassign bob\ntick 5 alice distribute")
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        sim.run_scenario_text(honest)
+        assert gc.isenabled() is collecting
+        with pytest.raises(NotCurrentLeader, match="^t=5: "):
+            sim.run_scenario_text(failing)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 @pytest.mark.parametrize("members", [3, 6])
