@@ -307,9 +307,10 @@ class MeetingView:
     `requests` keeps every request in arrival order, and `present` indexes
     those not yet left by (user, device, ivk), so a lookup or a leave costs
     the same however long the meeting has run. A record keeps only what
-    cannot change, so `mark` needs no copy of a record. Whether the
-    requester's identity matches is resolved against the identity ledger at
-    each read, so a binding registered after the request counts from then on.
+    cannot change, so `mark` needs no copy of a record; a handover gives its
+    successor a new one, with the handover's epk. Whether the requester's
+    identity matches is resolved against the identity ledger at each read, so
+    a binding registered after the request counts from then on.
     """
 
     meeting_id: bytes
@@ -321,6 +322,8 @@ class MeetingView:
     leader_epk: bytes = b""
     dismissed: bool = False
     last_distribution: Optional[KeyDistribution] = None
+    # a request, leave or handover since the last distribution: a rekey is due
+    membership_changed: bool = False
     requests: list[RequestRecord] = field(default_factory=list)
     present: dict[tuple[str, str, bytes], RequestRecord] = field(default_factory=dict)
     # leaders (original or reassigned-in) who have not posted a leave
@@ -349,14 +352,15 @@ class MeetingView:
         only grows, so its length stands for it and for `request_txs`."""
         return (
             self.exists, self.rule, self.leader_ivk, self.leader_epk, self.dismissed,
-            self.last_distribution, len(self.requests), dict(self.present),
-            set(self.present_leader_ivks),
+            self.last_distribution, self.membership_changed, len(self.requests),
+            dict(self.present), set(self.present_leader_ivks),
         )
 
     def undo(self, mark: tuple) -> None:
         (
             self.exists, self.rule, self.leader_ivk, self.leader_epk, self.dismissed,
-            self.last_distribution, kept, self.present, self.present_leader_ivks,
+            self.last_distribution, self.membership_changed, kept, self.present,
+            self.present_leader_ivks,
         ) = mark
         self.request_txs.difference_update([r.tx for r in self.requests[kept:]])
         del self.requests[kept:]
@@ -375,15 +379,24 @@ class MeetingView:
             self.requests.append(record)
             self.present[payload.user, payload.device, payload.ivk] = record
             self.request_txs.add(tx)
+            self.membership_changed = True
         elif isinstance(payload, KeyDistribution):
             self.last_distribution = payload
+            self.membership_changed = False
         elif isinstance(payload, MeetingLeave):
             self.present.pop((payload.user, payload.device, payload.ivk), None)
             self.present_leader_ivks.discard(payload.ivk)
+            self.membership_changed = True
         elif isinstance(payload, LeaderReassign):
             self.leader_ivk = payload.new_leader_ivk
             self.leader_epk = payload.new_leader_epk
             self.present_leader_ivks.add(payload.new_leader_ivk)
+            self.membership_changed = True
+            # the successor now holds the handover's ephemeral; later leaders wrap to it
+            for key, record in self.present.items():
+                if record.request.ivk == payload.new_leader_ivk:
+                    request = replace(record.request, epk=payload.new_leader_epk)
+                    self.present[key] = RequestRecord(request, record.tx)
         elif isinstance(payload, MeetingDismiss):
             self.dismissed = True
 
@@ -593,7 +606,8 @@ def allow_all(user: str, device: str, info: Optional[identity_mod.UserInfo]) -> 
 @dataclass
 class ParticipantState:
     """One actor's session in one meeting: its secrets and, while it leads,
-    the grants it has made. Whether it leads is the chain's to say."""
+    the requests it has granted. Who leads and who is present is the chain's
+    to say."""
 
     user: str
     device: str
@@ -601,10 +615,8 @@ class ParticipantState:
     meeting_id: Optional[bytes] = None
     ephemeral: Optional[crypto.EphemeralKeyPair] = None
     known_mk: Optional[MeetingKey] = None
-    # leader bookkeeping: the admitted request of each member
-    membership_view: dict[tuple[str, str], MeetingRequest] = field(default_factory=dict)
+    granted: set[Transaction] = field(default_factory=set)  # request txs
     reviewed: int = 0  # how many of the meeting's requests the leader has seen
-    rekey_pending: bool = False
     # sender side: next counter per (stream, epoch)
     stream_counters: dict[tuple[int, int], int] = field(default_factory=dict)
 
@@ -620,7 +632,7 @@ def publish_meeting(
     state.meeting_id = meeting_id
     state.ephemeral = ephemeral
     state.known_mk = None
-    state.membership_view = {}
+    state.granted = set()
     state.reviewed = 0
     payload = PublishMeeting(
         meeting_id=meeting_id,
@@ -679,8 +691,9 @@ class ReviewOutcome:
 def review_requests(
     state: ParticipantState, meeting_ledger: Ledger, policy: Policy = allow_all
 ) -> list[ReviewOutcome]:
-    """Leader pass over the chain: verify new requests, apply policy, track
-    departures. Returns one outcome per newly reviewed request."""
+    """Leader pass over the chain: verify new requests and apply policy,
+    granting those that pass both. Returns one outcome per newly reviewed
+    request. A departure needs no pass: it leaves the chain's `present`."""
     view = _led_view(state, meeting_ledger)
     outcomes = []
     for record in view.requests[state.reviewed:]:
@@ -697,33 +710,34 @@ def review_requests(
                 ReviewOutcome(request.user, request.device, reason, granted=False)
             )
             continue
-        if policy(request.user, request.device, found.info):
-            state.membership_view[(request.user, request.device)] = request
-            state.rekey_pending = True
-            outcomes.append(ReviewOutcome(request.user, request.device, None, True))
-        else:
-            outcomes.append(ReviewOutcome(request.user, request.device, None, False))
-    # departures observed on the chain drop out of the membership view
-    for key, member in list(state.membership_view.items()):
-        if view.record_for(member.user, member.device, member.ivk) is None:
-            del state.membership_view[key]
-            state.rekey_pending = True
+        granted = policy(request.user, request.device, found.info)
+        if granted:
+            state.granted.add(record.tx)
+        outcomes.append(ReviewOutcome(request.user, request.device, None, granted))
     return outcomes
+
+
+def key_recipients(state: ParticipantState, view: MeetingView) -> list[MeetingRequest]:
+    """The members a key distribution wraps to: the requesters still present
+    on the chain whose request the leader granted, in arrival order."""
+    return [r.request for r in view.present.values() if r.tx in state.granted]
 
 
 def distribute_key(
     state: ParticipantState, meeting_ledger: Ledger, rng: Rng
 ) -> tuple[Transaction, MeetingKey]:
-    """Mint the key of the epoch the chain expects next, wrapped to every
-    member; the session is untouched until `install_key`.
+    """Mint the key of the epoch the chain expects next, wrapped to each of
+    `key_recipients`; the leader takes it up once the chain admits it.
 
     Epoch 0 rides on the ephemeral announced at publish (or handover); every
-    later epoch requires a membership change and gets a fresh ephemeral.
+    later epoch gets a fresh ephemeral and needs a request (granted or not),
+    leave or handover admitted since the last distribution.
     """
-    epoch = _led_view(state, meeting_ledger).next_epoch
+    view = _led_view(state, meeting_ledger)
+    epoch = view.next_epoch
     ephemeral = state.ephemeral
     if epoch > 0:
-        if not state.rekey_pending:
+        if not view.membership_changed:
             raise InvalidTransaction(
                 Reason.RULE_VIOLATION, "rekey without a membership change"
             )
@@ -732,7 +746,7 @@ def distribute_key(
         ephemeral = crypto.ephemeral_keygen(rng)
     meeting_key = rng.take(crypto.KEY_LEN)
     entries = []
-    for member in state.membership_view.values():
+    for member in key_recipients(state, view):
         shared = crypto.dh(ephemeral, member.epk)
         enc_key = crypto.derive_enc_key(
             shared, kdf_context(state.meeting_id, epoch, ephemeral.epk, member.epk)
@@ -751,12 +765,6 @@ def distribute_key(
         entries=tuple(entries),
     )
     return signed_tx(payload, state.keypair), MeetingKey(meeting_key, epoch)
-
-
-def install_key(state: ParticipantState, key: MeetingKey) -> None:
-    """The leader takes up the key of its distribution once the chain admits it."""
-    state.known_mk = key
-    state.rekey_pending = False
 
 
 def accept_key(state: ParticipantState, dist: KeyDistribution) -> MeetingKey:
@@ -835,9 +843,8 @@ def purge_keys(state: ParticipantState) -> None:
     state.known_mk = None
     state.ephemeral = None
     state.stream_counters = {}
-    state.membership_view = {}
+    state.granted = set()
     state.reviewed = 0
-    state.rekey_pending = False
 
 
 def build_reassign(
@@ -878,16 +885,12 @@ def adopt_leadership(
     state: ParticipantState, ephemeral: crypto.EphemeralKeyPair, meeting_ledger: Ledger
 ) -> None:
     """Seed a member's session to lead, from the chain's view, with the
-    ephemeral its admitted handover announced."""
+    ephemeral its admitted handover announced: it grants every other verified
+    member and reviews only the requests still to come."""
     view = build_view(meeting_ledger, state.meeting_id)
     state.ephemeral = ephemeral
-    state.membership_view = {
-        (r.request.user, r.request.device): r.request
-        for r in view.members()
-        if r.request.ivk != state.keypair.ivk  # the leader is not their own member
-    }
+    state.granted = {r.tx for r in view.members() if r.request.ivk != state.keypair.ivk}
     state.reviewed = len(view.requests)
-    state.rekey_pending = True
 
 
 def dismiss_meeting(state: ParticipantState, meeting_ledger: Ledger) -> Transaction:

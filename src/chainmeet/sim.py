@@ -622,7 +622,7 @@ class Simulation:
                     self._emit(ValidateEvent(self.tick, other.user, tag, verdict))
         if block is not None:
             if key is not None:
-                m.install_key(actor.sessions[tx.payload.meeting_id], key)
+                actor.sessions[tx.payload.meeting_id].known_mk = key
             self._observe(block, key)
         return verdict
 
@@ -694,7 +694,8 @@ class Simulation:
         self._act_verify_all(actor, meeting)
         session = self._session(actor, self._meeting_at(meeting))
         tx, key = m.distribute_key(session, self.meeting_ledger, self.rng)
-        # the key was just wrapped to each member of the leader's membership view
+        # the chain has not moved since the key was wrapped to these members
+        view = m.build_view(self.meeting_ledger, session.meeting_id)
         self._emit(
             KeyEpochEvent(
                 tick=self.tick,
@@ -702,7 +703,7 @@ class Simulation:
                 epoch=key.epoch,
                 leader=actor.user,
                 leader_ivk=actor.keypair.ivk,
-                recipients=tuple(r.ivk for r in session.membership_view.values()),
+                recipients=tuple(r.ivk for r in m.key_recipients(session, view)),
                 key_digest=hashlib.sha256(key.key).digest(),
             )
         )

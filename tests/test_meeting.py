@@ -53,10 +53,11 @@ class World:
         return m.meeting_tx_verdict(tx, self.meeting_ledger)
 
     def distribute(self, leader):
-        """The leader's next key distribution, committed, with its key installed."""
+        """The leader's next key distribution, committed; the leader takes up
+        its key once the ledger has admitted it."""
         tx, key = m.distribute_key(leader, self.meeting_ledger, self.rng)
         self.commit(tx)
-        m.install_key(leader, key)
+        leader.known_mk = key
         return tx
 
 
@@ -269,9 +270,12 @@ def test_media_nonce_is_epoch_then_counter():
 
 def test_leader_not_own_member_and_absent_from_entries():
     world = World()
-    leader, _, dist = standard_meeting(world)
+    leader, members, dist = standard_meeting(world)
     assert dist.entry_for(leader.keypair.ivk) is None
-    assert (leader.user, leader.device) not in leader.membership_view
+    view = m.build_view(world.meeting_ledger, leader.meeting_id)
+    recipients = [r.ivk for r in m.key_recipients(leader, view)]
+    assert recipients == [member.keypair.ivk for member in members]
+    assert leader.keypair.ivk not in recipients
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +335,10 @@ def test_leader_review_rejects_forged_and_keeps_them_out():
     assert [(o.user, o.verdict, o.granted) for o in outcomes] == [
         ("victim", Reason.KEY_MISMATCH, False)
     ]
-    assert not leader.membership_view
+    # the forged request stays present on the chain, but it is never keyed
+    view = m.build_view(world.meeting_ledger, leader.meeting_id)
+    assert len(view.present) == 1
+    assert m.key_recipients(leader, view) == []
     # a second review has nothing new to say
     assert m.review_requests(leader, world.meeting_ledger) == []
 
@@ -411,6 +418,8 @@ def test_policy_gate_with_committed_userinfo():
         leader, world.meeting_ledger, needs_valid_opening
     )
     assert outcomes[0].granted
+    view = m.build_view(world.meeting_ledger, leader.meeting_id)
+    assert [r.user for r in m.key_recipients(leader, view)] == ["dora"]
     # wrong opening fails the same policy
     world2 = World(seed=4242)
     leader2 = world2.actor("alice")
@@ -442,7 +451,8 @@ def test_policy_gate_with_committed_userinfo():
         leader2, world2.meeting_ledger, needs_staff_opening
     )
     assert not outcomes[0].granted
-    assert ("evan", "dev") not in leader2.membership_view
+    view2 = m.build_view(world2.meeting_ledger, leader2.meeting_id)
+    assert m.key_recipients(leader2, view2) == []
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +784,8 @@ def test_forged_request_cannot_squat_the_victims_binding():
     assert [(o.user, o.granted) for o in outcomes] == [
         ("victim", False), ("victim", True)
     ]
-    assert ("victim", "dev") in leader.membership_view
+    view = m.build_view(world.meeting_ledger, leader.meeting_id)
+    assert [r.ivk for r in m.key_recipients(leader, view)] == [victim.keypair.ivk]
     dist = m.KeyDistribution.parse(world.distribute(leader).body)
     assert dist.entry_for(victim.keypair.ivk) is not None
     assert dist.entry_for(mallory.keypair.ivk) is None
@@ -782,10 +793,29 @@ def test_forged_request_cannot_squat_the_victims_binding():
     leave = m.make_leave(victim)
     assert world.verdict(leave) is None
     world.commit(leave)
-    # and the leader sees the departure despite the squatter
-    m.review_requests(leader, world.meeting_ledger)
-    assert ("victim", "dev") not in leader.membership_view
-    assert leader.rekey_pending
+    # and the departure drops the victim from the leader's recipients, with
+    # no review and despite the squatter, and lets the leader rekey
+    assert m.key_recipients(leader, view) == []
+    assert view.membership_changed
+
+
+def test_a_leave_admitted_after_the_review_drops_its_member_from_the_key():
+    """The leader keys the members the chain shows: a member whose leave
+    lands between the review and the distribution gets no entry, even
+    though it kept its session's secrets."""
+    world = World()
+    leader, (bob, carol), _ = standard_meeting(world)
+    dave = world.actor("dave")
+    world.commit(m.make_request(dave, world.meeting_ledger, leader.meeting_id, world.rng))
+    assert [o.granted for o in m.review_requests(leader, world.meeting_ledger)] == [True]
+    world.commit(m.make_leave(bob))
+    dist = m.KeyDistribution.parse(world.distribute(leader).body)
+    assert dist.epoch == 1
+    assert [e.recipient_ivk for e in dist.entries] == [carol.keypair.ivk, dave.keypair.ivk]
+    assert dist.entry_for(bob.keypair.ivk) is None
+    with pytest.raises(NoEntryForMe):
+        m.accept_key(bob, dist)
+    assert m.accept_key(dave, dist) == leader.known_mk
 
 
 def test_rejoin_after_leave_is_allowed():
@@ -884,8 +914,10 @@ def test_lost_later_distribution_does_not_wedge_its_leader():
     m.review_requests(leader, world.meeting_ledger)
     lost, _ = m.distribute_key(leader, world.meeting_ledger, world.rng)
     assert m.KeyDistribution.parse(lost.body).epoch == 1
-    # never appended: the leader keeps the key its members share, and still owes a rekey
-    assert leader.known_mk is held and leader.rekey_pending
+    # never appended: the leader keeps the key its members share, and the
+    # chain still owes a rekey
+    assert leader.known_mk is held
+    assert m.build_view(world.meeting_ledger, leader.meeting_id).membership_changed
     dist = m.KeyDistribution.parse(world.distribute(leader).body)
     assert dist.epoch == 1
     assert m.build_view(world.meeting_ledger, leader.meeting_id).next_epoch == 2
@@ -911,8 +943,8 @@ def test_lost_publish_or_request_does_not_wedge_its_session():
 
 
 def records_read_per_step(monkeypatch, cycles):
-    """How many request records each admission and each review reads, as
-    members of a meeting leave and rejoin `cycles` times."""
+    """How many request records each admission, review and key distribution
+    reads, as members of a meeting leave and rejoin `cycles` times."""
     read = object.__getattribute__
     touched = set()
 
@@ -923,7 +955,7 @@ def records_read_per_step(monkeypatch, cycles):
     world = World()
     leader, members, _ = standard_meeting(world, ("bob", "carol", "dave"))
     monkeypatch.setattr(m.RequestRecord, "__getattribute__", counted)
-    steps = {"admit": set(), "review": set()}
+    steps = {"admit": set(), "review": set(), "distribute": set()}
 
     def step(kind, action):
         touched.clear()
@@ -932,7 +964,7 @@ def records_read_per_step(monkeypatch, cycles):
 
     def review_and_rekey():
         step("review", lambda: m.review_requests(leader, world.meeting_ledger))
-        world.distribute(leader)
+        step("distribute", lambda: world.distribute(leader))
 
     for cycle in range(cycles):
         member = members[cycle % len(members)]
@@ -951,8 +983,9 @@ def test_records_read_per_step_do_not_grow_with_history(monkeypatch):
     short = records_read_per_step(monkeypatch, 20)
     long = records_read_per_step(monkeypatch, 200)
     assert long == short
-    # only a review reads a record: the one rejoined request it grants
-    assert short == {"admit": {0}, "review": {0, 1}}
+    # admission reads no record, a review only the one rejoined request it
+    # grants, and a distribution the members present: two, or three
+    assert short == {"admit": {0}, "review": {0, 1}, "distribute": {2, 3}}
 
 
 def test_epoch_space_cap(monkeypatch):

@@ -192,6 +192,26 @@ def test_reassign_rules_converge_on_the_same_leader():
     assert ordered.meeting_ledger.verify_chain()
 
 
+# bob leads after alice, then hands over to carol and stays a member
+HANDED_OVER_AND_STAYED = (
+    "seed 5\nrule designation\n"
+    "actor alice laptop\nactor bob phone\nactor carol tablet\n"
+    "tick 1 alice publish\ntick 2 bob request\ntick 3 carol request\n"
+    "tick 4 alice distribute\ntick 5 alice reassign bob\ntick 6 bob reassign carol\n"
+    "tick 7 carol packet 1 32\n"
+)
+
+
+def test_a_leader_that_hands_over_and_stays_reads_the_next_key():
+    """bob holds the ephemeral his handover announced, not the one in his
+    request, and the next leader wraps the key to that one."""
+    simulation = sim.run_scenario_text(HANDED_OVER_AND_STAYED)
+    assert simulation.report.ok
+    lines = sim.render_transcript(simulation).splitlines()
+    assert "[t=6] accept who=bob m=0 epoch=2 ok=1" in lines
+    assert "[t=7] decrypt who=bob m=0 stream=1 epoch=2 ctr=0 ok=1" in lines
+
+
 def test_verify_all_reviews_without_distributing_and_distribute_reviews_first():
     simulation = sim.run_scenario_text(
         "actor alice laptop\nactor bob phone\nactor carol tablet\n"

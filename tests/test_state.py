@@ -58,7 +58,7 @@ def reviewed_meeting(seed=5):
 def view_facts(view):
     return (
         view.exists, view.rule, view.leader_ivk, view.dismissed, view.last_distribution,
-        set(view.present_leader_ivks), set(view.request_txs),
+        view.membership_changed, set(view.present_leader_ivks), set(view.request_txs),
         list(view.requests), list(view.present.items()),
     )
 
@@ -184,6 +184,29 @@ def test_view_held_across_a_refused_block_reads_as_before_it():
     meeting_ledger.append_block([request], timestamp=3)
     assert [r.request.user for r in view.members()] == ["bob", "carol"]
     assert request in view.request_txs
+
+
+def test_refused_block_after_a_distribution_puts_the_cleared_rekey_flag_back():
+    rng, identity_ledger, meeting_ledger, alice, _ = reviewed_meeting()
+    tx, _ = m.distribute_key(alice, meeting_ledger, rng)
+    meeting_ledger.append_block([tx], timestamp=3)
+    view = m.build_view(meeting_ledger, alice.meeting_id)
+    assert not view.membership_changed
+    facts = view_facts(view)
+    carol = registered(rng, identity_ledger, "carol")
+    request = m.make_request(carol, meeting_ledger, alice.meeting_id, rng)
+    publish = meeting_ledger.blocks[1].txs[0]
+    # the request sets the flag before the repeated publish is refused
+    with pytest.raises(InvalidTransaction) as err:
+        meeting_ledger.append_block([request, publish], timestamp=4)
+    assert err.value.reason == Reason.DUPLICATE_MEETING
+    assert view_facts(view) == facts
+    # no membership change landed, so the leader may not rekey
+    with pytest.raises(InvalidTransaction) as err:
+        m.distribute_key(alice, meeting_ledger, rng)
+    assert err.value.reason == Reason.RULE_VIOLATION
+    meeting_ledger.append_block([request], timestamp=4)
+    assert view.membership_changed
 
 
 def churned_meeting(cycles):
