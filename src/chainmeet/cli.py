@@ -89,7 +89,8 @@ def cmd_inspect(args) -> int:
             ledger = load_hex_lines(kind, lines, state)
         except InvalidTransaction as exc:
             block, pos = exc.at
-            print(f"ledger={kind.value} block={block} pos={pos} reason={exc.reason}",
+            detail = f" {exc.detail}" if exc.detail else ""
+            print(f"ledger={kind.value} block={block} pos={pos} reason={exc.reason}{detail}",
                   file=sys.stderr)
             return 2  # the files are input, and they do not re-admit
         print(f"ledger={kind.value} blocks={len(ledger.blocks)}")

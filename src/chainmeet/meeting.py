@@ -294,6 +294,14 @@ class Delivery:
 # ledger-derived meeting state
 
 
+# a leader's admission policy: (user, device, the identity's user info) -> keep?
+Policy = Callable[[str, str, Optional[identity_mod.UserInfo]], bool]
+
+
+def allow_all(user: str, device: str, info: Optional[identity_mod.UserInfo]) -> bool:
+    return True
+
+
 @dataclass(frozen=True)
 class RequestRecord:
     request: MeetingRequest
@@ -342,10 +350,19 @@ class MeetingView:
         record reachable when a forged request squats on its (user, device)."""
         return self.present.get((user, device, ivk))
 
-    def members(self) -> list[RequestRecord]:
-        """Verified, still-present requesters in arrival order."""
-        ledger = self.identity_ledger
-        return [r for r in self.present.values() if verify_request(r.request, ledger) is None]
+    def members(self, policy: Policy = allow_all) -> list[RequestRecord]:
+        """The present requesters other than the current leader whose
+        identity matches and that pass `policy`, in arrival order: the
+        leader keys them, and a handover goes to one of them. A publisher
+        that handed over and stayed has no request record, so it is none of
+        them.
+        One identity lookup per record serves both the key check and the
+        policy's user info."""
+        return [
+            r for r in self.present.values()
+            if r.request.ivk != self.leader_ivk
+            and _request_verdict(r.request, self.identity_ledger, policy)[1]
+        ]
 
     def mark(self) -> tuple:
         """What `undo` needs to put this view back as it stands: `requests`
@@ -444,19 +461,20 @@ class MeetingState:
 
 def verify_request(request: MeetingRequest, identity_ledger: Ledger) -> Optional[Reason]:
     """Leader-side check of one admitted join request; None means accepted."""
-    record = identity_mod.find_identity(identity_ledger, request.user, request.device)
-    return _identity_verdict(request, record)
+    return _request_verdict(request, identity_ledger, allow_all)[0]
 
 
-def _identity_verdict(
-    request: MeetingRequest, record: Optional[identity_mod.IdentityRecord]
-) -> Optional[Reason]:
-    """The check of `verify_request` against the identity already looked up."""
-    if record is None:
-        return Reason.UNKNOWN_IDENTITY
-    if record.ivk != request.ivk:
-        return Reason.KEY_MISMATCH
-    return None
+def _request_verdict(
+    request: MeetingRequest, identity_ledger: Ledger, policy: Policy
+) -> tuple[Optional[Reason], bool]:
+    """A request's identity verdict, and whether it is kept: verified and
+    passing `policy`, which gets the user info of the same lookup."""
+    found = identity_mod.find_identity(identity_ledger, request.user, request.device)
+    if found is None:
+        return Reason.UNKNOWN_IDENTITY, False
+    if found.ivk != request.ivk:
+        return Reason.KEY_MISMATCH, False
+    return None, policy(request.user, request.device, found.info)
 
 
 def verify_request_tx(tx: Transaction, identity_ledger: Ledger) -> Optional[Reason]:
@@ -488,7 +506,12 @@ def reassign_verdict(
     payload: LeaderReassign, tx: Transaction, view: MeetingView
 ) -> Optional[Reason]:
     """The verdict on a reassignment of a published, undismissed meeting,
-    under the rule its publish signed in."""
+    under the rule its publish signed in.
+
+    The successor must be one of `view.members()`: a verified present
+    requester other than the current leader. Under time order it must be
+    the earliest of them, so a leader that joined by request can hand over,
+    and an outgoing publisher that stayed is no candidate."""
     if payload.prev_leader_ivk != view.leader_ivk:
         return Reason.RULE_VIOLATION
     if not identity_mod.ivk_registered(view.identity_ledger, payload.new_leader_ivk):
@@ -596,18 +619,11 @@ def new_meeting_ledger(identity_ledger: Ledger) -> Ledger:
 # participant state and operations
 
 
-Policy = Callable[[str, str, Optional[identity_mod.UserInfo]], bool]
-
-
-def allow_all(user: str, device: str, info: Optional[identity_mod.UserInfo]) -> bool:
-    return True
-
-
 @dataclass
 class ParticipantState:
-    """One actor's session in one meeting: its secrets and, while it leads,
-    the requests it has granted. Who leads and who is present is the chain's
-    to say."""
+    """One actor's session in one meeting: its secrets and its media
+    counters. Who leads, who is present and who is keyed is the chain's to
+    say."""
 
     user: str
     device: str
@@ -615,8 +631,6 @@ class ParticipantState:
     meeting_id: Optional[bytes] = None
     ephemeral: Optional[crypto.EphemeralKeyPair] = None
     known_mk: Optional[MeetingKey] = None
-    granted: set[Transaction] = field(default_factory=set)  # request txs
-    reviewed: int = 0  # how many of the meeting's requests the leader has seen
     # sender side: next counter per (stream, epoch)
     stream_counters: dict[tuple[int, int], int] = field(default_factory=dict)
 
@@ -632,8 +646,6 @@ def publish_meeting(
     state.meeting_id = meeting_id
     state.ephemeral = ephemeral
     state.known_mk = None
-    state.granted = set()
-    state.reviewed = 0
     payload = PublishMeeting(
         meeting_id=meeting_id,
         info=info,
@@ -689,48 +701,40 @@ class ReviewOutcome:
 
 
 def review_requests(
-    state: ParticipantState, meeting_ledger: Ledger, policy: Policy = allow_all
+    state: ParticipantState, meeting_ledger: Ledger, policy: Policy = allow_all,
+    since: int = 0,
 ) -> list[ReviewOutcome]:
-    """Leader pass over the chain: verify new requests and apply policy,
-    granting those that pass both. Returns one outcome per newly reviewed
-    request. A departure needs no pass: it leaves the chain's `present`."""
+    """The leader's report on the meeting's requests from `since` on (an
+    index into `view.requests`), one outcome per request still present: its
+    identity verdict, and whether a distribution under `policy` keys it.
+    The report changes nothing; `key_recipients` reads the same verdict
+    from the chain when a distribution is built."""
     view = _led_view(state, meeting_ledger)
     outcomes = []
-    for record in view.requests[state.reviewed:]:
-        state.reviewed += 1
+    for record in view.requests[since:]:
         request = record.request
         if view.record_for(request.user, request.device, request.ivk) is not record:
-            continue  # arrived and already left
-        found = identity_mod.find_identity(
-            view.identity_ledger, request.user, request.device
-        )
-        reason = _identity_verdict(request, found)
-        if reason is not None:
-            outcomes.append(
-                ReviewOutcome(request.user, request.device, reason, granted=False)
-            )
-            continue
-        granted = policy(request.user, request.device, found.info)
-        if granted:
-            state.granted.add(record.tx)
-        outcomes.append(ReviewOutcome(request.user, request.device, None, granted))
+            continue  # already left, or a handover since gave it a new record
+        reason, granted = _request_verdict(request, view.identity_ledger, policy)
+        outcomes.append(ReviewOutcome(request.user, request.device, reason, granted))
     return outcomes
 
 
-def key_recipients(state: ParticipantState, view: MeetingView) -> list[MeetingRequest]:
-    """The members a key distribution wraps to: the requesters still present
-    on the chain whose request the leader granted, in arrival order."""
-    return [r.request for r in view.present.values() if r.tx in state.granted]
+def key_recipients(view: MeetingView, policy: Policy = allow_all) -> list[MeetingRequest]:
+    """The requests a key distribution wraps to, read from the chain as it
+    stands: those of `view.members(policy)`."""
+    return [r.request for r in view.members(policy)]
 
 
 def distribute_key(
-    state: ParticipantState, meeting_ledger: Ledger, rng: Rng
+    state: ParticipantState, meeting_ledger: Ledger, rng: Rng, policy: Policy = allow_all
 ) -> tuple[Transaction, MeetingKey]:
     """Mint the key of the epoch the chain expects next, wrapped to each of
-    `key_recipients`; the leader takes it up once the chain admits it.
+    `key_recipients` under `policy`; the leader takes it up once the chain
+    admits it.
 
     Epoch 0 rides on the ephemeral announced at publish (or handover); every
-    later epoch gets a fresh ephemeral and needs a request (granted or not),
+    later epoch gets a fresh ephemeral and needs a request (kept or not),
     leave or handover admitted since the last distribution.
     """
     view = _led_view(state, meeting_ledger)
@@ -746,7 +750,7 @@ def distribute_key(
         ephemeral = crypto.ephemeral_keygen(rng)
     meeting_key = rng.take(crypto.KEY_LEN)
     entries = []
-    for member in key_recipients(state, view):
+    for member in key_recipients(view, policy):
         shared = crypto.dh(ephemeral, member.epk)
         enc_key = crypto.derive_enc_key(
             shared, kdf_context(state.meeting_id, epoch, ephemeral.epk, member.epk)
@@ -843,8 +847,6 @@ def purge_keys(state: ParticipantState) -> None:
     state.known_mk = None
     state.ephemeral = None
     state.stream_counters = {}
-    state.granted = set()
-    state.reviewed = 0
 
 
 def build_reassign(
@@ -857,9 +859,10 @@ def build_reassign(
 
     Under designation the outgoing leader co-signs; under time order the
     successor submits alone and the chain checks they are the earliest
-    remaining member. Returns the new leader's fresh ephemeral alongside;
-    an epoch-0 distribution rides on it, while any later rekey mints its
-    own replacement.
+    remaining member. Returns the new leader's fresh ephemeral alongside:
+    the successor leads once the chain admits the handover and its session
+    holds that ephemeral. An epoch-0 distribution rides on it, while any
+    later rekey mints its own replacement.
     """
     if view.leader_ivk != prev_keypair.ivk:
         raise NotCurrentLeader("handover must name the current leader")
@@ -879,18 +882,6 @@ def build_reassign(
             prev_leader_sig=crypto.sign(prev_keypair, payload.handover_bytes()),
         )
     return signed_tx(payload, new_keypair), ephemeral
-
-
-def adopt_leadership(
-    state: ParticipantState, ephemeral: crypto.EphemeralKeyPair, meeting_ledger: Ledger
-) -> None:
-    """Seed a member's session to lead, from the chain's view, with the
-    ephemeral its admitted handover announced: it grants every other verified
-    member and reviews only the requests still to come."""
-    view = build_view(meeting_ledger, state.meeting_id)
-    state.ephemeral = ephemeral
-    state.granted = {r.tx for r in view.members() if r.request.ivk != state.keypair.ivk}
-    state.reviewed = len(view.requests)
 
 
 def dismiss_meeting(state: ParticipantState, meeting_ledger: Ledger) -> Transaction:

@@ -544,6 +544,8 @@ class Simulation:
         self.parties: dict[bytes, list[Actor]] = {}
         self.eavesdroppers: list[Actor] = []
         self.meeting_order: list[bytes] = []
+        # per meeting, how many of its requests its leaders have reviewed
+        self.reviewed: dict[bytes, int] = {}
         # departed members of each meeting, until it is dismissed
         self.ghosts: dict[bytes, list[Ghost]] = {}
         self.packets: list[tuple[bytes, m.MediaPacket]] = []
@@ -664,6 +666,7 @@ class Simulation:
         tx = m.publish_meeting(session, info, self.rng, self.rule)
         if self._submit(actor, "publish", tx) is None:
             self.meeting_order.append(session.meeting_id)
+            self.reviewed[session.meeting_id] = 0
             self._join(actor, session.meeting_id, session)
 
     def _act_request(self, actor: Actor, meeting: int = 0) -> None:
@@ -676,8 +679,13 @@ class Simulation:
             self._join(actor, meeting_id, session)
 
     def _act_verify_all(self, actor: Actor, meeting: int = 0) -> None:
-        session = self._session(actor, self._meeting_at(meeting))
-        for outcome in m.review_requests(session, self.meeting_ledger):
+        meeting_id = self._meeting_at(meeting)
+        session = self._session(actor, meeting_id)
+        outcomes = m.review_requests(
+            session, self.meeting_ledger, since=self.reviewed[meeting_id]
+        )
+        self._reviewed_all(meeting_id)
+        for outcome in outcomes:
             self._emit(
                 ReviewEvent(
                     tick=self.tick,
@@ -695,7 +703,7 @@ class Simulation:
         session = self._session(actor, self._meeting_at(meeting))
         tx, key = m.distribute_key(session, self.meeting_ledger, self.rng)
         # the chain has not moved since the key was wrapped to these members
-        view = m.build_view(self.meeting_ledger, session.meeting_id)
+        recipients = m.key_recipients(m.build_view(self.meeting_ledger, session.meeting_id))
         self._emit(
             KeyEpochEvent(
                 tick=self.tick,
@@ -703,7 +711,7 @@ class Simulation:
                 epoch=key.epoch,
                 leader=actor.user,
                 leader_ivk=actor.keypair.ivk,
-                recipients=tuple(r.ivk for r in m.key_recipients(session, view)),
+                recipients=tuple(r.ivk for r in recipients),
                 key_digest=hashlib.sha256(key.key).digest(),
             )
         )
@@ -856,9 +864,15 @@ class Simulation:
             if verdict is None:
                 self._install_leader(actor, meeting, ephemeral)
 
+    def _reviewed_all(self, meeting_id: bytes) -> None:
+        self.reviewed[meeting_id] = len(m.build_view(self.meeting_ledger, meeting_id).requests)
+
     def _install_leader(self, successor: Actor, meeting: int, ephemeral) -> None:
-        session = self._session(successor, self._meeting_at(meeting))
-        m.adopt_leadership(session, ephemeral, self.meeting_ledger)
+        """The successor takes up the handover's ephemeral, and reviews only
+        the requests still to come."""
+        meeting_id = self._meeting_at(meeting)
+        self._session(successor, meeting_id).ephemeral = ephemeral
+        self._reviewed_all(meeting_id)
         # the new leader rotates the key right away so the one the old
         # leadership wrapped stops mattering
         self._act_distribute(successor, meeting)

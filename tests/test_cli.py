@@ -6,8 +6,9 @@ import hmac as stdlib_hmac
 import pytest
 
 import oracles
-from chainmeet import cli, meeting as m, sim
-from chainmeet.ledger import LedgerKind, TxTag, load_hex_lines
+from chainmeet import cli, crypto, identity as ident, meeting as m, sim
+from chainmeet.ledger import LedgerKind, TxTag, load_hex_lines, make_block, parse_block
+from chainmeet.rng import DeterministicRng
 from test_state import forged
 
 FAILING_SCENARIO = """\
@@ -166,6 +167,28 @@ def test_inspect_refuses_a_forged_registration(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["inspect", "--persist", str(store)]) == 2
     assert "bad_signature" in capsys.readouterr().err
+
+
+def test_inspect_names_the_binding_a_duplicate_registration_claims(tmp_path, capsys):
+    store = tmp_path / "ledgers"
+    assert cli.main(["run", "--scenario", "honest", "--out",
+                     str(tmp_path / "t.txt"), "--persist", str(store)]) == 0
+    path = store / "identity.ledger"
+    lines = path.read_text().splitlines()
+    head = parse_block(bytes.fromhex(lines[-1]))
+    # validly signed by a key of its own, but alice's binding is taken
+    squatter = crypto.identity_keygen(DeterministicRng(1))
+    duplicate = make_block(
+        head.index + 1, head.block_hash, head.timestamp,
+        (ident.register_identity("alice", "laptop", squatter),),
+    )
+    path.write_text("\n".join(lines + [duplicate.encode().hex()]) + "\n")
+    capsys.readouterr()
+    assert cli.main(["inspect", "--persist", str(store)]) == 2
+    assert (
+        f"ledger=identity block={duplicate.index} pos=0"
+        " reason=duplicate_binding (alice, laptop)"
+    ) in capsys.readouterr().err
 
 
 def test_goals_reports_each_goal(capsys):

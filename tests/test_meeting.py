@@ -52,10 +52,10 @@ class World:
     def verdict(self, tx):
         return m.meeting_tx_verdict(tx, self.meeting_ledger)
 
-    def distribute(self, leader):
+    def distribute(self, leader, policy=m.allow_all):
         """The leader's next key distribution, committed; the leader takes up
         its key once the ledger has admitted it."""
-        tx, key = m.distribute_key(leader, self.meeting_ledger, self.rng)
+        tx, key = m.distribute_key(leader, self.meeting_ledger, self.rng, policy)
         self.commit(tx)
         leader.known_mk = key
         return tx
@@ -273,7 +273,7 @@ def test_leader_not_own_member_and_absent_from_entries():
     leader, members, dist = standard_meeting(world)
     assert dist.entry_for(leader.keypair.ivk) is None
     view = m.build_view(world.meeting_ledger, leader.meeting_id)
-    recipients = [r.ivk for r in m.key_recipients(leader, view)]
+    recipients = [r.ivk for r in m.key_recipients(view)]
     assert recipients == [member.keypair.ivk for member in members]
     assert leader.keypair.ivk not in recipients
 
@@ -338,9 +338,10 @@ def test_leader_review_rejects_forged_and_keeps_them_out():
     # the forged request stays present on the chain, but it is never keyed
     view = m.build_view(world.meeting_ledger, leader.meeting_id)
     assert len(view.present) == 1
-    assert m.key_recipients(leader, view) == []
-    # a second review has nothing new to say
-    assert m.review_requests(leader, world.meeting_ledger) == []
+    assert m.key_recipients(view) == []
+    # a second review, from where the first one stopped, has nothing new to say
+    since = len(view.requests)
+    assert m.review_requests(leader, world.meeting_ledger, since=since) == []
 
 
 def test_review_looks_up_each_request_identity_once(monkeypatch):
@@ -385,6 +386,13 @@ def test_review_looks_up_each_request_identity_once(monkeypatch):
     assert seen == [
         (user, real(world.identity_ledger, user, "dev").info) for user in ("bob", "carol")
     ]
+    # the recipients of a distribution follow the same rule
+    lookups.clear()
+    seen.clear()
+    view = m.build_view(world.meeting_ledger, leader.meeting_id)
+    assert [r.user for r in m.key_recipients(view, policy)] == ["bob"]
+    assert lookups == ["bob", "carol", "victim"]
+    assert [user for user, _ in seen] == ["bob", "carol"]
 
 
 def test_policy_gate_with_committed_userinfo():
@@ -419,7 +427,7 @@ def test_policy_gate_with_committed_userinfo():
     )
     assert outcomes[0].granted
     view = m.build_view(world.meeting_ledger, leader.meeting_id)
-    assert [r.user for r in m.key_recipients(leader, view)] == ["dora"]
+    assert [r.user for r in m.key_recipients(view, needs_valid_opening)] == ["dora"]
     # wrong opening fails the same policy
     world2 = World(seed=4242)
     leader2 = world2.actor("alice")
@@ -452,7 +460,7 @@ def test_policy_gate_with_committed_userinfo():
     )
     assert not outcomes[0].granted
     view2 = m.build_view(world2.meeting_ledger, leader2.meeting_id)
-    assert m.key_recipients(leader2, view2) == []
+    assert m.key_recipients(view2, needs_staff_opening) == []
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +793,7 @@ def test_forged_request_cannot_squat_the_victims_binding():
         ("victim", False), ("victim", True)
     ]
     view = m.build_view(world.meeting_ledger, leader.meeting_id)
-    assert [r.ivk for r in m.key_recipients(leader, view)] == [victim.keypair.ivk]
+    assert [r.ivk for r in m.key_recipients(view)] == [victim.keypair.ivk]
     dist = m.KeyDistribution.parse(world.distribute(leader).body)
     assert dist.entry_for(victim.keypair.ivk) is not None
     assert dist.entry_for(mallory.keypair.ivk) is None
@@ -795,7 +803,7 @@ def test_forged_request_cannot_squat_the_victims_binding():
     world.commit(leave)
     # and the departure drops the victim from the leader's recipients, with
     # no review and despite the squatter, and lets the leader rekey
-    assert m.key_recipients(leader, view) == []
+    assert m.key_recipients(view) == []
     assert view.membership_changed
 
 
@@ -806,8 +814,10 @@ def test_a_leave_admitted_after_the_review_drops_its_member_from_the_key():
     world = World()
     leader, (bob, carol), _ = standard_meeting(world)
     dave = world.actor("dave")
+    since = len(m.build_view(world.meeting_ledger, leader.meeting_id).requests)
     world.commit(m.make_request(dave, world.meeting_ledger, leader.meeting_id, world.rng))
-    assert [o.granted for o in m.review_requests(leader, world.meeting_ledger)] == [True]
+    outcomes = m.review_requests(leader, world.meeting_ledger, since=since)
+    assert [o.granted for o in outcomes] == [True]
     world.commit(m.make_leave(bob))
     dist = m.KeyDistribution.parse(world.distribute(leader).body)
     assert dist.epoch == 1
@@ -815,6 +825,20 @@ def test_a_leave_admitted_after_the_review_drops_its_member_from_the_key():
     assert dist.entry_for(bob.keypair.ivk) is None
     with pytest.raises(NoEntryForMe):
         m.accept_key(bob, dist)
+    assert m.accept_key(dave, dist) == leader.known_mk
+
+
+def test_a_newcomer_no_review_has_reported_is_keyed_at_the_next_distribution():
+    """The recipients are read from the chain when the distribution is
+    built, so a request the leader has not reviewed yet is keyed too."""
+    world = World()
+    leader, (bob, carol), _ = standard_meeting(world)
+    world.commit(m.make_leave(bob))
+    dave = world.actor("dave")
+    world.commit(m.make_request(dave, world.meeting_ledger, leader.meeting_id, world.rng))
+    dist = m.KeyDistribution.parse(world.distribute(leader).body)
+    assert dist.epoch == 1
+    assert dist.entry_for(dave.keypair.ivk) is not None
     assert m.accept_key(dave, dist) == leader.known_mk
 
 
@@ -954,6 +978,8 @@ def records_read_per_step(monkeypatch, cycles):
 
     world = World()
     leader, members, _ = standard_meeting(world, ("bob", "carol", "dave"))
+    view = m.build_view(world.meeting_ledger, leader.meeting_id)
+    reviewed = len(view.requests)  # each review starts where the last one stopped
     monkeypatch.setattr(m.RequestRecord, "__getattribute__", counted)
     steps = {"admit": set(), "review": set(), "distribute": set()}
 
@@ -963,7 +989,9 @@ def records_read_per_step(monkeypatch, cycles):
         steps[kind].add(len(touched))
 
     def review_and_rekey():
-        step("review", lambda: m.review_requests(leader, world.meeting_ledger))
+        nonlocal reviewed
+        step("review", lambda: m.review_requests(leader, world.meeting_ledger, since=reviewed))
+        reviewed = len(view.requests)
         step("distribute", lambda: world.distribute(leader))
 
     for cycle in range(cycles):
@@ -1078,10 +1106,7 @@ def test_designation_handover_accepted_and_rekeyed():
     )
     assert world.verdict(tx) is None
     world.commit(tx)
-    m.adopt_leadership(
-        bob, ephemeral,
-        world.meeting_ledger,
-    )
+    bob.ephemeral = ephemeral
     dist = m.KeyDistribution.parse(world.distribute(bob).body)
     assert dist.epoch == 1
     # the rekey mints its own ephemeral; the handover one is superseded
@@ -1090,6 +1115,50 @@ def test_designation_handover_accepted_and_rekeyed():
     m.accept_key(carol, dist)
     packet = m.encrypt_media(bob, 1, b"new regime")
     assert m.decrypt_media(carol, packet) == b"new regime"
+
+
+def test_a_member_the_policy_denies_stays_unkeyed_after_a_handover():
+    """The successor inherits nothing from its predecessor's reviews:
+    distributing under the same policy, it keys nobody that policy denies."""
+    world = World()
+    alice = world.actor("alice")
+    world.commit(m.publish_meeting(alice, "m", world.rng))
+    bob, carol, dave = (world.actor(name) for name in ("bob", "carol", "dave"))
+    for member in (bob, carol, dave):
+        world.commit(
+            m.make_request(member, world.meeting_ledger, alice.meeting_id, world.rng)
+        )
+
+    def not_dave(user, device, info):
+        return user != "dave"
+
+    dist = m.KeyDistribution.parse(world.distribute(alice, not_dave).body)
+    assert [e.recipient_ivk for e in dist.entries] == [bob.keypair.ivk, carol.keypair.ivk]
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
+    tx, ephemeral = m.build_reassign(view, alice.keypair, bob.keypair, world.rng)
+    world.commit(tx)
+    bob.ephemeral = ephemeral
+    dist = m.KeyDistribution.parse(world.distribute(bob, not_dave).body)
+    assert dist.epoch == 1
+    assert [e.recipient_ivk for e in dist.entries] == [carol.keypair.ivk]
+    # dave is a verified member all the same: only the policy keeps dave out
+    assert [r.ivk for r in m.key_recipients(view)] == [carol.keypair.ivk, dave.keypair.ivk]
+
+
+def test_time_order_hands_over_to_the_earliest_requester_but_the_leader():
+    """bob, who joined by request, leads after alice. His successor is
+    carol, the earliest verified requester after him; alice, who published,
+    handed over and stayed, is no candidate."""
+    world, alice, bob, carol = handover_world(m.ReassignRule.TIME_ORDER)
+    view = m.build_view(world.meeting_ledger, alice.meeting_id)
+    world.commit(m.build_reassign(view, alice.keypair, bob.keypair, world.rng)[0])
+    assert [r.request.ivk for r in view.members()] == [carol.keypair.ivk]
+    to_alice = forged_reassign(world, alice, bob.keypair, alice.keypair, cosign=False)
+    assert world.verdict(to_alice) == Reason.RULE_VIOLATION
+    with pytest.raises(NewLeaderNotMember):
+        m.build_reassign(view, bob.keypair, alice.keypair, world.rng)
+    to_carol, _ = m.build_reassign(view, bob.keypair, carol.keypair, world.rng)
+    assert world.verdict(to_carol) is None
 
 
 def assert_not_leading(world, session):
@@ -1122,8 +1191,9 @@ def test_a_successor_leads_only_once_it_adopts_the_handover():
     world, _, bob, ephemeral = handed_over_to_bob()
     # the chain names bob's ivk, but bob still holds his member ephemeral
     assert_not_leading(world, bob)
-    m.adopt_leadership(bob, ephemeral, world.meeting_ledger)
-    assert m.review_requests(bob, world.meeting_ledger) == []
+    bob.ephemeral = ephemeral
+    since = len(m.build_view(world.meeting_ledger, bob.meeting_id).requests)
+    assert m.review_requests(bob, world.meeting_ledger, since=since) == []
     assert world.verdict(m.dismiss_meeting(bob, world.meeting_ledger)) is None
     assert m.KeyDistribution.parse(world.distribute(bob).body).epoch == 1
 

@@ -212,6 +212,18 @@ def test_a_leader_that_hands_over_and_stays_reads_the_next_key():
     assert "[t=7] decrypt who=bob m=0 stream=1 epoch=2 ctr=0 ok=1" in lines
 
 
+def test_a_time_order_leader_that_joined_by_request_hands_over():
+    """Under time order bob, who joined by request, hands over to carol, the
+    earliest verified requester other than himself."""
+    simulation = sim.run_scenario_text(
+        HANDED_OVER_AND_STAYED.replace("rule designation", "rule timeorder")
+    )
+    assert simulation.report.ok
+    lines = sim.render_transcript(simulation).splitlines()
+    assert "[t=6] tx who=bob action=reassign tag=LEADER_REASSIGN ok=1 block=7" in lines
+    assert "[t=6] accept who=bob m=0 epoch=2 ok=1" in lines
+
+
 def test_verify_all_reviews_without_distributing_and_distribute_reviews_first():
     simulation = sim.run_scenario_text(
         "actor alice laptop\nactor bob phone\nactor carol tablet\n"

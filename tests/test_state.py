@@ -350,11 +350,19 @@ def test_identity_registered_after_the_request_counts_from_then_on():
     view = m.build_view(meeting_ledger, alice.meeting_id)
     assert m.verify_request(view.requests[0].request, identity_ledger) == Reason.UNKNOWN_IDENTITY
     assert view.members() == []
+    outcomes = m.review_requests(alice, meeting_ledger)
+    assert [(o.user, o.verdict, o.granted) for o in outcomes] == [
+        ("lee", Reason.UNKNOWN_IDENTITY, False)
+    ]
     identity_ledger.append_block(
         [ident.register_identity("lee", "dev", late.keypair)], 3
     )
     assert m.verify_request(view.requests[0].request, identity_ledger) is None
     assert [r.request.user for r in view.members()] == ["lee"]
+    # the review's verdict binds nothing: the next distribution keys lee
+    tx, key = m.distribute_key(alice, meeting_ledger, rng)
+    meeting_ledger.append_block([tx], 4)
+    assert m.accept_key(late, m.parse_meeting_tx(tx)) == key
 
 
 # ---------------------------------------------------------------------------
