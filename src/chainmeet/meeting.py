@@ -106,11 +106,7 @@ class KeyEntry(Wire):
 
 @dataclass(frozen=True)
 class KeyDistribution(Wire):
-    """One epoch's key, wrapped to each member.
-
-    The entries are indexed by recipient ivk the first time `entry_for` is
-    asked; the index takes no part in equality, hashing or repr.
-    """
+    """One epoch's key, wrapped to each member."""
 
     TAG = TxTag.KEY_DISTRIBUTION
 
@@ -118,18 +114,10 @@ class KeyDistribution(Wire):
     epoch: int = wire(U32)
     leader_epk: bytes = wire(KEY)
     entries: tuple[KeyEntry, ...] = wire(vector(KeyEntry))
-    _by_recipient: dict[bytes, KeyEntry] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def entry_for(self, ivk: bytes) -> Optional[KeyEntry]:
         """The first entry wrapped to `ivk`, or None."""
-        index = self._by_recipient
-        if not index:
-            # backwards, so that a repeated ivk keeps its first entry
-            for entry in reversed(self.entries):
-                index[entry.recipient_ivk] = entry
-        return index.get(ivk)
+        return next((e for e in self.entries if e.recipient_ivk == ivk), None)
 
 
 @dataclass(frozen=True)

@@ -531,7 +531,24 @@ class Ghost:
     key: m.MeetingKey
 
 
+@dataclass
+class MeetingRun:
+    """A published meeting as the run keeps it: its index in publish order,
+    which events show; who holds a session in it, in the order of the
+    scenario's actors; its departed members, until it is dismissed; and how
+    many of its requests its leaders have reviewed."""
+
+    id: bytes
+    index: int
+    parties: list[Actor] = field(default_factory=list)
+    ghosts: list[Ghost] = field(default_factory=list)
+    reviewed: int = 0
+
+
 class Simulation:
+    """A scenario's run. Each published meeting's run-time state lives in one
+    `MeetingRun`; the meeting ledger holds everything else about it."""
+
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.rng = DeterministicRng(scenario.seed)
@@ -539,15 +556,12 @@ class Simulation:
         self.identity_ledger = identity_mod.new_identity_ledger()
         self.meeting_ledger = m.new_meeting_ledger(self.identity_ledger)
         self.actors: dict[str, Actor] = {}
-        # who holds a session in each meeting, and who eavesdrops; both in
-        # the order of self.actors, which is the order their events come in
-        self.parties: dict[bytes, list[Actor]] = {}
+        # who eavesdrops, in the order of self.actors, which is the order
+        # their events come in (as each meeting's parties are)
         self.eavesdroppers: list[Actor] = []
-        self.meeting_order: list[bytes] = []
-        # per meeting, how many of its requests its leaders have reviewed
-        self.reviewed: dict[bytes, int] = {}
-        # departed members of each meeting, until it is dismissed
-        self.ghosts: dict[bytes, list[Ghost]] = {}
+        # in publish order, and by meeting id for what the chain admits
+        self.meetings: list[MeetingRun] = []
+        self.meeting_by_id: dict[bytes, MeetingRun] = {}
         self.packets: list[tuple[bytes, m.MediaPacket]] = []
         # the eavesdropper's all-zero guess: its stream keys are public, so
         # each is derived once
@@ -564,32 +578,25 @@ class Simulation:
     def _attacked(self, actor: Actor, attack: str, failed: bool, detail: str) -> None:
         self._emit(AdversaryEvent(self.tick, actor.user, attack, failed, detail))
 
-    def _meeting_at(self, index: int) -> bytes:
-        if not 0 <= index < len(self.meeting_order):
+    def _meeting_at(self, index: int) -> MeetingRun:
+        if not 0 <= index < len(self.meetings):
             raise MalformedScenario(f"no meeting with index {index}")
-        return self.meeting_order[index]
+        return self.meetings[index]
 
-    def _meeting_index(self, meeting_id: bytes) -> int:
-        return self.meeting_order.index(meeting_id)
-
-    def _session(self, actor: Actor, meeting_id: bytes) -> m.ParticipantState:
-        session = actor.sessions.get(meeting_id)
+    def _session(self, actor: Actor, run: MeetingRun) -> m.ParticipantState:
+        session = actor.sessions.get(run.id)
         if session is None:
-            raise MalformedScenario(
-                f"{actor.user} has no session in meeting"
-                f" {self._meeting_index(meeting_id)}"
-            )
+            raise MalformedScenario(f"{actor.user} has no session in meeting {run.index}")
         return session
 
-    def _join(self, actor: Actor, meeting_id: bytes, session: m.ParticipantState) -> None:
-        if meeting_id not in actor.sessions:
-            bisect.insort(self.parties.setdefault(meeting_id, []), actor, key=_rank)
-        actor.sessions[meeting_id] = session
+    def _join(self, actor: Actor, run: MeetingRun, session: m.ParticipantState) -> None:
+        if run.id not in actor.sessions:
+            bisect.insort(run.parties, actor, key=_rank)
+        actor.sessions[run.id] = session
 
-    def _part(self, actor: Actor, meeting_id: bytes) -> None:
-        parties = self.parties[meeting_id]
-        del parties[bisect.bisect_left(parties, actor.rank, key=_rank)]
-        del actor.sessions[meeting_id]
+    def _part(self, actor: Actor, run: MeetingRun) -> None:
+        del run.parties[bisect.bisect_left(run.parties, actor.rank, key=_rank)]
+        del actor.sessions[run.id]
 
     def _submit(self, actor: Actor, action: str, tx, key=None) -> Optional[Reason]:
         """Admit a transaction through the ledger, then fan out observation; a
@@ -634,11 +641,11 @@ class Simulation:
         for tx in block.txs:
             payload = m.parse_meeting_tx(tx)  # as admission decoded it
             if isinstance(payload, m.KeyDistribution):
-                meeting_index = self._meeting_index(payload.meeting_id)
-                for actor in self.parties.get(payload.meeting_id, ()):
+                run = self.meeting_by_id[payload.meeting_id]
+                for actor in run.parties:
                     if payload.entry_for(actor.keypair.ivk) is None:
                         continue  # the leader, or a member it did not key
-                    session = actor.sessions[payload.meeting_id]
+                    session = actor.sessions[run.id]
                     try:
                         # one MeetingKey, so one set of stream contexts, per epoch key
                         if m.accept_key(session, payload) == key:
@@ -648,49 +655,50 @@ class Simulation:
                         accepted = False
                     self._emit(
                         AcceptKeyEvent(
-                            self.tick, actor.user, meeting_index, payload.epoch, accepted
+                            self.tick, actor.user, run.index, payload.epoch, accepted
                         )
                     )
             elif isinstance(payload, m.MeetingDismiss):
-                self.ghosts.pop(payload.meeting_id, None)
-                for actor in self.parties.pop(payload.meeting_id, ()):
-                    m.purge_keys(actor.sessions.pop(payload.meeting_id))
+                run = self.meeting_by_id[payload.meeting_id]
+                for actor in run.parties:
+                    m.purge_keys(actor.sessions.pop(run.id))
+                run.parties.clear()
+                run.ghosts.clear()
 
     # -- scripted actions
 
     def _act_publish(self, actor: Actor, *words: str) -> None:
-        info = " ".join(words) if words else f"meeting-{len(self.meeting_order)}"
+        info = " ".join(words) if words else f"meeting-{len(self.meetings)}"
         session = m.ParticipantState(
             user=actor.user, device=actor.device, keypair=actor.keypair
         )
         tx = m.publish_meeting(session, info, self.rng, self.rule)
         if self._submit(actor, "publish", tx) is None:
-            self.meeting_order.append(session.meeting_id)
-            self.reviewed[session.meeting_id] = 0
-            self._join(actor, session.meeting_id, session)
+            run = MeetingRun(session.meeting_id, len(self.meetings))
+            self.meetings.append(run)
+            self.meeting_by_id[run.id] = run
+            self._join(actor, run, session)
 
     def _act_request(self, actor: Actor, meeting: int = 0) -> None:
-        meeting_id = self._meeting_at(meeting)
+        run = self._meeting_at(meeting)
         session = m.ParticipantState(
             user=actor.user, device=actor.device, keypair=actor.keypair
         )
-        tx = m.make_request(session, self.meeting_ledger, meeting_id, self.rng)
+        tx = m.make_request(session, self.meeting_ledger, run.id, self.rng)
         if self._submit(actor, "request", tx) is None:
-            self._join(actor, meeting_id, session)
+            self._join(actor, run, session)
 
     def _act_verify_all(self, actor: Actor, meeting: int = 0) -> None:
-        meeting_id = self._meeting_at(meeting)
-        session = self._session(actor, meeting_id)
-        outcomes = m.review_requests(
-            session, self.meeting_ledger, since=self.reviewed[meeting_id]
-        )
-        self._reviewed_all(meeting_id)
+        run = self._meeting_at(meeting)
+        session = self._session(actor, run)
+        outcomes = m.review_requests(session, self.meeting_ledger, since=run.reviewed)
+        self._reviewed_all(run)
         for outcome in outcomes:
             self._emit(
                 ReviewEvent(
                     tick=self.tick,
                     leader=actor.user,
-                    meeting=meeting,
+                    meeting=run.index,
                     subject_user=outcome.user,
                     subject_device=outcome.device,
                     verdict=outcome.verdict,
@@ -700,14 +708,15 @@ class Simulation:
 
     def _act_distribute(self, actor: Actor, meeting: int = 0) -> None:
         self._act_verify_all(actor, meeting)
-        session = self._session(actor, self._meeting_at(meeting))
+        run = self._meeting_at(meeting)
+        session = self._session(actor, run)
         tx, key = m.distribute_key(session, self.meeting_ledger, self.rng)
         # the chain has not moved since the key was wrapped to these members
-        recipients = m.key_recipients(m.build_view(self.meeting_ledger, session.meeting_id))
+        recipients = m.key_recipients(m.build_view(self.meeting_ledger, run.id))
         self._emit(
             KeyEpochEvent(
                 tick=self.tick,
-                meeting=meeting,
+                meeting=run.index,
                 epoch=key.epoch,
                 leader=actor.user,
                 leader_ivk=actor.keypair.ivk,
@@ -720,44 +729,41 @@ class Simulation:
     def _act_packet(self, actor: Actor, stream: int, nbytes: int, meeting: int = 0) -> None:
         if nbytes > 65536:
             raise MalformedScenario("packet payloads are capped at 64 KiB")
-        meeting_id = self._meeting_at(meeting)
-        session = self._session(actor, meeting_id)
+        run = self._meeting_at(meeting)
+        session = self._session(actor, run)
         # nobody reads the payload, so it is zeros; stepping the stream over
         # nbytes keeps every later draw where the pinned transcripts put it
         self.rng.skip(nbytes)
         packet = m.encrypt_media(session, stream, bytes(nbytes))
         stream_key, _ = session.known_mk.stream(stream)
-        meeting_index = self._meeting_index(meeting_id)
         self._emit(
             PacketEvent(
-                self.tick, actor.user, meeting_index, stream, packet.epoch,
+                self.tick, actor.user, run.index, stream, packet.epoch,
                 packet.counter, nbytes, hashlib.sha256(stream_key).digest(),
                 packet.box.nonce,
             )
         )
-        self.packets.append((meeting_id, packet))
-        self._deliver(actor, meeting_id, meeting_index, m.Delivery(meeting_id, packet))
+        self.packets.append((run.id, packet))
+        self._deliver(actor, run, m.Delivery(run.id, packet))
 
-    def _deliver(
-        self, sender: Actor, meeting_id: bytes, meeting_index: int, delivery: m.Delivery
-    ) -> None:
+    def _deliver(self, sender: Actor, run: MeetingRun, delivery: m.Delivery) -> None:
         """Every reader, every ghost, the tamper probe and each eavesdropper
         try the packet once, and each gets its own event.
 
         Readers and ghosts that hold the key object just opened take its
         answer, as an open of the same key, nonce, bytes and AAD gives the
         same one; the members of an epoch share one `MeetingKey`, so they
-        share one open. The probe's bytes and the eavesdroppers' keys differ,
-        so each of those is opened."""
+        share one open. A ghost that holds the readers' key, the last one
+        they opened, takes their answer too. The probe's bytes and the
+        eavesdroppers' keys differ, so each of those is opened."""
         packet = delivery.packet
-        tick, stream, epoch, counter = (
-            self.tick, packet.stream_id, packet.epoch, packet.counter
-        )
+        tick, meeting_id, meeting_index = self.tick, run.id, run.index
+        stream, epoch, counter = packet.stream_id, packet.epoch, packet.counter
         emit = self.transcript.append
         probe_target: Optional[tuple[Actor, m.ParticipantState]] = None
         opened: Optional[m.MeetingKey] = None  # the key whose answer `readable` is
         readable = False
-        for actor in self.parties[meeting_id]:
+        for actor in run.parties:
             if actor is sender:
                 continue
             session = actor.sessions[meeting_id]
@@ -774,13 +780,19 @@ class Simulation:
             )
             if readable and not actor.adversary and probe_target is None:
                 probe_target = (actor, session)
-        for ghost in self.ghosts.get(meeting_id, ()):
-            if ghost.key is not opened:
-                opened, readable = ghost.key, delivery.open(ghost.key) is not None
+        readers_key, readers_readable = opened, readable
+        for ghost in run.ghosts:
+            key = ghost.key
+            if key is not opened:
+                opened = key
+                readable = (
+                    readers_readable if key is readers_key
+                    else delivery.open(key) is not None
+                )
             emit(
                 DecryptEvent(
                     tick, ghost.actor.user, meeting_index, stream, epoch, counter,
-                    readable, ghost.actor.keypair.ivk, True, False, ghost.key.epoch,
+                    readable, ghost.actor.keypair.ivk, True, False, key.epoch,
                 )
             )
         if probe_target is not None:
@@ -819,38 +831,34 @@ class Simulation:
         return int(opened is not None)
 
     def _act_leave(self, actor: Actor, meeting: int = 0) -> None:
-        meeting_id = self._meeting_at(meeting)
-        session = self._session(actor, meeting_id)
+        run = self._meeting_at(meeting)
+        session = self._session(actor, run)
         tx = m.make_leave(session)
         if self._submit(actor, "leave", tx) is not None:
             return
         epoch_at_leave = None
         if session.known_mk is not None:
             epoch_at_leave = session.known_mk.epoch
-            self.ghosts.setdefault(meeting_id, []).append(Ghost(actor, session.known_mk))
-        self._emit(
-            DepartureEvent(
-                self.tick, actor.user, self._meeting_index(meeting_id), epoch_at_leave
-            )
-        )
+            run.ghosts.append(Ghost(actor, session.known_mk))
+        self._emit(DepartureEvent(self.tick, actor.user, run.index, epoch_at_leave))
         m.purge_keys(session)
-        self._part(actor, meeting_id)
+        self._part(actor, run)
 
     def _act_reassign(self, actor: Actor, new_user: str, meeting: int = 0) -> None:
         successor = self.actors[new_user]
-        meeting_id = self._meeting_at(meeting)
-        view = m.build_view(self.meeting_ledger, meeting_id)
+        run = self._meeting_at(meeting)
+        view = m.build_view(self.meeting_ledger, run.id)
         if view.leader_ivk == actor.keypair.ivk:
             tx, ephemeral = m.build_reassign(
                 view, actor.keypair, successor.keypair, self.rng
             )
             if self._submit(actor, "reassign", tx) is None:
-                self._install_leader(successor, meeting, ephemeral)
+                self._install_leader(successor, run, ephemeral)
         else:
             # a grab: nobody handed leadership over
             ephemeral = crypto.ephemeral_keygen(self.rng)
             payload = m.LeaderReassign(
-                meeting_id=meeting_id,
+                meeting_id=run.id,
                 prev_leader_ivk=view.leader_ivk,
                 new_leader_ivk=actor.keypair.ivk,
                 new_leader_epk=ephemeral.epk,
@@ -862,33 +870,30 @@ class Simulation:
                 actor, "leadership_grab", verdict is not None, f"reason={verdict}"
             )
             if verdict is None:
-                self._install_leader(actor, meeting, ephemeral)
+                self._install_leader(actor, run, ephemeral)
 
-    def _reviewed_all(self, meeting_id: bytes) -> None:
-        self.reviewed[meeting_id] = len(m.build_view(self.meeting_ledger, meeting_id).requests)
+    def _reviewed_all(self, run: MeetingRun) -> None:
+        run.reviewed = len(m.build_view(self.meeting_ledger, run.id).requests)
 
-    def _install_leader(self, successor: Actor, meeting: int, ephemeral) -> None:
+    def _install_leader(self, successor: Actor, run: MeetingRun, ephemeral) -> None:
         """The successor takes up the handover's ephemeral, and reviews only
         the requests still to come."""
-        meeting_id = self._meeting_at(meeting)
-        self._session(successor, meeting_id).ephemeral = ephemeral
-        self._reviewed_all(meeting_id)
+        self._session(successor, run).ephemeral = ephemeral
+        self._reviewed_all(run)
         # the new leader rotates the key right away so the one the old
         # leadership wrapped stops mattering
-        self._act_distribute(successor, meeting)
+        self._act_distribute(successor, run.index)
 
     def _act_dismiss(self, actor: Actor, meeting: int = 0) -> None:
-        meeting_id = self._meeting_at(meeting)
-        session = self._session(actor, meeting_id)
+        session = self._session(actor, self._meeting_at(meeting))
         self._submit(actor, "dismiss", m.dismiss_meeting(session, self.meeting_ledger))
 
     # -- adversary actions
 
     def _act_adversary_impersonate(self, actor: Actor, victim: str, meeting: int = 0) -> None:
         claimed = self.actors[victim]
-        meeting_id = self._meeting_at(meeting)
         payload = m.MeetingRequest(
-            meeting_id=meeting_id,
+            meeting_id=self._meeting_at(meeting).id,
             user=claimed.user,
             device=claimed.device,
             ivk=actor.keypair.ivk,
@@ -923,15 +928,15 @@ class Simulation:
     def _act_adversary_mix_keys(
         self, actor: Actor, victim: str, meeting_a: int = 0, meeting_b: int = 1
     ) -> None:
-        mid_a = self._meeting_at(meeting_a)
-        mid_b = self._meeting_at(meeting_b)
+        run_a = self._meeting_at(meeting_a)
+        mid_a, mid_b = run_a.id, self._meeting_at(meeting_b).id
         if mid_a == mid_b:
             raise MalformedScenario("mix_keys splices between two different meetings")
         dist_a = m.build_view(self.meeting_ledger, mid_a).last_distribution
         dist_b = m.build_view(self.meeting_ledger, mid_b).last_distribution
         if dist_a is None or dist_b is None:
             raise MalformedScenario("mix_keys needs key distributions to splice")
-        session = self._session(self.actors[victim], mid_a)
+        session = self._session(self.actors[victim], run_a)
         key_before = session.known_mk
         spliced = (
             # another meeting's leader ephemeral over this meeting's entries
@@ -955,10 +960,9 @@ class Simulation:
         )
 
     def _act_adversary_replay_request(self, actor: Actor, meeting: int = 0) -> None:
-        meeting_id = self._meeting_at(meeting)
         # earliest request wins: in the interesting runs that is the one a
         # since-departed member posted, so the replay is a re-enrol attempt
-        requests = m.build_view(self.meeting_ledger, meeting_id).requests
+        requests = m.build_view(self.meeting_ledger, self._meeting_at(meeting).id).requests
         if not requests:
             raise MalformedScenario("no request on the chain to replay")
         replayable = requests[0].tx

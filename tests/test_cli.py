@@ -270,6 +270,21 @@ def test_errors_found_while_running_name_their_tick(tmp_path, capsys, action, me
     assert message in capsys.readouterr().err.splitlines()
 
 
+def test_an_actor_without_a_session_is_named_with_the_meeting_index(tmp_path, capsys):
+    # bob's session is in the second meeting published, index 1
+    path = tmp_path / "no_session.txt"
+    actions = [
+        "alice publish", "carol publish", "bob request 1", "carol distribute 1",
+        "bob leave 1", "bob packet 1 8 1",
+    ]
+    path.write_text(
+        "actor alice laptop\nactor bob phone\nactor carol tablet\n"
+        + "".join(f"tick {tick} {action}\n" for tick, action in enumerate(actions, 1))
+    )
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert "error: t=6: bob has no session in meeting 1" in capsys.readouterr().err.splitlines()
+
+
 def test_packet_before_holding_a_key_exits_two(tmp_path, capsys):
     path = tmp_path / "early.txt"
     path.write_text(

@@ -579,9 +579,9 @@ class OwnKeyCopies(sim.Simulation):
 
     def _observe(self, block, key):
         super()._observe(block, key)
-        for meeting_id, parties in self.parties.items():
-            for actor in parties:
-                session = actor.sessions[meeting_id]
+        for run in self.meetings:
+            for actor in run.parties:
+                session = actor.sessions[run.id]
                 if session.known_mk is not None:
                     session.known_mk = m.MeetingKey(
                         session.known_mk.key, session.known_mk.epoch
@@ -651,9 +651,10 @@ def test_shared_opens_match_every_reader_opening_for_itself(name, monkeypatch):
     assert own_opens >= shared_opens
     if name == "mixed_keys":
         # sharing saves 3 opens at t=11, where four readers hold epoch 0's
-        # key, and 1 at each of t=15, 17 and 20, where two readers share a
-        # key and the ghosts hold others
-        assert own_opens - shared_opens == 6
+        # key; 1 at each of t=15, 17 and 20, where two readers share a key
+        # and the ghosts hold others; and 1 more at each of t=15 and 17,
+        # where erin's ghost holds the readers' key after dave's older one
+        assert own_opens - shared_opens == 8
         decrypts = events_of(shared, sim.DecryptEvent)
         ghosts = {(e.tick, e.actor): e.ok for e in decrypts if e.ghost}
         assert ghosts[15, "dave"] is False and ghosts[15, "erin"] is True
@@ -662,6 +663,27 @@ def test_shared_opens_match_every_reader_opening_for_itself(name, monkeypatch):
             e.actor: e.ok for e in decrypts if e.tick == 22 and not (e.ghost or e.tampered)
         }
         assert readers == {"alice": False, "bob": True}
+
+
+def test_a_ghost_holding_the_readers_key_takes_their_open(monkeypatch):
+    """At t=15 of MIXED_KEYS, alice and bob read under epoch 1's key, dave's
+    ghost holds epoch 0's and erin's ghost epoch 1's after it: two key
+    objects, so two opens under members' and ghosts' keys."""
+    simulation = sim.Simulation(sim.parse_scenario(MIXED_KEYS))
+    keys = []
+    real = m.Delivery.open
+
+    def counted(delivery, key, sealed=None):
+        # the tamper probe passes its own bytes; eavesdroppers try the zero key
+        if simulation.tick == 15 and sealed is None and key is not simulation.zero_key:
+            keys.append(key)
+        return real(delivery, key, sealed)
+
+    monkeypatch.setattr(m.Delivery, "open", counted)
+    simulation.run()
+    assert simulation.report.ok
+    assert len(keys) == 2 and keys[0] is not keys[1]
+    assert [key.epoch for key in keys] == [1, 0]
 
 
 @pytest.mark.parametrize("nbytes", [0, 32])
@@ -809,13 +831,13 @@ def test_stream_contexts_are_derived_once_per_epoch_key(members, monkeypatch):
     assert len(derived) == len(set(derived))
     assert len(derived) == len(in_use) + len(zero_key_streams)
 
-    meeting_0, meeting_1 = simulation.meeting_order
-    for meeting_id, leader in ((meeting_0, "alice"), (meeting_1, "bob")):
-        held = simulation.actors[leader].sessions[meeting_id].known_mk
-        sessions = [actor.sessions[meeting_id] for actor in simulation.parties[meeting_id]]
+    meeting_0, meeting_1 = simulation.meetings
+    for run, leader in ((meeting_0, "alice"), (meeting_1, "bob")):
+        held = simulation.actors[leader].sessions[run.id].known_mk
+        sessions = [actor.sessions[run.id] for actor in run.parties]
         assert len(sessions) > 1 and all(s.known_mk is held for s in sessions)
 
-    (ghost,) = simulation.ghosts[meeting_0]
+    (ghost,) = meeting_0.ghosts
     stale = ghost.key
     assert stale.epoch == 0  # the object it held when it left
     opens = [
@@ -990,7 +1012,8 @@ def test_delivery_follows_declaration_order_not_join_order():
     ]
     (ghost_read,) = [e for e in events_of(simulation, sim.DecryptEvent) if e.ghost]
     assert ghost_read.epoch_at_leave == 0 and not ghost_read.ok
-    # the dismissal took every session, and the meeting's party and ghost
-    # lists with it
-    assert simulation.parties == {} and simulation.ghosts == {}
+    # the dismissal took every session, and emptied the meeting's party and
+    # ghost lists
+    (run,) = simulation.meetings
+    assert run.parties == [] and run.ghosts == []
     assert all(not actor.sessions for actor in simulation.actors.values())
