@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import crypto, identity as identity_mod, meeting as m, sim
 from .encoding import U64_MAX, u32
-from .errors import ChainmeetError, InvalidTransaction
+from .errors import ChainmeetError, EncodingError, InvalidTransaction
 from .ledger import LedgerKind, TxTag, dump_hex_lines, load_hex_lines
 from .rng import DeterministicRng
 
@@ -83,8 +83,11 @@ def cmd_inspect(args) -> int:
         (MEETING_FILE, LedgerKind.MEETING),
     ):
         path = os.path.join(args.persist, filename)
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                lines = handle.readlines()
+        except UnicodeDecodeError:
+            raise EncodingError(f"{kind.value} ledger: not UTF-8 text") from None
         try:
             ledger = load_hex_lines(kind, lines, state)
         except InvalidTransaction as exc:

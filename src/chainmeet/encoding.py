@@ -15,7 +15,6 @@ same table encodes and parses. The kinds:
     U8, U32, U64  unsigned big-endian integer of 1, 4 or 8 bytes
     LP            u32 length || bytes
     utf8(lo, hi)  LP holding lo..hi bytes of valid UTF-8, read as a str
-    UTF8          utf8 of any length LP allows
     optional(k)   u8 flag (0: absent, None; 1: present) || k
     vector(S)     u32 count || that many S structs
     nested(S)     one S struct in place
@@ -144,7 +143,6 @@ U8 = Kind(Reader.u8, u8)
 U32 = Kind(Reader.u32, u32)
 U64 = Kind(Reader.u64, u64)
 LP = Kind(Reader.lp, lp)
-UTF8 = utf8(0, U32_MAX)
 
 
 def optional(kind: Kind) -> Kind:

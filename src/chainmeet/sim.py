@@ -35,7 +35,6 @@ plain and positional, and a media packet builds about sixteen events.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import gc
 import hashlib
@@ -200,8 +199,13 @@ def bundled_scenario_names() -> list[str]:
 def load_scenario_text(ref: str) -> str:
     """Read a scenario from a file path or a bundled name."""
     if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(ref, "rb") as handle:
+            data = handle.read()
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise MalformedScenario(f"{ref}: line {line}: not UTF-8 text") from None
     name = ref if ref.endswith(".txt") else ref + ".txt"
     candidate = resources.files(__package__) / "scenarios" / name
     if candidate.is_file():
@@ -499,14 +503,15 @@ def check_goals(events: list[Event]) -> GoalReport:
 # the simulation itself
 
 
-@dataclass
+# a scenario declares each user once, so an actor compares and hashes by
+# identity and can key its meetings' sessions
+@dataclass(eq=False)
 class Actor:
     user: str
     device: str
     adversary: bool
     keypair: crypto.IdentityKeyPair
     rank: int  # position among the scenario's actors
-    sessions: dict[bytes, m.ParticipantState] = field(default_factory=dict)
 
 
 def _rank(actor: Actor) -> int:
@@ -534,13 +539,13 @@ class Ghost:
 @dataclass
 class MeetingRun:
     """A published meeting as the run keeps it: its index in publish order,
-    which events show; who holds a session in it, in the order of the
+    which events show; each actor's session in it, in the order of the
     scenario's actors; its departed members, until it is dismissed; and how
     many of its requests its leaders have reviewed."""
 
     id: bytes
     index: int
-    parties: list[Actor] = field(default_factory=list)
+    sessions: dict[Actor, m.ParticipantState] = field(default_factory=dict)
     ghosts: list[Ghost] = field(default_factory=list)
     reviewed: int = 0
 
@@ -557,11 +562,9 @@ class Simulation:
         self.meeting_ledger = m.new_meeting_ledger(self.identity_ledger)
         self.actors: dict[str, Actor] = {}
         # who eavesdrops, in the order of self.actors, which is the order
-        # their events come in (as each meeting's parties are)
+        # their events come in (as each meeting's sessions are)
         self.eavesdroppers: list[Actor] = []
-        # in publish order, and by meeting id for what the chain admits
-        self.meetings: list[MeetingRun] = []
-        self.meeting_by_id: dict[bytes, MeetingRun] = {}
+        self.meetings: list[MeetingRun] = []  # in publish order
         self.packets: list[tuple[bytes, m.MediaPacket]] = []
         # the eavesdropper's all-zero guess: its stream keys are public, so
         # each is derived once
@@ -584,23 +587,18 @@ class Simulation:
         return self.meetings[index]
 
     def _session(self, actor: Actor, run: MeetingRun) -> m.ParticipantState:
-        session = actor.sessions.get(run.id)
+        session = run.sessions.get(actor)
         if session is None:
             raise MalformedScenario(f"{actor.user} has no session in meeting {run.index}")
         return session
 
     def _join(self, actor: Actor, run: MeetingRun, session: m.ParticipantState) -> None:
-        if run.id not in actor.sessions:
-            bisect.insort(run.parties, actor, key=_rank)
-        actor.sessions[run.id] = session
+        run.sessions[actor] = session
+        run.sessions = {a: run.sessions[a] for a in sorted(run.sessions, key=_rank)}
 
-    def _part(self, actor: Actor, run: MeetingRun) -> None:
-        del run.parties[bisect.bisect_left(run.parties, actor.rank, key=_rank)]
-        del actor.sessions[run.id]
-
-    def _submit(self, actor: Actor, action: str, tx, key=None) -> Optional[Reason]:
-        """Admit a transaction through the ledger, then fan out observation; a
-        leader takes up its distribution's `key` only once the chain admits it.
+    def _submit(self, actor: Actor, action: str, tx) -> Optional[Reason]:
+        """Admit a transaction through the ledger and report the verdict; the
+        action that built it takes up what the chain admitted.
 
         Every honest actor validates an adversary's transaction against the
         same pre-append chain state, modelling independent full nodes that
@@ -629,41 +627,22 @@ class Simulation:
             for other in self.actors.values():
                 if not other.adversary:
                     self._emit(ValidateEvent(self.tick, other.user, tag, verdict))
-        if block is not None:
-            if key is not None:
-                actor.sessions[tx.payload.meeting_id].known_mk = key
-            self._observe(block, key)
         return verdict
 
-    def _observe(self, block, key: Optional[m.MeetingKey]) -> None:
-        """What everyone else does upon seeing a freshly appended block; `key`
-        is the one its leader's distribution carries."""
-        for tx in block.txs:
-            payload = m.parse_meeting_tx(tx)  # as admission decoded it
-            if isinstance(payload, m.KeyDistribution):
-                run = self.meeting_by_id[payload.meeting_id]
-                for actor in run.parties:
-                    if payload.entry_for(actor.keypair.ivk) is None:
-                        continue  # the leader, or a member it did not key
-                    session = actor.sessions[run.id]
-                    try:
-                        # one MeetingKey, so one set of stream contexts, per epoch key
-                        if m.accept_key(session, payload) == key:
-                            session.known_mk = key
-                        accepted = True
-                    except (AuthenticationFailure, NoEntryForMe):
-                        accepted = False
-                    self._emit(
-                        AcceptKeyEvent(
-                            self.tick, actor.user, run.index, payload.epoch, accepted
-                        )
-                    )
-            elif isinstance(payload, m.MeetingDismiss):
-                run = self.meeting_by_id[payload.meeting_id]
-                for actor in run.parties:
-                    m.purge_keys(actor.sessions.pop(run.id))
-                run.parties.clear()
-                run.ghosts.clear()
+    def _take_key(self, run: MeetingRun, dist: m.KeyDistribution, key: m.MeetingKey) -> None:
+        """Every member the admitted distribution keys unwraps its entry;
+        `key` is the one its leader minted."""
+        for actor, session in run.sessions.items():
+            if dist.entry_for(actor.keypair.ivk) is None:
+                continue  # the leader, or a member it did not key
+            try:
+                # one MeetingKey, so one set of stream contexts, per epoch key
+                if m.accept_key(session, dist) == key:
+                    session.known_mk = key
+                accepted = True
+            except (AuthenticationFailure, NoEntryForMe):
+                accepted = False
+            self._emit(AcceptKeyEvent(self.tick, actor.user, run.index, dist.epoch, accepted))
 
     # -- scripted actions
 
@@ -676,7 +655,6 @@ class Simulation:
         if self._submit(actor, "publish", tx) is None:
             run = MeetingRun(session.meeting_id, len(self.meetings))
             self.meetings.append(run)
-            self.meeting_by_id[run.id] = run
             self._join(actor, run, session)
 
     def _act_request(self, actor: Actor, meeting: int = 0) -> None:
@@ -724,7 +702,9 @@ class Simulation:
                 key_digest=hashlib.sha256(key.key).digest(),
             )
         )
-        self._submit(actor, "distribute", tx, key)
+        if self._submit(actor, "distribute", tx) is None:
+            session.known_mk = key
+            self._take_key(run, tx.payload, key)
 
     def _act_packet(self, actor: Actor, stream: int, nbytes: int, meeting: int = 0) -> None:
         if nbytes > 65536:
@@ -757,16 +737,15 @@ class Simulation:
         they opened, takes their answer too. The probe's bytes and the
         eavesdroppers' keys differ, so each of those is opened."""
         packet = delivery.packet
-        tick, meeting_id, meeting_index = self.tick, run.id, run.index
+        tick, meeting_index = self.tick, run.index
         stream, epoch, counter = packet.stream_id, packet.epoch, packet.counter
         emit = self.transcript.append
         probe_target: Optional[tuple[Actor, m.ParticipantState]] = None
         opened: Optional[m.MeetingKey] = None  # the key whose answer `readable` is
         readable = False
-        for actor in run.parties:
+        for actor, session in run.sessions.items():
             if actor is sender:
                 continue
-            session = actor.sessions[meeting_id]
             key = session.known_mk
             if key is None:
                 continue
@@ -842,7 +821,7 @@ class Simulation:
             run.ghosts.append(Ghost(actor, session.known_mk))
         self._emit(DepartureEvent(self.tick, actor.user, run.index, epoch_at_leave))
         m.purge_keys(session)
-        self._part(actor, run)
+        del run.sessions[actor]
 
     def _act_reassign(self, actor: Actor, new_user: str, meeting: int = 0) -> None:
         successor = self.actors[new_user]
@@ -885,8 +864,13 @@ class Simulation:
         self._act_distribute(successor, run.index)
 
     def _act_dismiss(self, actor: Actor, meeting: int = 0) -> None:
-        session = self._session(actor, self._meeting_at(meeting))
-        self._submit(actor, "dismiss", m.dismiss_meeting(session, self.meeting_ledger))
+        run = self._meeting_at(meeting)
+        tx = m.dismiss_meeting(self._session(actor, run), self.meeting_ledger)
+        if self._submit(actor, "dismiss", tx) is None:
+            for session in run.sessions.values():
+                m.purge_keys(session)
+            run.sessions.clear()
+            run.ghosts.clear()
 
     # -- adversary actions
 
@@ -972,8 +956,9 @@ class Simulation:
         )
 
     def _act_adversary_eavesdrop(self, actor: Actor) -> None:
-        if all(other is not actor for other in self.eavesdroppers):
-            bisect.insort(self.eavesdroppers, actor, key=_rank)
+        if actor not in self.eavesdroppers:
+            self.eavesdroppers.append(actor)
+            self.eavesdroppers.sort(key=_rank)
         recovered = sum(
             self._eavesdrop_attempt(m.Delivery(meeting_id, packet))
             for meeting_id, packet in self.packets

@@ -359,6 +359,13 @@ def test_non_ascii_digits_exit_two(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+def test_a_scenario_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"seed 3\nactor alice laptop\xff\n")
+    assert cli.main(["run", "--scenario", str(path)]) == 2
+    assert f"error: {path}: line 2: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_surplus_action_argument_exits_two(tmp_path, capsys):
     path = tmp_path / "surplus.txt"
     path.write_text(
@@ -408,22 +415,25 @@ def test_inspect_skips_blank_lines_between_blocks(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "kind, text, message",
+    "kind, data, message",
     [
-        ("identity", "not hex at all\n", "bad hex block line"),
-        ("identity", "", "no blocks in ledger file"),
-        ("meeting", "not hex at all\n", "bad hex block line"),
-        ("meeting", "", "no blocks in ledger file"),
+        ("identity", b"not hex at all\n", "bad hex block line"),
+        ("identity", b"", "no blocks in ledger file"),
+        ("identity", b"\xff\xfe", "not UTF-8 text"),
+        ("meeting", b"not hex at all\n", "bad hex block line"),
+        ("meeting", b"", "no blocks in ledger file"),
+        ("meeting", b"\xff\xfe", "not UTF-8 text"),
     ],
-    ids=["not-hex", "empty", "meeting-not-hex", "meeting-empty"],
+    ids=["not-hex", "empty", "not-utf8", "meeting-not-hex", "meeting-empty",
+         "meeting-not-utf8"],
 )
 def test_inspect_of_an_unreadable_ledger_file_exits_two(
-    tmp_path, capsys, kind, text, message
+    tmp_path, capsys, kind, data, message
 ):
     store = tmp_path / "ledgers"
     assert cli.main(["run", "--scenario", "honest", "--out",
                      str(tmp_path / "t.txt"), "--persist", str(store)]) == 0
-    (store / f"{kind}.ledger").write_text(text)
+    (store / f"{kind}.ledger").write_bytes(data)
     capsys.readouterr()
     assert cli.main(["inspect", "--persist", str(store)]) == 2
     assert f"error: {kind} ledger: {message}" in capsys.readouterr().err

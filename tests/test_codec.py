@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainmeet import crypto, meeting as m
-from chainmeet.encoding import UTF8, Reader, lp
+from chainmeet.encoding import U32_MAX, Reader, lp, utf8
 from chainmeet.errors import EncodingError, Reason
 from chainmeet.identity import CommittedInfo, IdentityRecord, PlainInfo, parse_identity_body
 from chainmeet.ledger import Block, Transaction, TxTag
@@ -90,7 +90,7 @@ INVALID_UTF8 = (b"\xff", b"\xc3\x28", b"a\x80", b"\xed\xa0\x80", b"\xf0\x9f\x98"
 @pytest.mark.parametrize("raw", INVALID_UTF8)
 def test_invalid_utf8_is_an_encoding_error_in_every_text_field(raw):
     with pytest.raises(EncodingError):
-        UTF8.read(Reader(lp(raw)))
+        utf8(0, U32_MAX).read(Reader(lp(raw)))
     mid, key, bad, ok = bytes(16), bytes(32), lp(raw), lp(b"ok")
     bodies = {
         m.PublishMeeting: [mid + bad + key + key],

@@ -1427,14 +1427,14 @@ def test_reprs_hold_no_secrets():
     secrets = (bob.keypair.isk, bob.ephemeral.esk, bob.known_mk.key)
     actor = sim.Actor(
         user="bob", device="dev", adversary=False, keypair=bob.keypair, rank=1,
-        sessions={leader.meeting_id: bob},
     )
+    run = sim.MeetingRun(leader.meeting_id, 0, sessions={actor: bob})
     shown = [
         repr(bob.keypair),
         repr(bob.ephemeral),
         repr(bob.known_mk),
         repr(bob),
-        repr(actor),
+        repr(run),
     ]
     for text in shown:
         for secret in secrets:

@@ -577,15 +577,11 @@ class OwnKeyCopies(sim.Simulation):
     """Every party keeps its own copy of each key it holds, so each reader
     and ghost of a packet opens it for itself."""
 
-    def _observe(self, block, key):
-        super()._observe(block, key)
-        for run in self.meetings:
-            for actor in run.parties:
-                session = actor.sessions[run.id]
-                if session.known_mk is not None:
-                    session.known_mk = m.MeetingKey(
-                        session.known_mk.key, session.known_mk.epoch
-                    )
+    def _take_key(self, run, dist, key):
+        super()._take_key(run, dist, key)
+        for session in run.sessions.values():
+            if session.known_mk is not None:
+                session.known_mk = m.MeetingKey(session.known_mk.key, session.known_mk.epoch)
 
 
 # one packet's readers and ghosts hold different key objects: dave leaves
@@ -833,8 +829,8 @@ def test_stream_contexts_are_derived_once_per_epoch_key(members, monkeypatch):
 
     meeting_0, meeting_1 = simulation.meetings
     for run, leader in ((meeting_0, "alice"), (meeting_1, "bob")):
-        held = simulation.actors[leader].sessions[run.id].known_mk
-        sessions = [actor.sessions[run.id] for actor in run.parties]
+        held = run.sessions[simulation.actors[leader]].known_mk
+        sessions = list(run.sessions.values())
         assert len(sessions) > 1 and all(s.known_mk is held for s in sessions)
 
     (ghost,) = meeting_0.ghosts
@@ -983,7 +979,10 @@ def test_delivery_follows_declaration_order_not_join_order():
         tick 8 carol leave
         tick 9 alice distribute
         tick 10 bob packet 1 16
-        tick 11 alice dismiss
+        tick 11 carol request
+        tick 12 alice distribute
+        tick 13 bob packet 1 16
+        tick 14 alice dismiss
         """
     )
     assert simulation.report.ok
@@ -1010,10 +1009,18 @@ def test_delivery_follows_declaration_order_not_join_order():
         ("DecryptEvent", "dave", False, True),
         ("AdversaryEvent", "eve", False, False),
     ]
-    (ghost_read,) = [e for e in events_of(simulation, sim.DecryptEvent) if e.ghost]
-    assert ghost_read.epoch_at_leave == 0 and not ghost_read.ok
-    # the dismissal took every session, and emptied the meeting's party and
-    # ghost lists
+    # carol rejoins in her declared place, not after the others
+    assert [
+        e.actor for e in events_of(simulation, sim.AcceptKeyEvent) if e.tick == 12
+    ] == ["dave", "carol", "bob"]
+    assert [
+        (e.actor, e.ok) for e in events_of(simulation, sim.DecryptEvent)
+        if e.tick == 13 and not e.ghost and not e.tampered
+    ] == [("dave", True), ("carol", True), ("alice", True)]
+    ghost_reads = [e for e in events_of(simulation, sim.DecryptEvent) if e.ghost]
+    assert [e.tick for e in ghost_reads] == [10, 13]
+    assert all(e.epoch_at_leave == 0 and not e.ok for e in ghost_reads)
+    # the dismissal took every session, and emptied the meeting's sessions
+    # and ghosts
     (run,) = simulation.meetings
-    assert run.parties == [] and run.ghosts == []
-    assert all(not actor.sessions for actor in simulation.actors.values())
+    assert run.sessions == {} and run.ghosts == []
