@@ -302,28 +302,29 @@ class MeetingView:
 
     `requests` keeps every request in arrival order, and `present` indexes
     those not yet left by (user, device, ivk), so a lookup or a leave costs
-    the same however long the meeting has run. A record keeps only what
-    cannot change, so `mark` needs no copy of a record; a handover gives its
-    successor a new one, with the handover's epk. Whether the requester's
-    identity matches is resolved against the identity ledger at each read, so
-    a binding registered after the request counts from then on.
+    the same however long the meeting has run. `leaders` maps each leader
+    that has not left (the publisher, or one reassigned in) to the epk
+    announced with it, at publish or at its latest handover. A record keeps
+    only what cannot change, so `mark` needs no copy of a record: a member
+    that took over keeps its request record, and its epk is the one in
+    `leaders`. Whether the requester's identity matches is resolved against
+    the identity ledger at each read, so a binding registered after the
+    request counts from then on.
     """
 
     meeting_id: bytes
     identity_ledger: Ledger = field(repr=False, compare=False)
     exists: bool = False
     rule: ReassignRule = ReassignRule.DESIGNATION
+    # the current leader, kept after its leave so its distributions stay refused
     leader_ivk: bytes = b""
-    # the epk announced with the current leader, at publish or handover
-    leader_epk: bytes = b""
     dismissed: bool = False
     last_distribution: Optional[KeyDistribution] = None
     # a request, leave or handover since the last distribution: a rekey is due
     membership_changed: bool = False
     requests: list[RequestRecord] = field(default_factory=list)
     present: dict[tuple[str, str, bytes], RequestRecord] = field(default_factory=dict)
-    # leaders (original or reassigned-in) who have not posted a leave
-    present_leader_ivks: set[bytes] = field(default_factory=set)
+    leaders: dict[bytes, bytes] = field(default_factory=dict)
     # the request transactions on the chain, so replays stand out
     request_txs: set[Transaction] = field(default_factory=set)
 
@@ -356,16 +357,16 @@ class MeetingView:
         """What `undo` needs to put this view back as it stands: `requests`
         only grows, so its length stands for it and for `request_txs`."""
         return (
-            self.exists, self.rule, self.leader_ivk, self.leader_epk, self.dismissed,
+            self.exists, self.rule, self.leader_ivk, self.dismissed,
             self.last_distribution, self.membership_changed, len(self.requests),
-            dict(self.present), set(self.present_leader_ivks),
+            dict(self.present), dict(self.leaders),
         )
 
     def undo(self, mark: tuple) -> None:
         (
-            self.exists, self.rule, self.leader_ivk, self.leader_epk, self.dismissed,
+            self.exists, self.rule, self.leader_ivk, self.dismissed,
             self.last_distribution, self.membership_changed, kept, self.present,
-            self.present_leader_ivks,
+            self.leaders,
         ) = mark
         self.request_txs.difference_update([r.tx for r in self.requests[kept:]])
         del self.requests[kept:]
@@ -377,8 +378,7 @@ class MeetingView:
             self.exists = True
             self.rule = payload.rule
             self.leader_ivk = payload.leader_ivk
-            self.leader_epk = payload.leader_epk
-            self.present_leader_ivks.add(payload.leader_ivk)
+            self.leaders[payload.leader_ivk] = payload.leader_epk
         elif isinstance(payload, MeetingRequest):
             record = RequestRecord(payload, tx)
             self.requests.append(record)
@@ -390,18 +390,12 @@ class MeetingView:
             self.membership_changed = False
         elif isinstance(payload, MeetingLeave):
             self.present.pop((payload.user, payload.device, payload.ivk), None)
-            self.present_leader_ivks.discard(payload.ivk)
+            self.leaders.pop(payload.ivk, None)
             self.membership_changed = True
         elif isinstance(payload, LeaderReassign):
             self.leader_ivk = payload.new_leader_ivk
-            self.leader_epk = payload.new_leader_epk
-            self.present_leader_ivks.add(payload.new_leader_ivk)
+            self.leaders[payload.new_leader_ivk] = payload.new_leader_epk
             self.membership_changed = True
-            # the successor now holds the handover's ephemeral; later leaders wrap to it
-            for key, record in self.present.items():
-                if record.request.ivk == payload.new_leader_ivk:
-                    request = replace(record.request, epk=payload.new_leader_epk)
-                    self.present[key] = RequestRecord(request, record.tx)
         elif isinstance(payload, MeetingDismiss):
             self.dismissed = True
 
@@ -562,7 +556,7 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
         # a present leader is in the meeting too, demoted or not
         if (
             view.record_for(payload.user, payload.device, payload.ivk) is not None
-            or payload.ivk in view.present_leader_ivks
+            or payload.ivk in view.leaders
         ):
             return Reason.DUPLICATE_REQUEST
         return None
@@ -578,7 +572,7 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
         if not crypto.verify(payload.ivk, tx.signing_bytes, tx.signature):
             return Reason.BAD_SIGNATURE
         record = view.record_for(payload.user, payload.device, payload.ivk)
-        if record is None and payload.ivk not in view.present_leader_ivks:
+        if record is None and payload.ivk not in view.leaders:
             return Reason.NOT_A_MEMBER
         return None
 
@@ -594,7 +588,7 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
 def _leader_signed(view: MeetingView, tx: Transaction) -> bool:
     """Whether the meeting's leader, still present, signed tx: a leader's
     leave takes its leading with it, until a handover names another."""
-    return view.leader_ivk in view.present_leader_ivks and crypto.verify(
+    return view.leader_ivk in view.leaders and crypto.verify(
         view.leader_ivk, tx.signing_bytes, tx.signature
     )
 
@@ -673,8 +667,8 @@ def _led_view(state: ParticipantState, meeting_ledger: Ledger) -> MeetingView:
     ephemeral = state.ephemeral
     if (
         ephemeral is None
-        or (view.leader_ivk, view.leader_epk) != (state.keypair.ivk, ephemeral.epk)
-        or view.leader_ivk not in view.present_leader_ivks
+        or view.leader_ivk != state.keypair.ivk
+        or view.leaders.get(view.leader_ivk) != ephemeral.epk
     ):
         raise NotCurrentLeader(f"{state.user} is not leading")
     return view
@@ -701,8 +695,9 @@ def review_requests(
     outcomes = []
     for record in view.requests[since:]:
         request = record.request
-        if view.record_for(request.user, request.device, request.ivk) is not record:
-            continue  # already left, or a handover since gave it a new record
+        present = view.record_for(request.user, request.device, request.ivk) is record
+        if not present or request.ivk in view.leaders:
+            continue  # already left, or took over since
         reason, granted = _request_verdict(request, view.identity_ledger, policy)
         outcomes.append(ReviewOutcome(request.user, request.device, reason, granted))
     return outcomes
@@ -710,7 +705,9 @@ def review_requests(
 
 def key_recipients(view: MeetingView, policy: Policy = allow_all) -> list[MeetingRequest]:
     """The requests a key distribution wraps to, read from the chain as it
-    stands: those of `view.members(policy)`."""
+    stands: those of `view.members(policy)`. A member that took over is
+    wrapped to under the epk in `view.leaders`, not the one its request
+    carries."""
     return [r.request for r in view.members(policy)]
 
 
@@ -723,7 +720,9 @@ def distribute_key(
 
     Epoch 0 rides on the ephemeral announced at publish (or handover); every
     later epoch gets a fresh ephemeral and needs a request (kept or not),
-    leave or handover admitted since the last distribution.
+    leave or handover admitted since the last distribution. A recipient
+    that took over holds the handover's ephemeral, so it is wrapped to
+    under its epk in `view.leaders`, else under its request's.
     """
     view = _led_view(state, meeting_ledger)
     epoch = view.next_epoch
@@ -739,9 +738,10 @@ def distribute_key(
     meeting_key = rng.take(crypto.KEY_LEN)
     entries = []
     for member in key_recipients(view, policy):
-        shared = crypto.dh(ephemeral, member.epk)
+        member_epk = view.leaders.get(member.ivk, member.epk)
+        shared = crypto.dh(ephemeral, member_epk)
         enc_key = crypto.derive_enc_key(
-            shared, kdf_context(state.meeting_id, epoch, ephemeral.epk, member.epk)
+            shared, kdf_context(state.meeting_id, epoch, ephemeral.epk, member_epk)
         )
         box = crypto.aead_encrypt(
             enc_key,

@@ -390,6 +390,8 @@ GOALS = (
 
 class Violation(NamedTuple):
     goal: str
+    # the tick of the event that broke the goal; None for a per-meeting fact
+    tick: Optional[int]
     detail: str
 
     def __str__(self) -> str:
@@ -412,8 +414,8 @@ class GoalReport:
 
     def check_events(self) -> list[CheckEvent]:
         first: dict[str, str] = {}
-        for goal, detail in self.violations:
-            first.setdefault(goal, detail)
+        for violation in self.violations:
+            first.setdefault(violation.goal, violation.detail)
         return [
             CheckEvent(goal, goal not in first, first.get(goal, "")) for goal in GOALS
         ] + [CheckEvent("all-goals", self.ok)]
@@ -449,13 +451,13 @@ def check_goals(events: list[Event]) -> GoalReport:
                 continue  # a packet nobody read breaks no goal
             if event.tampered:
                 reads.append(Violation(
-                    "integrity",
+                    "integrity", event.tick,
                     f"{event.actor} accepted a tampered packet at t={event.tick}",
                 ))
                 continue
             if event.actor_ivk not in entitled.get((event.meeting, event.epoch), ()):
                 reads.append(Violation(
-                    "confidentiality",
+                    "confidentiality", event.tick,
                     f"{event.actor} read m={event.meeting} epoch={event.epoch}"
                     " without an entry",
                 ))
@@ -465,7 +467,7 @@ def check_goals(events: list[Event]) -> GoalReport:
                 and event.epoch > event.epoch_at_leave
             ):
                 reads.append(Violation(
-                    "expulsion",
+                    "expulsion", event.tick,
                     f"departed {event.actor} read epoch={event.epoch}"
                     f" after leaving at {event.epoch_at_leave}",
                 ))
@@ -473,7 +475,7 @@ def check_goals(events: list[Event]) -> GoalReport:
             pair = (event.key_digest, event.nonce)
             if pair in seen:
                 reuses.append(Violation(
-                    "nonces-unique",
+                    "nonces-unique", event.tick,
                     f"nonce {event.nonce.hex()} reused under one stream key"
                     f" at t={event.tick}",
                 ))
@@ -481,18 +483,18 @@ def check_goals(events: list[Event]) -> GoalReport:
         elif kind is TxEvent:
             if event.honest and not event.ok:
                 refusals.append(Violation(
-                    "availability",
+                    "availability", event.tick,
                     f"honest {event.actor} refused at t={event.tick} ({event.reason})",
                 ))
         elif kind is AdversaryEvent:
             if not event.failed:
                 attacks.append(Violation(
-                    "attacks-frustrated",
+                    "attacks-frustrated", event.tick,
                     f"{event.attack} by {event.actor} succeeded at t={event.tick}",
                 ))
 
     gaps = [
-        Violation("epochs-contiguous", f"m={meeting} saw {epochs}")
+        Violation("epochs-contiguous", None, f"m={meeting} saw {epochs}")
         for meeting, epochs in sorted(per_meeting.items())
         if epochs != list(range(len(epochs)))
     ]

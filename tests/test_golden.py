@@ -78,6 +78,9 @@ ALL_PASS = "115aa79c66f16f088574dc19371fd00317a9638e85176472b46347e6b91609bb"
 GOALS = dict.fromkeys(GOLDEN, ALL_PASS)
 FAILING_GOALS = "afde87091ac7828ecc58931918b4b28aa34c5698289429f8ff6bb3d261e49cec"
 
+# SHA-256 of the `chainmeet vectors` text (UTF-8)
+VECTORS = "32dd20a0c33692fcc4d4beeac013b9f466a4ad4d3520154b7528028bfdb4cac3"
+
 
 def test_golden_table_covers_every_bundled_scenario():
     assert sorted(GOLDEN) == sim.bundled_scenario_names()
@@ -115,3 +118,7 @@ def test_failing_goals_output_matches_golden_digest(tmp_path, capsys):
     path = tmp_path / "fail.txt"
     path.write_text(FAILING_SCENARIO)
     assert goals_digest(str(path), capsys) == (1, FAILING_GOALS)
+
+
+def test_vectors_match_golden_digest():
+    assert hashlib.sha256(cli.make_vectors().encode("utf-8")).hexdigest() == VECTORS

@@ -428,7 +428,7 @@ def test_checker_flags_nonce_reuse():
 
 def test_checker_keeps_goal_order_over_interleaved_violations():
     """Violations of every goal, interleaved in one transcript, come out
-    goal by goal, each goal's in transcript order."""
+    goal by goal, each goal's in transcript order, and each names its tick."""
     ivk_r = b"R" * 32
     refused = dict(
         action="request", tag="MEETING_REQUEST", ok=False,
@@ -474,6 +474,9 @@ def test_checker_keeps_goal_order_over_interleaved_violations():
         "nonces-unique: nonce 000000000000000000000000 reused under one"
         " stream key at t=5",
     ]
+    # each violation carries the tick of the event that broke its goal; a
+    # gap in a meeting's epochs is a per-meeting fact, with no tick
+    assert [v.tick for v in report.violations] == [3, 4, 7, 7, 4, 9, 5, None, None, 5]
 
 
 EVENT_FIELDS = {

@@ -58,7 +58,7 @@ def reviewed_meeting(seed=5):
 def view_facts(view):
     return (
         view.exists, view.rule, view.leader_ivk, view.dismissed, view.last_distribution,
-        view.membership_changed, set(view.present_leader_ivks), set(view.request_txs),
+        view.membership_changed, dict(view.leaders), set(view.request_txs),
         list(view.requests), list(view.present.items()),
     )
 
@@ -250,6 +250,29 @@ def test_refused_block_puts_the_view_back_exactly():
     refuse_leave_and_rejoin(meeting_ledger, alice, bob, rng, tick + 1)
     assert m.build_view(meeting_ledger, alice.meeting_id) is view
     assert view_facts(view) == facts
+
+
+@pytest.mark.parametrize("step", ["handover", "leader-leave"])
+def test_refused_block_puts_leadership_back_exactly(step):
+    """A block that changes who leads, then is refused, leaves the leader
+    and the epk the view announced for it as they were."""
+    rng, identity_ledger, meeting_ledger, alice, bob = reviewed_meeting()
+    view = m.build_view(meeting_ledger, alice.meeting_id)
+    facts = view_facts(view)
+    if step == "handover":
+        tx, _ = m.build_reassign(view, alice.keypair, bob.keypair, rng)
+    else:
+        tx = m.make_leave(alice)
+    with pytest.raises(InvalidTransaction) as err:
+        meeting_ledger.append_block([tx, meeting_ledger.blocks[1].txs[0]], timestamp=3)
+    assert err.value.reason == Reason.DUPLICATE_MEETING
+    assert m.build_view(meeting_ledger, alice.meeting_id) is view
+    assert view_facts(view) == facts
+    assert view.leaders == {alice.keypair.ivk: alice.ephemeral.epk}
+    # alice still leads, and the block lands once its refused tail is gone
+    assert m.review_requests(alice, meeting_ledger) != []
+    meeting_ledger.append_block([tx], timestamp=3)
+    assert view_facts(view) != facts
 
 
 def test_undoing_a_refused_block_costs_the_live_meeting_not_its_history():
