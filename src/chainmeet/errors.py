@@ -23,12 +23,14 @@ class AuthenticationFailure(ChainmeetError):
 
 
 class InvalidTransaction(ChainmeetError):
-    """A transaction failed validation at ledger admission.
+    """A transaction is refused, with the chain's reason for it.
 
     Carries the machine-readable reason code so callers and transcripts can
     distinguish e.g. a bad signature from a duplicate binding. A ledger
     that refuses it on append sets `at`, the (block index, position in the
-    block) of the refused transaction.
+    block) of the refused transaction. A library step that will not build a
+    transaction the chain would refuse raises it with the same reason and
+    `at` left None.
     """
 
     def __init__(
@@ -44,16 +46,9 @@ class NonMonotonicTimestamp(ChainmeetError):
     """New block's timestamp is older than the chain head's."""
 
 
-class MeetingNotFound(ChainmeetError):
-    """No meeting with that id has been published."""
-
-
-class MeetingDismissed(ChainmeetError):
-    """The meeting was dismissed; no further activity is possible."""
-
-
 class NoEntryForMe(ChainmeetError):
-    """A key distribution holds no entry for this participant's key."""
+    """A key distribution holds no entry for this participant's key, or the
+    session holds no ephemeral to open one with."""
 
 
 class NoMeetingKey(ChainmeetError):
@@ -62,18 +57,6 @@ class NoMeetingKey(ChainmeetError):
 
 class CounterExhausted(ChainmeetError):
     """Per-stream packet counter ran out; the nonce space must never wrap."""
-
-
-class NotAMember(ChainmeetError):
-    """Actor is not currently part of the meeting."""
-
-
-class NotCurrentLeader(ChainmeetError):
-    """Operation reserved for the meeting's current leader."""
-
-
-class NewLeaderNotMember(ChainmeetError):
-    """Leadership can only pass to a verified current member."""
 
 
 class MalformedScenario(ChainmeetError):

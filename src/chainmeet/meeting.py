@@ -28,15 +28,11 @@ from .encoding import (
 from .errors import (
     AuthenticationFailure,
     CounterExhausted,
+    DegenerateSharedSecret,
     EncodingError,
     InvalidTransaction,
-    MeetingDismissed,
-    MeetingNotFound,
-    NewLeaderNotMember,
     NoEntryForMe,
     NoMeetingKey,
-    NotAMember,
-    NotCurrentLeader,
     Reason,
 )
 from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger, signed_tx
@@ -566,6 +562,11 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
             return Reason.NOT_CURRENT_LEADER
         if payload.epoch != view.next_epoch:
             return Reason.BAD_EPOCH
+        # only the members present now: not one whose leave landed after the
+        # distribution was built, nor a leader that left
+        present = {ivk for _, _, ivk in view.present}.union(view.leaders)
+        if any(e.recipient_ivk not in present for e in payload.entries):
+            return Reason.NOT_A_MEMBER
         return None
 
     if isinstance(payload, MeetingLeave):
@@ -643,9 +644,9 @@ def make_request(
 ) -> Transaction:
     view = build_view(meeting_ledger, meeting_id)
     if not view.exists:
-        raise MeetingNotFound(meeting_id.hex())
+        raise InvalidTransaction(Reason.MEETING_NOT_FOUND, meeting_id.hex())
     if view.dismissed:
-        raise MeetingDismissed(meeting_id.hex())
+        raise InvalidTransaction(Reason.MEETING_DISMISSED, meeting_id.hex())
     ephemeral = crypto.ephemeral_keygen(rng)
     state.meeting_id = meeting_id
     state.ephemeral = ephemeral
@@ -670,7 +671,7 @@ def _led_view(state: ParticipantState, meeting_ledger: Ledger) -> MeetingView:
         or view.leader_ivk != state.keypair.ivk
         or view.leaders.get(view.leader_ivk) != ephemeral.epk
     ):
-        raise NotCurrentLeader(f"{state.user} is not leading")
+        raise InvalidTransaction(Reason.NOT_CURRENT_LEADER, f"{state.user} is not leading")
     return view
 
 
@@ -722,7 +723,10 @@ def distribute_key(
     later epoch gets a fresh ephemeral and needs a request (kept or not),
     leave or handover admitted since the last distribution. A recipient
     that took over holds the handover's ephemeral, so it is wrapped to
-    under its epk in `view.leaders`, else under its request's.
+    under its epk in `view.leaders`, else under its request's. A recipient
+    whose epk is of low order gets no entry: X25519 with it gives the
+    all-zero secret, which RFC 7748 section 6.1 says to refuse, and one such
+    request must not stop the leader keying everyone else.
     """
     view = _led_view(state, meeting_ledger)
     epoch = view.next_epoch
@@ -739,7 +743,10 @@ def distribute_key(
     entries = []
     for member in key_recipients(view, policy):
         member_epk = view.leaders.get(member.ivk, member.epk)
-        shared = crypto.dh(ephemeral, member_epk)
+        try:
+            shared = crypto.dh(ephemeral, member_epk)
+        except DegenerateSharedSecret:
+            continue  # a low-order epk: nothing can be wrapped to it
         enc_key = crypto.derive_enc_key(
             shared, kdf_context(state.meeting_id, epoch, ephemeral.epk, member_epk)
         )
@@ -767,11 +774,9 @@ def accept_key(state: ParticipantState, dist: KeyDistribution) -> MeetingKey:
     cross-meeting or cross-epoch splice therefore fails the tag check rather
     than yielding some other meeting's key.
     """
-    if state.ephemeral is None or state.meeting_id is None:
-        raise NotAMember(f"{state.user} has no pending meeting session")
     entry = dist.entry_for(state.keypair.ivk)
-    if entry is None:
-        raise NoEntryForMe(f"epoch {dist.epoch}")
+    if entry is None or state.ephemeral is None:
+        raise NoEntryForMe(f"{state.user} opens no entry of epoch {dist.epoch}")
     shared = crypto.dh(state.ephemeral, dist.leader_epk)
     enc_key = crypto.derive_enc_key(
         shared,
@@ -820,7 +825,7 @@ def decrypt_media(state: ParticipantState, packet: MediaPacket) -> bytes:
 
 def make_leave(state: ParticipantState) -> Transaction:
     if state.ephemeral is None:
-        raise NotAMember(f"{state.user} is not in a meeting")
+        raise InvalidTransaction(Reason.NOT_A_MEMBER, f"{state.user} is not in a meeting")
     payload = MeetingLeave(
         meeting_id=state.meeting_id,
         user=state.user,
@@ -852,10 +857,13 @@ def build_reassign(
     holds that ephemeral. An epoch-0 distribution rides on it, while any
     later rekey mints its own replacement.
     """
+    # `reassign_verdict` refuses either as a rule violation
     if view.leader_ivk != prev_keypair.ivk:
-        raise NotCurrentLeader("handover must name the current leader")
+        detail = "handover must name the current leader"
+        raise InvalidTransaction(Reason.RULE_VIOLATION, detail)
     if all(r.request.ivk != new_keypair.ivk for r in view.members()):
-        raise NewLeaderNotMember("successor must be a verified member")
+        detail = "successor must be a verified member"
+        raise InvalidTransaction(Reason.RULE_VIOLATION, detail)
     ephemeral = crypto.ephemeral_keygen(rng)
     payload = LeaderReassign(
         meeting_id=view.meeting_id,

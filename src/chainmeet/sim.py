@@ -635,14 +635,14 @@ class Simulation:
         """Every member the admitted distribution keys unwraps its entry;
         `key` is the one its leader minted."""
         for actor, session in run.sessions.items():
-            if dist.entry_for(actor.keypair.ivk) is None:
-                continue  # the leader, or a member it did not key
             try:
                 # one MeetingKey, so one set of stream contexts, per epoch key
                 if m.accept_key(session, dist) == key:
                     session.known_mk = key
                 accepted = True
-            except (AuthenticationFailure, NoEntryForMe):
+            except NoEntryForMe:
+                continue  # the leader, or a member it did not key
+            except AuthenticationFailure:
                 accepted = False
             self._emit(AcceptKeyEvent(self.tick, actor.user, run.index, dist.epoch, accepted))
 

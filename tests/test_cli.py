@@ -257,9 +257,9 @@ def late_error_script(action):
         ("bob leave 7", "error: t=4: no meeting with index 7"),
         (
             "alice reassign bob\ntick 5 alice distribute",
-            "error: t=5: alice is not leading",
+            "error: t=5: not_current_leader: alice is not leading",
         ),
-        ("bob dismiss", "error: t=4: bob is not leading"),
+        ("bob dismiss", "error: t=4: not_current_leader: bob is not leading"),
     ],
     ids=["packet-cap", "meeting-index", "demoted-leader-distributes", "member-dismisses"],
 )

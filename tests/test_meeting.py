@@ -15,13 +15,8 @@ from chainmeet.errors import (
     CounterExhausted,
     EncodingError,
     InvalidTransaction,
-    MeetingDismissed,
-    MeetingNotFound,
-    NewLeaderNotMember,
     NoEntryForMe,
     NoMeetingKey,
-    NotAMember,
-    NotCurrentLeader,
     Reason,
 )
 from chainmeet.encoding import lp
@@ -61,6 +56,16 @@ class World:
         self.commit(tx)
         leader.known_mk = key
         return tx
+
+
+def assert_refused_like(world, twin, step):
+    """The library step refuses to build, with the reason the chain gives
+    `twin`, the same transaction forged by hand, and with no place on it."""
+    with pytest.raises(InvalidTransaction) as err:
+        step()
+    assert err.value.at is None
+    assert err.value.reason == world.verdict(twin)
+    return err.value.reason
 
 
 def standard_meeting(world, member_names=("bob", "carol"), rule=m.ReassignRule.DESIGNATION):
@@ -708,28 +713,26 @@ def test_meeting_body_text_is_capped():
 def test_request_for_missing_or_dismissed_meeting():
     world = World()
     bob = world.actor("bob")
-    with pytest.raises(MeetingNotFound):
-        m.make_request(
-            bob, world.meeting_ledger,
-            bytes(16), world.rng,
+
+    def crafted(meeting_id):
+        """bob's request to join, signed by hand past make_request's checks."""
+        request = m.MeetingRequest(
+            meeting_id, "bob", "dev", bob.keypair.ivk, crypto.ephemeral_keygen(world.rng).epk
         )
+        return m.signed_tx(request, bob.keypair.isk)
+
+    def request(meeting_id):
+        return lambda: m.make_request(bob, world.meeting_ledger, meeting_id, world.rng)
+
+    missing = bytes(16)
+    reason = assert_refused_like(world, crafted(missing), request(missing))
+    assert reason == Reason.MEETING_NOT_FOUND
     leader = world.actor("alice")
     world.commit(m.publish_meeting(leader, "m", world.rng))
     world.commit(m.dismiss_meeting(leader, world.meeting_ledger))
-    with pytest.raises(MeetingDismissed):
-        m.make_request(
-            bob, world.meeting_ledger,
-            leader.meeting_id, world.rng,
-        )
-    # a crafted transaction is refused at admission too
-    crafted = m.signed_tx(
-        m.MeetingRequest(
-            leader.meeting_id, "bob", "dev", bob.keypair.ivk,
-            crypto.ephemeral_keygen(world.rng).epk,
-        ),
-        bob.keypair.isk,
-    )
-    assert world.verdict(crafted) == Reason.MEETING_DISMISSED
+    dismissed = leader.meeting_id
+    reason = assert_refused_like(world, crafted(dismissed), request(dismissed))
+    assert reason == Reason.MEETING_DISMISSED
 
 
 def test_replayed_and_duplicate_requests_rejected():
@@ -844,6 +847,59 @@ def test_a_newcomer_no_review_has_reported_is_keyed_at_the_next_distribution():
     assert m.accept_key(dave, dist) == leader.known_mk
 
 
+def test_a_distribution_built_before_a_leave_landed_is_refused():
+    """The chain keys only members present when a distribution lands: one
+    built before bob's leave was admitted would hand bob the next key."""
+    world = World()
+    leader, (bob, carol), _ = standard_meeting(world)
+    dave = world.actor("dave")
+    world.commit(m.make_request(dave, world.meeting_ledger, leader.meeting_id, world.rng))
+    stale, _ = m.distribute_key(leader, world.meeting_ledger, world.rng)
+    world.commit(m.make_leave(bob))
+    with pytest.raises(InvalidTransaction) as err:
+        world.commit(stale)
+    assert (err.value.reason, err.value.at) == (Reason.NOT_A_MEMBER, (7, 0))
+    # built again from the chain as it stands, it keys carol and dave
+    dist = m.KeyDistribution.parse(world.distribute(leader).body)
+    assert [e.recipient_ivk for e in dist.entries] == [carol.keypair.ivk, dave.keypair.ivk]
+
+
+def test_a_distribution_may_key_a_present_leader_but_no_one_gone():
+    """An entry names a present requester or a present leader, such as one
+    that handed over and stayed; not an outsider, nor a leader that left."""
+    world, alice, bob, ephemeral = handed_over_to_bob()
+    bob.ephemeral = ephemeral
+    box = crypto.AeadBox(bytes(12), bytes(32), bytes(16))
+    zed = world.actor("zed")
+
+    def rekey(*recipients):
+        entries = tuple(m.KeyEntry(r.keypair.ivk, box) for r in recipients)
+        payload = m.KeyDistribution(bob.meeting_id, 1, ephemeral.epk, entries)
+        return world.verdict(m.signed_tx(payload, bob.keypair))
+
+    assert rekey(alice) is None
+    assert rekey(zed) == Reason.NOT_A_MEMBER
+    world.commit(m.make_leave(alice))
+    assert rekey(alice) == Reason.NOT_A_MEMBER
+
+
+def test_a_request_with_a_low_order_epk_gets_no_entry_and_stops_no_rekey():
+    """X25519 with an all-zero epk gives the all-zero secret, which is
+    refused (RFC 7748 section 6.1). The chain admits such a request and the
+    review grants it, so the leader keys everyone else and skips it."""
+    world = World()
+    leader, (bob, carol), _ = standard_meeting(world)
+    eve = world.actor("eve")
+    request = m.MeetingRequest(leader.meeting_id, "eve", "dev", eve.keypair.ivk, bytes(32))
+    world.commit(m.signed_tx(request, eve.keypair))
+    outcomes = m.review_requests(leader, world.meeting_ledger, since=2)
+    assert [(o.user, o.verdict, o.granted) for o in outcomes] == [("eve", None, True)]
+    dist = m.KeyDistribution.parse(world.distribute(leader).body)
+    assert dist.epoch == 1
+    assert [e.recipient_ivk for e in dist.entries] == [bob.keypair.ivk, carol.keypair.ivk]
+    assert m.accept_key(bob, dist) == leader.known_mk
+
+
 def test_rejoin_after_leave_is_allowed():
     world = World()
     leader, (bob, _), _ = standard_meeting(world)
@@ -861,13 +917,12 @@ def test_leave_by_outsider_rejected():
     leader = world.actor("alice")
     world.commit(m.publish_meeting(leader, "m", world.rng))
     zed = world.actor("zed")
-    with pytest.raises(NotAMember):
-        m.make_leave(zed)
     crafted = m.signed_tx(
         m.MeetingLeave(leader.meeting_id, "zed", "dev", zed.keypair.ivk),
         zed.keypair.isk,
     )
     assert world.verdict(crafted) == Reason.NOT_A_MEMBER
+    assert_refused_like(world, crafted, lambda: m.make_leave(zed))
 
 
 def test_key_distribution_admission():
@@ -1157,21 +1212,24 @@ def test_time_order_hands_over_to_the_earliest_requester_but_the_leader():
     assert [r.request.ivk for r in view.members()] == [carol.keypair.ivk]
     to_alice = forged_reassign(world, alice, bob.keypair, alice.keypair, cosign=False)
     assert world.verdict(to_alice) == Reason.RULE_VIOLATION
-    with pytest.raises(NewLeaderNotMember):
-        m.build_reassign(view, bob.keypair, alice.keypair, world.rng)
+    assert_refused_like(
+        world, to_alice, lambda: m.build_reassign(view, bob.keypair, alice.keypair, world.rng)
+    )
     to_carol, _ = m.build_reassign(view, bob.keypair, carol.keypair, world.rng)
     assert world.verdict(to_carol) is None
 
 
 def assert_not_leading(world, session):
-    """Each step only the meeting's leader may take is refused."""
+    """Each step only the meeting's leader may take is refused, for the
+    reason the chain gives a distribution or dismissal it did not sign."""
     for operation in (
         lambda: m.review_requests(session, world.meeting_ledger),
         lambda: m.distribute_key(session, world.meeting_ledger, world.rng),
         lambda: m.dismiss_meeting(session, world.meeting_ledger),
     ):
-        with pytest.raises(NotCurrentLeader):
+        with pytest.raises(InvalidTransaction) as err:
             operation()
+        assert (err.value.reason, err.value.at) == (Reason.NOT_CURRENT_LEADER, None)
 
 
 def handed_over_to_bob():
@@ -1337,32 +1395,30 @@ def test_reassign_to_non_member_refused():
     world, alice, _, _ = handover_world(m.ReassignRule.DESIGNATION)
     outsider = world.actor("zed")
     view = m.build_view(world.meeting_ledger, alice.meeting_id)
-    with pytest.raises(NewLeaderNotMember):
-        m.build_reassign(
-            view, alice.keypair, outsider.keypair, world.rng,
-        )
     forced = forged_reassign(world, alice, alice.keypair, outsider.keypair)
     assert world.verdict(forced) == Reason.RULE_VIOLATION
+    assert_refused_like(
+        world, forced,
+        lambda: m.build_reassign(view, alice.keypair, outsider.keypair, world.rng),
+    )
 
 
 def test_reassign_from_non_leader_refused():
     world, alice, bob, carol = handover_world(m.ReassignRule.DESIGNATION)
     view = m.build_view(world.meeting_ledger, alice.meeting_id)
-    with pytest.raises(NotCurrentLeader):
-        m.build_reassign(
-            view, carol.keypair, bob.keypair, world.rng
-        )
     forced = forged_reassign(world, alice, carol.keypair, bob.keypair)
     assert world.verdict(forced) == Reason.RULE_VIOLATION
+    assert_refused_like(
+        world, forced, lambda: m.build_reassign(view, carol.keypair, bob.keypair, world.rng)
+    )
 
 
 def test_dismiss_only_by_leader_then_everything_stops():
     world = World()
     leader, (bob, _), _ = standard_meeting(world)
-    with pytest.raises(NotCurrentLeader):
-        m.dismiss_meeting(bob, world.meeting_ledger)
     crafted = m.signed_tx(m.MeetingDismiss(leader.meeting_id), bob.keypair.isk)
     assert world.verdict(crafted) == Reason.NOT_CURRENT_LEADER
+    assert_refused_like(world, crafted, lambda: m.dismiss_meeting(bob, world.meeting_ledger))
     world.commit(m.dismiss_meeting(leader, world.meeting_ledger))
     late_leave = m.signed_tx(
         m.MeetingLeave(leader.meeting_id, "bob", "dev", bob.keypair.ivk),
@@ -1381,8 +1437,21 @@ def test_purge_is_idempotent_and_total():
         assert bob.stream_counters == {}
     with pytest.raises(NoMeetingKey):
         m.encrypt_media(bob, 1, b"after purge")
-    with pytest.raises(NotAMember):
+    with pytest.raises(InvalidTransaction) as err:
         m.make_leave(bob)
+    assert (err.value.reason, err.value.at) == (Reason.NOT_A_MEMBER, None)
+
+
+def test_a_purged_session_opens_no_entry():
+    """A session with no ephemeral can unwrap nothing, even an entry the
+    leader wrapped to its key."""
+    world = World()
+    leader, (bob, _), dist = standard_meeting(world)
+    assert dist.entry_for(bob.keypair.ivk) is not None
+    m.purge_keys(bob)
+    with pytest.raises(NoEntryForMe):
+        m.accept_key(bob, dist)
+    assert bob.known_mk is None
 
 
 def test_stream_contexts_are_derived_once_per_held_key(monkeypatch):
@@ -1560,8 +1629,7 @@ class Schedules(RuleBasedStateMachine):
     def offer(self, steps):
         """Append the built transactions as one block. A refused block must
         name its reason and place and leave every view as it was; once a
-        block lands, each step takes up its own transaction, told whether an
-        earlier one of the block changed its meeting since it was built."""
+        block lands, each step takes up its own transaction in block order."""
         steps = [step for step in steps if step is not None]
         if not steps:
             return
@@ -1578,10 +1646,8 @@ class Schedules(RuleBasedStateMachine):
             if err.at[1] > 0:
                 self.assert_reloads()  # the earlier transactions were folded, then undone
             return
-        touched = set()
-        for _, meeting, admitted in steps:
-            admitted(meeting not in touched)
-            touched.add(meeting)
+        for _, _, admitted in steps:
+            admitted()
 
     def build(self, kind, meeting, user, forged):
         if kind == "dismiss" and len(self.ledger.blocks) < DISMISS_AFTER:
@@ -1592,10 +1658,10 @@ class Schedules(RuleBasedStateMachine):
         session = self.new_session(user)
         try:
             tx = m.make_request(session, self.ledger, self.meeting_ids[meeting], self.world.rng)
-        except MeetingDismissed:
+        except InvalidTransaction:
             return None
 
-        def joined(fresh):
+        def joined():
             self.sessions[user, meeting] = session
 
         return tx, meeting, joined
@@ -1604,7 +1670,7 @@ class Schedules(RuleBasedStateMachine):
         # signed by hand, so that a user not in the meeting can post one too
         leave = m.MeetingLeave(self.meeting_ids[meeting], user, "dev", self.keys[user].ivk)
 
-        def left(fresh):
+        def left():
             del self.sessions[user, meeting]
 
         return m.signed_tx(leave, self.keys[user]), meeting, left
@@ -1616,15 +1682,17 @@ class Schedules(RuleBasedStateMachine):
         recipients = m.key_recipients(self.view(meeting))
         try:
             tx, key = m.distribute_key(session, self.ledger, self.world.rng)
-        except (NotCurrentLeader, InvalidTransaction):
+        except InvalidTransaction:
             return None
 
-        def keyed(fresh):
+        def keyed():
             session.known_mk = key
-            if not fresh:
-                return  # the view just before it is not the one it was built from
             dist = tx.payload
             assert [e.recipient_ivk for e in dist.entries] == [r.ivk for r in recipients]
+            # the chain refuses a distribution once one it keys has left, even
+            # earlier in the same block, so each still holds its session here
+            holders = {self.keys[user].ivk for user, at in self.sessions if at == meeting}
+            assert {e.recipient_ivk for e in dist.entries} <= holders
             for request in recipients:
                 assert m.accept_key(self.sessions[request.user, meeting], dist) == key
 
@@ -1647,10 +1715,10 @@ class Schedules(RuleBasedStateMachine):
         else:
             try:
                 tx, ephemeral = m.build_reassign(view, prev, new, self.world.rng)
-            except NewLeaderNotMember:
+            except InvalidTransaction:
                 return None
 
-        def took_over(fresh):
+        def took_over():
             self.sessions[successor, meeting].ephemeral = ephemeral
 
         return tx, meeting, took_over
@@ -1661,9 +1729,9 @@ class Schedules(RuleBasedStateMachine):
             return None
         try:
             tx = m.dismiss_meeting(session, self.ledger)
-        except NotCurrentLeader:
+        except InvalidTransaction:
             return None
-        return tx, meeting, lambda fresh: None
+        return tx, meeting, lambda: None
 
     @rule(meeting=MEETINGS, user=PEOPLE)
     def request(self, meeting, user):
@@ -1680,7 +1748,7 @@ class Schedules(RuleBasedStateMachine):
             return
         try:
             outcomes = m.review_requests(session, self.ledger, since=since)
-        except NotCurrentLeader:
+        except InvalidTransaction:
             return
         view = self.view(meeting)
         members = {(r.request.user, r.request.device) for r in view.members()}

@@ -11,7 +11,7 @@ import pytest
 
 from chainmeet import crypto, meeting as m, rng as rng_mod, sim
 from chainmeet.encoding import Wire
-from chainmeet.errors import MalformedScenario, NotCurrentLeader, Reason
+from chainmeet.errors import InvalidTransaction, MalformedScenario, Reason
 from chainmeet.ledger import Ledger, LedgerKind, dump_hex_lines
 from chainmeet.meeting import ReassignRule
 from chainmeet.rng import DeterministicRng
@@ -772,7 +772,7 @@ def test_a_run_leaves_the_collector_as_it_found_it(collecting):
     try:
         sim.run_scenario_text(honest)
         assert gc.isenabled() is collecting
-        with pytest.raises(NotCurrentLeader, match="^t=5: "):
+        with pytest.raises(InvalidTransaction, match="^t=5: not_current_leader: "):
             sim.run_scenario_text(failing)
         assert gc.isenabled() is collecting
     finally:
