@@ -36,8 +36,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .encoding import LP, Wire, fixed, wire
-from .errors import AuthenticationFailure, DegenerateSharedSecret
+from .encoding import LP, Kind, Wire, fixed, wire
+from .errors import AuthenticationFailure, DegenerateSharedSecret, EncodingError
 from .rng import Rng
 
 KEY_LEN = 32
@@ -170,6 +170,31 @@ def dh(esk: Union[bytes, EphemeralKeyPair], epk: bytes) -> bytes:
     if shared == bytes(KEY_LEN):
         raise DegenerateSharedSecret("all-zero shared secret")
     return shared
+
+
+# X25519 reads a key as u mod p, with its top bit cleared. These are the u of
+# its points of small order: 0, 1, p - 1 and the two of order 8, whose seven
+# encodings libsodium's has_small_order lists. With any of them the shared
+# secret is all zeros, which RFC 7748 section 6.1 says to refuse
+P25519 = 2**255 - 19
+SMALL_ORDER_U = frozenset((
+    0, 1, P25519 - 1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+))
+
+
+def _full_order(epk: bytes) -> bytes:
+    if int.from_bytes(epk, "little") % 2**255 % P25519 in SMALL_ORDER_U:
+        raise EncodingError("epk has small order")
+    return epk
+
+
+# an ephemeral public key on the wire: 32 bytes, never of small order
+EPK = Kind(
+    lambda reader: _full_order(reader.take(KEY_LEN)),
+    lambda epk: _full_order(fixed(KEY_LEN).write(epk)),
+)
 
 
 def derive_enc_key(shared_secret: bytes, context: bytes) -> bytes:

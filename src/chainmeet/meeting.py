@@ -28,7 +28,6 @@ from .encoding import (
 from .errors import (
     AuthenticationFailure,
     CounterExhausted,
-    DegenerateSharedSecret,
     EncodingError,
     InvalidTransaction,
     NoEntryForMe,
@@ -80,7 +79,7 @@ class PublishMeeting(Wire):
     info: str = wire(INFO)
     rule: ReassignRule = wire(RULE)
     leader_ivk: bytes = wire(KEY)
-    leader_epk: bytes = wire(KEY)
+    leader_epk: bytes = wire(crypto.EPK)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ class MeetingRequest(Wire):
     user: str = wire(NAME)
     device: str = wire(NAME)
     ivk: bytes = wire(KEY)
-    epk: bytes = wire(KEY)
+    epk: bytes = wire(crypto.EPK)
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ class KeyDistribution(Wire):
 
     meeting_id: bytes = wire(MEETING_ID)
     epoch: int = wire(U32)
-    leader_epk: bytes = wire(KEY)
+    leader_epk: bytes = wire(crypto.EPK)
     entries: tuple[KeyEntry, ...] = wire(vector(KeyEntry))
 
     def entry_for(self, ivk: bytes) -> Optional[KeyEntry]:
@@ -133,7 +132,7 @@ class LeaderReassign(Wire):
     meeting_id: bytes = wire(MEETING_ID)
     prev_leader_ivk: bytes = wire(KEY)
     new_leader_ivk: bytes = wire(KEY)
-    new_leader_epk: bytes = wire(KEY)
+    new_leader_epk: bytes = wire(crypto.EPK)
     # present under the designation rule
     prev_leader_sig: Optional[bytes] = wire(optional(fixed(crypto.SIG_LEN)))
 
@@ -330,19 +329,14 @@ class MeetingView:
         dist = self.last_distribution
         return 0 if dist is None else dist.epoch + 1
 
-    def record_for(self, user: str, device: str, ivk: bytes) -> Optional[RequestRecord]:
-        """The present request of this principal; the ivk keeps an honest
-        record reachable when a forged request squats on its (user, device)."""
-        return self.present.get((user, device, ivk))
-
     def members(self, policy: Policy = allow_all) -> list[RequestRecord]:
         """The present requesters other than the current leader whose
-        identity matches and that pass `policy`, in arrival order: the
-        leader keys them, and a handover goes to one of them. A publisher
-        that handed over and stayed has no request record, so it is none of
-        them.
-        One identity lookup per record serves both the key check and the
-        policy's user info."""
+        identity matches and that pass `policy`, in arrival order: a
+        distribution under `policy` has an entry for each, as admission
+        refused every epk of small order, and a handover goes to one of them.
+        A publisher that handed over and stayed has no request record, so it
+        is none of them. One identity lookup per record serves both the key
+        check and the policy's user info."""
         return [
             r for r in self.present.values()
             if r.request.ivk != self.leader_ivk
@@ -437,11 +431,6 @@ class MeetingState:
             object.__setattr__(tx, "signer", tx.payload.ivk if mine else view.leader_ivk)
 
 
-def verify_request(request: MeetingRequest, identity_ledger: Ledger) -> Optional[Reason]:
-    """Leader-side check of one admitted join request; None means accepted."""
-    return _request_verdict(request, identity_ledger, allow_all)[0]
-
-
 def _request_verdict(
     request: MeetingRequest, identity_ledger: Ledger, policy: Policy
 ) -> tuple[Optional[Reason], bool]:
@@ -464,7 +453,7 @@ def verify_request_tx(tx: Transaction, identity_ledger: Ledger) -> Optional[Reas
         return Reason.MALFORMED_BODY
     if not crypto.verify(request.ivk, tx.signing_bytes, tx.signature):
         return Reason.BAD_SIGNATURE
-    return verify_request(request, identity_ledger)
+    return _request_verdict(request, identity_ledger, allow_all)[0]
 
 
 def build_view(meeting_ledger: Ledger, meeting_id: bytes) -> MeetingView:
@@ -550,10 +539,8 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
         if tx in view.request_txs:
             return Reason.REPLAYED_REQUEST
         # a present leader is in the meeting too, demoted or not
-        if (
-            view.record_for(payload.user, payload.device, payload.ivk) is not None
-            or payload.ivk in view.leaders
-        ):
+        principal = (payload.user, payload.device, payload.ivk)
+        if principal in view.present or payload.ivk in view.leaders:
             return Reason.DUPLICATE_REQUEST
         return None
 
@@ -562,6 +549,8 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
             return Reason.NOT_CURRENT_LEADER
         if payload.epoch != view.next_epoch:
             return Reason.BAD_EPOCH
+        if payload.epoch > 0 and not view.membership_changed:
+            return Reason.RULE_VIOLATION  # a rekey answers a change of members
         # only the members present now: not one whose leave landed after the
         # distribution was built, nor a leader that left
         present = {ivk for _, _, ivk in view.present}.union(view.leaders)
@@ -572,8 +561,8 @@ def meeting_tx_verdict(tx: Transaction, meeting_ledger: Ledger) -> Optional[Reas
     if isinstance(payload, MeetingLeave):
         if not crypto.verify(payload.ivk, tx.signing_bytes, tx.signature):
             return Reason.BAD_SIGNATURE
-        record = view.record_for(payload.user, payload.device, payload.ivk)
-        if record is None and payload.ivk not in view.leaders:
+        principal = (payload.user, payload.device, payload.ivk)
+        if principal not in view.present and payload.ivk not in view.leaders:
             return Reason.NOT_A_MEMBER
         return None
 
@@ -689,14 +678,13 @@ def review_requests(
 ) -> list[ReviewOutcome]:
     """The leader's report on the meeting's requests from `since` on (an
     index into `view.requests`), one outcome per request still present: its
-    identity verdict, and whether a distribution under `policy` keys it.
-    The report changes nothing; `key_recipients` reads the same verdict
-    from the chain when a distribution is built."""
+    identity verdict, and whether it is granted: one of `view.members(policy)`,
+    which a distribution built now keys. The report changes nothing."""
     view = _led_view(state, meeting_ledger)
     outcomes = []
     for record in view.requests[since:]:
         request = record.request
-        present = view.record_for(request.user, request.device, request.ivk) is record
+        present = view.present.get((request.user, request.device, request.ivk)) is record
         if not present or request.ivk in view.leaders:
             continue  # already left, or took over since
         reason, granted = _request_verdict(request, view.identity_ledger, policy)
@@ -704,29 +692,17 @@ def review_requests(
     return outcomes
 
 
-def key_recipients(view: MeetingView, policy: Policy = allow_all) -> list[MeetingRequest]:
-    """The requests a key distribution wraps to, read from the chain as it
-    stands: those of `view.members(policy)`. A member that took over is
-    wrapped to under the epk in `view.leaders`, not the one its request
-    carries."""
-    return [r.request for r in view.members(policy)]
-
-
 def distribute_key(
     state: ParticipantState, meeting_ledger: Ledger, rng: Rng, policy: Policy = allow_all
 ) -> tuple[Transaction, MeetingKey]:
     """Mint the key of the epoch the chain expects next, wrapped to each of
-    `key_recipients` under `policy`; the leader takes it up once the chain
-    admits it.
+    `view.members(policy)`; the leader takes it up once the chain admits it.
 
     Epoch 0 rides on the ephemeral announced at publish (or handover); every
-    later epoch gets a fresh ephemeral and needs a request (kept or not),
-    leave or handover admitted since the last distribution. A recipient
-    that took over holds the handover's ephemeral, so it is wrapped to
-    under its epk in `view.leaders`, else under its request's. A recipient
-    whose epk is of low order gets no entry: X25519 with it gives the
-    all-zero secret, which RFC 7748 section 6.1 says to refuse, and one such
-    request must not stop the leader keying everyone else.
+    later epoch gets a fresh ephemeral and, as the chain requires, a request
+    (kept or not), leave or handover admitted since the last distribution.
+    A recipient that took over holds the handover's ephemeral, so it is
+    wrapped to under its epk in `view.leaders`, else under its request's.
     """
     view = _led_view(state, meeting_ledger)
     epoch = view.next_epoch
@@ -741,12 +717,9 @@ def distribute_key(
         ephemeral = crypto.ephemeral_keygen(rng)
     meeting_key = rng.take(crypto.KEY_LEN)
     entries = []
-    for member in key_recipients(view, policy):
-        member_epk = view.leaders.get(member.ivk, member.epk)
-        try:
-            shared = crypto.dh(ephemeral, member_epk)
-        except DegenerateSharedSecret:
-            continue  # a low-order epk: nothing can be wrapped to it
+    for record in view.members(policy):
+        member_epk = view.leaders.get(record.request.ivk, record.request.epk)
+        shared = crypto.dh(ephemeral, member_epk)
         enc_key = crypto.derive_enc_key(
             shared, kdf_context(state.meeting_id, epoch, ephemeral.epk, member_epk)
         )
@@ -754,9 +727,9 @@ def distribute_key(
             enc_key,
             rng.take(crypto.NONCE_LEN),
             meeting_key,
-            wrap_aad(state.meeting_id, epoch, member.ivk),
+            wrap_aad(state.meeting_id, epoch, record.request.ivk),
         )
-        entries.append(KeyEntry(member.ivk, box))
+        entries.append(KeyEntry(record.request.ivk, box))
     payload = KeyDistribution(
         meeting_id=state.meeting_id,
         epoch=epoch,

@@ -692,7 +692,7 @@ class Simulation:
         session = self._session(actor, run)
         tx, key = m.distribute_key(session, self.meeting_ledger, self.rng)
         # the chain has not moved since the key was wrapped to these members
-        recipients = m.key_recipients(m.build_view(self.meeting_ledger, run.id))
+        members = m.build_view(self.meeting_ledger, run.id).members()
         self._emit(
             KeyEpochEvent(
                 tick=self.tick,
@@ -700,7 +700,7 @@ class Simulation:
                 epoch=key.epoch,
                 leader=actor.user,
                 leader_ivk=actor.keypair.ivk,
-                recipients=tuple(r.ivk for r in recipients),
+                recipients=tuple(r.request.ivk for r in members),
                 key_digest=hashlib.sha256(key.key).digest(),
             )
         )

@@ -7,7 +7,9 @@ import pytest
 
 import oracles
 from chainmeet import cli, crypto, identity as ident, meeting as m, sim
-from chainmeet.ledger import LedgerKind, TxTag, load_hex_lines, make_block, parse_block
+from chainmeet.ledger import (
+    LedgerKind, TxTag, dump_hex_lines, load_hex_lines, make_block, parse_block,
+)
 from chainmeet.rng import DeterministicRng
 from test_state import forged
 
@@ -462,3 +464,26 @@ def test_inspect_refuses_a_forged_meeting_publish(tmp_path, capsys, edit):
     capsys.readouterr()
     assert cli.main(["inspect", "--persist", str(store)]) == 2
     assert "ledger=meeting block=1 pos=0 reason=bad_signature" in capsys.readouterr().err
+
+
+def test_inspect_refuses_a_request_whose_epk_has_small_order(tmp_path, capsys):
+    simulation = sim.run_scenario_text(sim.load_scenario_text("honest"))
+    block, pos, request = next(
+        entry for entry in simulation.meeting_ledger.iter_txs()
+        if entry[2].tag == TxTag.MEETING_REQUEST
+    )
+    # the epk is the body's last 32 bytes; its author signs the splice again
+    lines = forged(
+        dump_hex_lines(simulation.meeting_ledger), TxTag.MEETING_REQUEST,
+        lambda body: body[: -crypto.KEY_LEN] + bytes(crypto.KEY_LEN),
+        simulation.actors[request.payload.user].keypair,
+    )
+    store = tmp_path / "ledgers"
+    store.mkdir()
+    identity_lines = dump_hex_lines(simulation.identity_ledger)
+    (store / cli.IDENTITY_FILE).write_text("\n".join(identity_lines) + "\n")
+    (store / cli.MEETING_FILE).write_text("\n".join(lines) + "\n")
+    assert cli.main(["inspect", "--persist", str(store)]) == 2
+    assert f"ledger=meeting block={block} pos={pos} reason=malformed_body" in (
+        capsys.readouterr().err
+    )

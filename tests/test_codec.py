@@ -1,5 +1,7 @@
 """The field-table codec: every wire struct round-trips and parses strictly."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +10,8 @@ from chainmeet.encoding import U32_MAX, Reader, lp, utf8
 from chainmeet.errors import EncodingError, Reason
 from chainmeet.identity import CommittedInfo, IdentityRecord, PlainInfo, parse_identity_body
 from chainmeet.ledger import Block, Transaction, TxTag
+from chainmeet.rng import DeterministicRng
+from test_crypto import SMALL_ORDER_KEYS
 
 
 def exact(n):
@@ -17,6 +21,9 @@ def exact(n):
 def tuples(strategy):
     return st.lists(strategy, max_size=3).map(tuple)
 
+
+# hypothesis shrinks exact(32) to the all-zero key, which no epk field takes
+EPKS = exact(32).filter(lambda key: key not in SMALL_ORDER_KEYS)
 
 U32S = st.integers(min_value=0, max_value=2**32 - 1)
 U64S = st.integers(min_value=0, max_value=2**64 - 1)
@@ -36,21 +43,19 @@ STRUCTS = {
         st.builds(PlainInfo, st.binary(max_size=40)) | st.builds(CommittedInfo, exact(32)),
     ),
     m.PublishMeeting: st.builds(
-        m.PublishMeeting, exact(16), TEXT, st.sampled_from(m.ReassignRule), exact(32),
-        exact(32),
+        m.PublishMeeting, exact(16), TEXT, st.sampled_from(m.ReassignRule), exact(32), EPKS
     ),
     m.MeetingRequest: st.builds(
-        m.MeetingRequest, exact(16), TEXT, TEXT, exact(32), exact(32)
+        m.MeetingRequest, exact(16), TEXT, TEXT, exact(32), EPKS
     ),
     m.KeyEntry: st.builds(m.KeyEntry, exact(32), BOXES),
     m.KeyDistribution: st.builds(
-        m.KeyDistribution, exact(16), U32S, exact(32),
+        m.KeyDistribution, exact(16), U32S, EPKS,
         tuples(st.builds(m.KeyEntry, exact(32), BOXES)),
     ),
     m.MeetingLeave: st.builds(m.MeetingLeave, exact(16), TEXT, TEXT, exact(32)),
     m.LeaderReassign: st.builds(
-        m.LeaderReassign, exact(16), exact(32), exact(32), exact(32),
-        st.none() | exact(64),
+        m.LeaderReassign, exact(16), exact(32), exact(32), EPKS, st.none() | exact(64),
     ),
     m.MeetingDismiss: st.builds(m.MeetingDismiss, exact(16)),
     m.MediaPacket: st.builds(m.MediaPacket, U32S, U32S, U64S, BOXES),
@@ -92,9 +97,11 @@ def test_invalid_utf8_is_an_encoding_error_in_every_text_field(raw):
     with pytest.raises(EncodingError):
         utf8(0, U32_MAX).read(Reader(lp(raw)))
     mid, key, bad, ok = bytes(16), bytes(32), lp(raw), lp(b"ok")
+    # a valid epk and rule byte, so that each body fails on its text alone
+    epk = crypto.ephemeral_keygen(DeterministicRng(3)).epk
     bodies = {
-        m.PublishMeeting: [mid + bad + key + key],
-        m.MeetingRequest: [mid + bad + ok + key + key, mid + ok + bad + key + key],
+        m.PublishMeeting: [mid + bad + b"\x00" + key + epk],
+        m.MeetingRequest: [mid + bad + ok + key + epk, mid + ok + bad + key + epk],
         m.MeetingLeave: [mid + bad + ok + key, mid + ok + bad + key],
         IdentityRecord: [bad + ok + key + b"\x00" + lp(b""),
                          ok + bad + key + b"\x00" + lp(b"")],
@@ -117,3 +124,34 @@ def test_handover_bytes_are_the_reassign_fields_before_the_signature():
         bytes(range(16)), bytes([1]) * 32, bytes([2]) * 32, bytes([3]) * 32, bytes(64)
     )
     assert reassign.handover_bytes() == reassign.encode()[: 16 + 3 * 32]
+
+
+GOOD_EPK = crypto.ephemeral_keygen(DeterministicRng(4)).epk
+# one struct per epk field, with the field holding GOOD_EPK and no other
+# field holding those bytes
+EPK_FIELDS = [
+    (m.PublishMeeting(bytes(16), "", m.ReassignRule.DESIGNATION, bytes(32), GOOD_EPK),
+     "leader_epk"),
+    (m.MeetingRequest(bytes(16), "bob", "dev", bytes(32), GOOD_EPK), "epk"),
+    (m.KeyDistribution(bytes(16), 1, GOOD_EPK, ()), "leader_epk"),
+    (m.LeaderReassign(bytes(16), bytes(32), bytes(32), GOOD_EPK, None), "new_leader_epk"),
+]
+
+
+@pytest.mark.parametrize("key", SMALL_ORDER_KEYS, ids=lambda key: key.hex()[:4] + key.hex()[-2:])
+def test_a_small_order_epk_is_refused_on_parse_and_encode_in_every_epk_field(key):
+    for value, name in EPK_FIELDS:
+        raw = value.encode()
+        assert type(value).parse(raw) == value and raw.count(GOOD_EPK) == 1
+        with pytest.raises(EncodingError, match="small order"):
+            type(value).parse(raw.replace(GOOD_EPK, key))
+        with pytest.raises(EncodingError, match="small order"):
+            replace(value, **{name: key}).encode()
+
+
+def test_ephemeral_keys_from_keygen_pass_as_epks():
+    rng = DeterministicRng(6)
+    for _ in range(2000):
+        epk = crypto.ephemeral_keygen(rng).epk
+        assert crypto.EPK.write(epk) == epk
+        assert crypto.EPK.read(Reader(epk)) == epk

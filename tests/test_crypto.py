@@ -237,10 +237,27 @@ def test_keygen_is_deterministic_from_rng():
     assert c.ivk != a.ivk
 
 
+# the seven small-order X25519 encodings libsodium's has_small_order lists:
+# 0, 1, the two points of order 8, and p - 1, p, p + 1 (p = 2**255 - 19)
+SMALL_ORDER = [
+    bytes(32),
+    bytes([1]) + bytes(31),
+    bytes.fromhex("e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800"),
+    bytes.fromhex("5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157"),
+    bytes([0xEC]) + b"\xff" * 30 + b"\x7f",
+    bytes([0xED]) + b"\xff" * 30 + b"\x7f",
+    bytes([0xEE]) + b"\xff" * 30 + b"\x7f",
+]
+# each also with the top bit set, which X25519 ignores
+SMALL_ORDER_KEYS = SMALL_ORDER + [key[:31] + bytes([key[31] | 0x80]) for key in SMALL_ORDER]
+
+
 def test_dh_rejects_low_order_peer_keys():
+    """X25519 itself gives the all-zero secret for every key of the table
+    that the wire kind `crypto.EPK` refuses."""
     pair = crypto.ephemeral_keygen(DeterministicRng(5))
     from_bytes = crypto.EphemeralKeyPair(epk=pair.epk, esk=pair.esk)
-    for bad in (bytes(32), (1).to_bytes(32, "little")):
+    for bad in SMALL_ORDER_KEYS:
         for secret in (pair.esk, pair, from_bytes):
             with pytest.raises(DegenerateSharedSecret):
                 crypto.dh(secret, bad)

@@ -280,7 +280,7 @@ def test_leader_not_own_member_and_absent_from_entries():
     leader, members, dist = standard_meeting(world)
     assert dist.entry_for(leader.keypair.ivk) is None
     view = m.build_view(world.meeting_ledger, leader.meeting_id)
-    recipients = [r.ivk for r in m.key_recipients(view)]
+    recipients = [r.request.ivk for r in view.members()]
     assert recipients == [member.keypair.ivk for member in members]
     assert leader.keypair.ivk not in recipients
 
@@ -345,7 +345,7 @@ def test_leader_review_rejects_forged_and_keeps_them_out():
     # the forged request stays present on the chain, but it is never keyed
     view = m.build_view(world.meeting_ledger, leader.meeting_id)
     assert len(view.present) == 1
-    assert m.key_recipients(view) == []
+    assert view.members() == []
     # a second review, from where the first one stopped, has nothing new to say
     since = len(view.requests)
     assert m.review_requests(leader, world.meeting_ledger, since=since) == []
@@ -397,7 +397,7 @@ def test_review_looks_up_each_request_identity_once(monkeypatch):
     lookups.clear()
     seen.clear()
     view = m.build_view(world.meeting_ledger, leader.meeting_id)
-    assert [r.user for r in m.key_recipients(view, policy)] == ["bob"]
+    assert [r.request.user for r in view.members(policy)] == ["bob"]
     assert lookups == ["bob", "carol", "victim"]
     assert [user for user, _ in seen] == ["bob", "carol"]
 
@@ -434,7 +434,7 @@ def test_policy_gate_with_committed_userinfo():
     )
     assert outcomes[0].granted
     view = m.build_view(world.meeting_ledger, leader.meeting_id)
-    assert [r.user for r in m.key_recipients(view, needs_valid_opening)] == ["dora"]
+    assert [r.request.user for r in view.members(needs_valid_opening)] == ["dora"]
     # wrong opening fails the same policy
     world2 = World(seed=4242)
     leader2 = world2.actor("alice")
@@ -467,7 +467,7 @@ def test_policy_gate_with_committed_userinfo():
     )
     assert not outcomes[0].granted
     view2 = m.build_view(world2.meeting_ledger, leader2.meeting_id)
-    assert m.key_recipients(view2, needs_staff_opening) == []
+    assert view2.members(needs_staff_opening) == []
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +798,7 @@ def test_forged_request_cannot_squat_the_victims_binding():
         ("victim", False), ("victim", True)
     ]
     view = m.build_view(world.meeting_ledger, leader.meeting_id)
-    assert [r.ivk for r in m.key_recipients(view)] == [victim.keypair.ivk]
+    assert [r.request.ivk for r in view.members()] == [victim.keypair.ivk]
     dist = m.KeyDistribution.parse(world.distribute(leader).body)
     assert dist.entry_for(victim.keypair.ivk) is not None
     assert dist.entry_for(mallory.keypair.ivk) is None
@@ -808,7 +808,7 @@ def test_forged_request_cannot_squat_the_victims_binding():
     world.commit(leave)
     # and the departure drops the victim from the leader's recipients, with
     # no review and despite the squatter, and lets the leader rekey
-    assert m.key_recipients(view) == []
+    assert view.members() == []
     assert view.membership_changed
 
 
@@ -883,20 +883,33 @@ def test_a_distribution_may_key_a_present_leader_but_no_one_gone():
     assert rekey(alice) == Reason.NOT_A_MEMBER
 
 
+def with_small_order_epk(request, keypair):
+    """The request tx with its epk, the body's last 32 bytes, spliced to the
+    all-zero key and signed again: no epk field encodes a key of small
+    order, so only a body made by hand carries one."""
+    body = request.body[: -crypto.KEY_LEN] + bytes(crypto.KEY_LEN)
+    return Transaction(request.tag, body, crypto.sign(keypair, bytes([request.tag]) + body))
+
+
 def test_a_request_with_a_low_order_epk_gets_no_entry_and_stops_no_rekey():
-    """X25519 with an all-zero epk gives the all-zero secret, which is
-    refused (RFC 7748 section 6.1). The chain admits such a request and the
-    review grants it, so the leader keys everyone else and skips it."""
+    """X25519 with an epk of small order gives the all-zero secret, which is
+    refused (RFC 7748 section 6.1). The chain refuses such a request as a
+    malformed body, so no review reports it and the next rekey keys the
+    members the chain shows."""
     world = World()
     leader, (bob, carol), _ = standard_meeting(world)
     eve = world.actor("eve")
-    request = m.MeetingRequest(leader.meeting_id, "eve", "dev", eve.keypair.ivk, bytes(32))
-    world.commit(m.signed_tx(request, eve.keypair))
-    outcomes = m.review_requests(leader, world.meeting_ledger, since=2)
-    assert [(o.user, o.verdict, o.granted) for o in outcomes] == [("eve", None, True)]
+    request = with_small_order_epk(
+        m.make_request(eve, world.meeting_ledger, leader.meeting_id, world.rng), eve.keypair
+    )
+    with pytest.raises(InvalidTransaction) as err:
+        world.commit(request)
+    assert err.value.reason == Reason.MALFORMED_BODY
+    assert m.review_requests(leader, world.meeting_ledger, since=2) == []
+    world.commit(m.make_leave(carol))
     dist = m.KeyDistribution.parse(world.distribute(leader).body)
     assert dist.epoch == 1
-    assert [e.recipient_ivk for e in dist.entries] == [bob.keypair.ivk, carol.keypair.ivk]
+    assert [e.recipient_ivk for e in dist.entries] == [bob.keypair.ivk]
     assert m.accept_key(bob, dist) == leader.known_mk
 
 
@@ -942,10 +955,13 @@ def test_key_distribution_admission():
 
 def test_rekey_requires_membership_change():
     world = World()
-    leader, _, _ = standard_meeting(world)
-    with pytest.raises(InvalidTransaction) as err:
-        m.distribute_key(leader, world.meeting_ledger, world.rng)
-    assert err.value.reason == Reason.RULE_VIOLATION
+    leader, _, dist = standard_meeting(world)
+    # the same entries again as epoch 1, signed by the leader
+    twin = m.signed_tx(replace(dist, epoch=1), leader.keypair)
+    reason = assert_refused_like(
+        world, twin, lambda: m.distribute_key(leader, world.meeting_ledger, world.rng)
+    )
+    assert reason == Reason.RULE_VIOLATION
 
 
 def test_epoch_sequence_gap_free():
@@ -1199,7 +1215,7 @@ def test_a_member_the_policy_denies_stays_unkeyed_after_a_handover():
     assert dist.epoch == 1
     assert [e.recipient_ivk for e in dist.entries] == [carol.keypair.ivk]
     # dave is a verified member all the same: only the policy keeps dave out
-    assert [r.ivk for r in m.key_recipients(view)] == [carol.keypair.ivk, dave.keypair.ivk]
+    assert [r.request.ivk for r in view.members()] == [carol.keypair.ivk, dave.keypair.ivk]
 
 
 def test_time_order_hands_over_to_the_earliest_requester_but_the_leader():
@@ -1629,10 +1645,11 @@ class Schedules(RuleBasedStateMachine):
     def offer(self, steps):
         """Append the built transactions as one block. A refused block must
         name its reason and place and leave every view as it was; once a
-        block lands, each step takes up its own transaction in block order."""
+        block lands, each step takes up its own transaction in block order.
+        Returns the reason a block was refused, else None."""
         steps = [step for step in steps if step is not None]
         if not steps:
-            return
+            return None
         before = [view_facts(self.view(meeting)) for meeting in (0, 1)]
         index = len(self.ledger.blocks)
         self.world.tick += 1
@@ -1645,9 +1662,10 @@ class Schedules(RuleBasedStateMachine):
             assert [view_facts(self.view(meeting)) for meeting in (0, 1)] == before
             if err.at[1] > 0:
                 self.assert_reloads()  # the earlier transactions were folded, then undone
-            return
+            return err.reason
         for _, _, admitted in steps:
             admitted()
+        return None
 
     def build(self, kind, meeting, user, forged):
         if kind == "dismiss" and len(self.ledger.blocks) < DISMISS_AFTER:
@@ -1679,7 +1697,7 @@ class Schedules(RuleBasedStateMachine):
         session = self.sessions.get((self.leader(meeting), meeting))
         if session is None:
             return None
-        recipients = m.key_recipients(self.view(meeting))
+        recipients = [record.request for record in self.view(meeting).members()]
         try:
             tx, key = m.distribute_key(session, self.ledger, self.world.rng)
         except InvalidTransaction:
@@ -1759,6 +1777,25 @@ class Schedules(RuleBasedStateMachine):
     @rule(meeting=MEETINGS)
     def distribute(self, meeting):
         self.offer([self.build_distribute(meeting, None, False)])
+
+    @rule(meeting=MEETINGS, user=PEOPLE)
+    def small_order_request(self, meeting, user):
+        step = self.build_request(meeting, user, False)
+        if step is not None:
+            weak = with_small_order_epk(step[0], self.keys[user])
+            assert self.offer([(weak, meeting, step[2])]) == Reason.MALFORMED_BODY
+
+    @rule(meeting=MEETINGS)
+    def rekey_with_no_change(self, meeting):
+        """The last distribution's entries again, as the next epoch, signed
+        by the leader while no member has come or gone: the leader is still
+        present, and so is every entry's recipient."""
+        view = self.view(meeting)
+        if view.last_distribution is None or view.membership_changed or view.dismissed:
+            return
+        rekey = replace(view.last_distribution, epoch=view.next_epoch)
+        twin = m.signed_tx(rekey, self.keys[self.leader(meeting)])
+        assert self.offer([(twin, meeting, lambda: None)]) == Reason.RULE_VIOLATION
 
     @rule(meeting=MEETINGS, pick=st.integers(0, 3), forged=st.booleans(), rekey=st.booleans())
     def handover(self, meeting, pick, forged, rekey):

@@ -954,6 +954,29 @@ def test_one_body_decode_per_meeting_transaction_offered(name, monkeypatch):
     assert offered > 0 and decodes == offered
 
 
+@pytest.mark.parametrize("name", sim.bundled_scenario_names())
+def test_a_key_epoch_lists_the_entries_of_its_admitted_distribution(name):
+    """A key-epoch line's recipients come from `view.members()`, read as the
+    distribution is built; the chain admits no epk a distribution could skip,
+    so they are the entries of the distribution submitted next, in order."""
+    simulation = run_bundled(name)
+    transcript = simulation.transcript
+    admitted = 0
+    for event, submitted in zip(transcript, transcript[1:]):
+        if not isinstance(event, sim.KeyEpochEvent):
+            continue
+        assert (submitted.action, submitted.tag) == ("distribute", "KEY_DISTRIBUTION")
+        if submitted.ok:
+            (tx,) = simulation.meeting_ledger.blocks[submitted.block].txs
+            dist = tx.payload
+            assert (dist.meeting_id, dist.epoch) == (
+                simulation.meetings[event.meeting].id, event.epoch
+            )
+            assert tuple(e.recipient_ivk for e in dist.entries) == event.recipients
+            admitted += 1
+    assert admitted > 0
+
+
 def test_transcript_ends_with_check_lines():
     simulation = run_bundled("join_rekey")
     text = sim.render_transcript(simulation)

@@ -22,10 +22,11 @@ def registered(rng, identity_ledger, user, device="dev"):
     return m.ParticipantState(user=user, device=device, keypair=pair)
 
 
-def forged(lines, tag, edit):
+def forged(lines, tag, edit, signer=None):
     """Persisted blocks with the body of the first `tag` transaction passed
     through `edit`, and every block from there on rehashed and relinked, so
-    that only a signature can tell."""
+    that only a signature can tell; or, signed again by `signer`, only the
+    body itself."""
     blocks = [parse_block(bytes.fromhex(line)) for line in lines]
     at, pos = next(
         (i, j) for i, block in enumerate(blocks)
@@ -33,6 +34,8 @@ def forged(lines, tag, edit):
     )
     txs = list(blocks[at].txs)
     txs[pos] = replace(txs[pos], body=edit(txs[pos].body))
+    if signer is not None:
+        txs[pos] = replace(txs[pos], signature=crypto.sign(signer, txs[pos].signing_bytes))
     blocks[at] = replace(blocks[at], txs=tuple(txs))
     for i in range(at, len(blocks)):
         block = blocks[i]
@@ -371,7 +374,7 @@ def test_identity_registered_after_the_request_counts_from_then_on():
         [m.make_request(late, meeting_ledger, alice.meeting_id, rng)], 2
     )
     view = m.build_view(meeting_ledger, alice.meeting_id)
-    assert m.verify_request(view.requests[0].request, identity_ledger) == Reason.UNKNOWN_IDENTITY
+    assert m.verify_request_tx(view.requests[0].tx, identity_ledger) == Reason.UNKNOWN_IDENTITY
     assert view.members() == []
     outcomes = m.review_requests(alice, meeting_ledger)
     assert [(o.user, o.verdict, o.granted) for o in outcomes] == [
@@ -380,7 +383,7 @@ def test_identity_registered_after_the_request_counts_from_then_on():
     identity_ledger.append_block(
         [ident.register_identity("lee", "dev", late.keypair)], 3
     )
-    assert m.verify_request(view.requests[0].request, identity_ledger) is None
+    assert m.verify_request_tx(view.requests[0].tx, identity_ledger) is None
     assert [r.request.user for r in view.members()] == ["lee"]
     # the review's verdict binds nothing: the next distribution keys lee
     tx, key = m.distribute_key(alice, meeting_ledger, rng)
