@@ -175,13 +175,13 @@ def make_vectors() -> str:
     member_eph = crypto.ephemeral_keygen(rng)
     meeting_id, epoch = rng.take(m.MEETING_ID_LEN), 2
     recipient_ivk = rng.take(32)
-    wrap_key = crypto.derive_enc_key(
-        crypto.dh(leader_eph, member_eph.epk),
-        m.kdf_context(meeting_id, epoch, leader_eph.epk, member_eph.epk),
-    )
+    context = m.kdf_context(meeting_id, epoch, leader_eph.epk, member_eph.epk)
     nonce = rng.take(crypto.NONCE_LEN)
     box = crypto.aead_encrypt(
-        wrap_key, nonce, meeting_key, m.wrap_aad(meeting_id, epoch, recipient_ivk)
+        m.wrap_key(leader_eph, member_eph.epk, context),
+        nonce,
+        meeting_key,
+        m.wrap_aad(meeting_id, epoch, recipient_ivk),
     )
     records.append(
         _record(

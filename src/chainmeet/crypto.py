@@ -4,24 +4,23 @@ Thin, opinionated wrappers over the `cryptography` package: Ed25519 for
 identity signatures, X25519 for the ephemeral key agreement, HKDF-SHA256 to
 turn a raw shared secret into an AEAD key, AES-256-GCM for everything
 encrypted, HMAC-SHA256 for keyed derivation and commitments. Public keys
-and derived secrets cross these functions as raw 32-byte strings. A key that
-is used many times is prepared once and kept by its owner: `IdentityKeyPair`
-and `EphemeralKeyPair` hold their Ed25519 and X25519 private-key objects, and
-`AeadKey` holds an AES-GCM key for a caller that seals or opens many times
-under it. `sign`, `dh` and the AEAD functions take either the prepared form
-or raw bytes. No prepared key is kept anywhere but on its owner, so it goes
-when the owner goes. `AeadKey.open` is the one AES-GCM open, None on a
-failed tag: `aead_open` calls it for a raw-byte key, `aead_decrypt` raises on
-that None, and a media delivery (`meeting.Delivery`) lays out ciphertext ||
-tag once and opens it once per reader, straight through the stream's
-`AeadKey`.
+and derived secrets cross these functions as raw 32-byte strings. Each
+private key has one form: `IdentityKeyPair` and `EphemeralKeyPair` build
+their Ed25519 and X25519 private-key objects once, from the raw secret,
+and `AeadKey` holds an AES-GCM key. `sign` and `dh` take a pair, and the
+AEAD functions take an `AeadKey`. No prepared key is kept anywhere but on
+its owner, so it goes when the owner goes. `AeadKey.open` is the one
+AES-GCM open, None on a failed tag: `aead_decrypt` raises on that None,
+and a media delivery (`meeting.Delivery`) lays out ciphertext || tag once
+and opens it once per reader, straight through the stream's `AeadKey`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import hmac as _stdlib_hmac
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, hmac as _hmac
@@ -48,32 +47,37 @@ SIG_LEN = 64
 
 @dataclass(frozen=True)
 class IdentityKeyPair:
-    """Long-lived Ed25519 pair; ivk is public, isk stays on the device.
+    """Long-lived Ed25519 pair made from its secret isk; ivk is public, isk
+    stays on the device.
 
-    The prepared private key is built once, at keygen or on first use, and
-    takes no part in equality, hashing or repr; neither does isk's repr.
+    The private-key object and ivk are built once, from isk; the object
+    takes no part in equality, hashing or repr, and neither does isk's repr.
     """
 
-    ivk: bytes
     isk: bytes = field(repr=False)
-    _private: Optional[Ed25519PrivateKey] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    ivk: bytes = field(init=False)
+    _private: Ed25519PrivateKey = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        private = Ed25519PrivateKey.from_private_bytes(self.isk)
+        object.__setattr__(self, "_private", private)
+        object.__setattr__(self, "ivk", private.public_key().public_bytes_raw())
 
 
 @dataclass(frozen=True)
 class EphemeralKeyPair:
-    """Per-meeting X25519 pair, discarded when the meeting ends.
-
-    Like `IdentityKeyPair`, it keeps its prepared private key out of
-    equality, hashing and repr, and esk out of repr.
+    """Per-meeting X25519 pair made from its secret esk, discarded when the
+    meeting ends; built once like `IdentityKeyPair`, with esk out of repr.
     """
 
-    epk: bytes
     esk: bytes = field(repr=False)
-    _private: Optional[X25519PrivateKey] = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    epk: bytes = field(init=False)
+    _private: X25519PrivateKey = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        private = X25519PrivateKey.from_private_bytes(self.esk)
+        object.__setattr__(self, "_private", private)
+        object.__setattr__(self, "epk", private.public_key().public_bytes_raw())
 
 
 @dataclass(frozen=True)
@@ -86,10 +90,9 @@ class AeadBox(Wire):
 
 
 class AeadKey:
-    """An AES-256-GCM key set up once, for many seals and opens under it.
+    """An AES-256-GCM key set up once, for every seal and open under it.
 
-    `aead_encrypt` and `aead_decrypt` take one wherever they take raw key
-    bytes. It holds key material: keep it only as long as the raw key.
+    It holds key material: keep it only as long as the raw key.
     """
 
     __slots__ = ("_cipher",)
@@ -105,44 +108,16 @@ class AeadKey:
             return None
 
 
-def _aead_key(key: Union[bytes, AeadKey]) -> AeadKey:
-    return key if isinstance(key, AeadKey) else AeadKey(key)
-
-
-def _signing_key(isk: Union[bytes, IdentityKeyPair]) -> Ed25519PrivateKey:
-    if not isinstance(isk, IdentityKeyPair):
-        return Ed25519PrivateKey.from_private_bytes(isk)
-    if isk._private is None:  # built from raw bytes: prepare on first use
-        object.__setattr__(isk, "_private", Ed25519PrivateKey.from_private_bytes(isk.isk))
-    return isk._private
-
-
-def _exchange_key(esk: Union[bytes, EphemeralKeyPair]) -> X25519PrivateKey:
-    if not isinstance(esk, EphemeralKeyPair):
-        return X25519PrivateKey.from_private_bytes(esk)
-    if esk._private is None:
-        object.__setattr__(esk, "_private", X25519PrivateKey.from_private_bytes(esk.esk))
-    return esk._private
-
-
 def identity_keygen(rng: Rng) -> IdentityKeyPair:
-    seed = rng.take(KEY_LEN)
-    priv = Ed25519PrivateKey.from_private_bytes(seed)
-    pair = IdentityKeyPair(ivk=priv.public_key().public_bytes_raw(), isk=seed)
-    object.__setattr__(pair, "_private", priv)
-    return pair
+    return IdentityKeyPair(rng.take(KEY_LEN))
 
 
 def ephemeral_keygen(rng: Rng) -> EphemeralKeyPair:
-    seed = rng.take(KEY_LEN)
-    priv = X25519PrivateKey.from_private_bytes(seed)
-    pair = EphemeralKeyPair(epk=priv.public_key().public_bytes_raw(), esk=seed)
-    object.__setattr__(pair, "_private", priv)
-    return pair
+    return EphemeralKeyPair(rng.take(KEY_LEN))
 
 
-def sign(isk: Union[bytes, IdentityKeyPair], message: bytes) -> bytes:
-    return _signing_key(isk).sign(message)
+def sign(pair: IdentityKeyPair, message: bytes) -> bytes:
+    return pair._private.sign(message)
 
 
 def verify(ivk: bytes, message: bytes, signature: bytes) -> bool:
@@ -154,16 +129,14 @@ def verify(ivk: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-def dh(esk: Union[bytes, EphemeralKeyPair], epk: bytes) -> bytes:
+def dh(pair: EphemeralKeyPair, epk: bytes) -> bytes:
     """X25519 shared secret.
 
     A low-order peer key drives the output to all zeros; that secret is
     worthless and unsafe to derive from, so it is refused outright.
     """
     try:
-        shared = _exchange_key(esk).exchange(
-            X25519PublicKey.from_public_bytes(epk)
-        )
+        shared = pair._private.exchange(X25519PublicKey.from_public_bytes(epk))
     except ValueError as exc:
         # the backend refuses the all-zero result itself
         raise DegenerateSharedSecret(str(exc)) from None
@@ -204,24 +177,15 @@ def derive_enc_key(shared_secret: bytes, context: bytes) -> bytes:
     ).derive(shared_secret)
 
 
-def aead_encrypt(
-    key: Union[bytes, AeadKey], nonce: bytes, plaintext: bytes, aad: bytes
-) -> AeadBox:
+def aead_encrypt(key: AeadKey, nonce: bytes, plaintext: bytes, aad: bytes) -> AeadBox:
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
-    sealed = _aead_key(key)._cipher.encrypt(nonce, plaintext, aad)
+    sealed = key._cipher.encrypt(nonce, plaintext, aad)
     return AeadBox(nonce=nonce, ciphertext=sealed[:-TAG_LEN], tag=sealed[-TAG_LEN:])
 
 
-def aead_open(
-    key: Union[bytes, AeadKey], nonce: bytes, sealed: bytes, aad: bytes
-) -> Optional[bytes]:
-    """`AeadKey.open` under a key that may still be raw bytes."""
-    return _aead_key(key).open(nonce, sealed, aad)
-
-
-def aead_decrypt(key: Union[bytes, AeadKey], box: AeadBox, aad: bytes) -> bytes:
-    plaintext = aead_open(key, box.nonce, box.ciphertext + box.tag, aad)
+def aead_decrypt(key: AeadKey, box: AeadBox, aad: bytes) -> bytes:
+    plaintext = key.open(box.nonce, box.ciphertext + box.tag, aad)
     if plaintext is None:
         raise AuthenticationFailure("AEAD tag check failed")
     return plaintext
@@ -234,9 +198,7 @@ def hmac_sha256(key: bytes, data: bytes) -> bytes:
 
 
 def sha256(data: bytes) -> bytes:
-    digest = hashes.Hash(hashes.SHA256())
-    digest.update(data)
-    return digest.finalize()
+    return hashlib.sha256(data).digest()
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

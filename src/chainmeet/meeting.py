@@ -179,6 +179,12 @@ def kdf_context(meeting_id: bytes, epoch: int, leader_epk: bytes, member_epk: by
     return meeting_id + u32(epoch) + leader_epk + member_epk
 
 
+def wrap_key(own: crypto.EphemeralKeyPair, peer_epk: bytes, context: bytes) -> crypto.AeadKey:
+    """The AES-GCM key of one member's wrap: HKDF over the X25519 secret of
+    two ephemerals, with the `kdf_context` as its info string."""
+    return crypto.AeadKey(crypto.derive_enc_key(crypto.dh(own, peer_epk), context))
+
+
 def wrap_aad(meeting_id: bytes, epoch: int, recipient_ivk: bytes) -> bytes:
     return meeting_id + u32(epoch) + recipient_ivk
 
@@ -719,12 +725,9 @@ def distribute_key(
     entries = []
     for record in view.members(policy):
         member_epk = view.leaders.get(record.request.ivk, record.request.epk)
-        shared = crypto.dh(ephemeral, member_epk)
-        enc_key = crypto.derive_enc_key(
-            shared, kdf_context(state.meeting_id, epoch, ephemeral.epk, member_epk)
-        )
+        context = kdf_context(state.meeting_id, epoch, ephemeral.epk, member_epk)
         box = crypto.aead_encrypt(
-            enc_key,
+            wrap_key(ephemeral, member_epk, context),
             rng.take(crypto.NONCE_LEN),
             meeting_key,
             wrap_aad(state.meeting_id, epoch, record.request.ivk),
@@ -750,15 +753,11 @@ def accept_key(state: ParticipantState, dist: KeyDistribution) -> MeetingKey:
     entry = dist.entry_for(state.keypair.ivk)
     if entry is None or state.ephemeral is None:
         raise NoEntryForMe(f"{state.user} opens no entry of epoch {dist.epoch}")
-    shared = crypto.dh(state.ephemeral, dist.leader_epk)
-    enc_key = crypto.derive_enc_key(
-        shared,
-        kdf_context(
-            state.meeting_id, dist.epoch, dist.leader_epk, state.ephemeral.epk
-        ),
-    )
+    context = kdf_context(state.meeting_id, dist.epoch, dist.leader_epk, state.ephemeral.epk)
     meeting_key = crypto.aead_decrypt(
-        enc_key, entry.box, wrap_aad(state.meeting_id, dist.epoch, state.keypair.ivk)
+        wrap_key(state.ephemeral, dist.leader_epk, context),
+        entry.box,
+        wrap_aad(state.meeting_id, dist.epoch, state.keypair.ivk),
     )
     if len(meeting_key) != crypto.KEY_LEN:
         raise AuthenticationFailure("meeting key has the wrong size")

@@ -806,8 +806,8 @@ class Simulation:
             return 1
         if not delivery.header_ok:
             return 0
-        opened = crypto.aead_open(
-            guess, delivery.packet.box.nonce, delivery.sealed, delivery.aad
+        opened = crypto.AeadKey(guess).open(
+            delivery.packet.box.nonce, delivery.sealed, delivery.aad
         )
         return int(opened is not None)
 

@@ -137,11 +137,11 @@ def test_criterion_04_thousand_fuzzed_impersonations_all_named():
     meeting_id = rng.take(16)
     attacker = crypto.identity_keygen(rng)
 
-    def request_tx(user, device, ivk, signer_isk):
+    def request_tx(user, device, ivk, signer):
         payload = m.MeetingRequest(
             meeting_id, user, device, ivk, crypto.ephemeral_keygen(rng).epk
         )
-        return m.signed_tx(payload, signer_isk)
+        return m.signed_tx(payload, signer)
 
     outcomes = {Reason.BAD_SIGNATURE: 0, Reason.UNKNOWN_IDENTITY: 0,
                 Reason.KEY_MISMATCH: 0}
@@ -150,24 +150,24 @@ def test_criterion_04_thousand_fuzzed_impersonations_all_named():
         variant = i % 5
         if variant == 0:
             # nobody by that name on the identity ledger
-            tx = request_tx(f"stranger{i}", "dev", attacker.ivk, attacker.isk)
+            tx = request_tx(f"stranger{i}", "dev", attacker.ivk, attacker)
             expected = Reason.UNKNOWN_IDENTITY
         elif variant == 1:
             # a real name, but the attacker's own key: self-consistent lie
-            tx = request_tx(victim, "dev", attacker.ivk, attacker.isk)
+            tx = request_tx(victim, "dev", attacker.ivk, attacker)
             expected = Reason.KEY_MISMATCH
         elif variant == 2:
             # a throwaway key invented for this one forgery
             burner = crypto.identity_keygen(rng)
-            tx = request_tx(victim, "dev", burner.ivk, burner.isk)
+            tx = request_tx(victim, "dev", burner.ivk, burner)
             expected = Reason.KEY_MISMATCH
         elif variant == 3:
             # the victim's true key, but the attacker cannot sign for it
-            tx = request_tx(victim, "dev", people[victim].ivk, attacker.isk)
+            tx = request_tx(victim, "dev", people[victim].ivk, attacker)
             expected = Reason.BAD_SIGNATURE
         else:
             # a genuine request with one signature byte shot off
-            good = request_tx(victim, "dev", people[victim].ivk, people[victim].isk)
+            good = request_tx(victim, "dev", people[victim].ivk, people[victim])
             flips = 1 + rng.take(1)[0] % 255
             position = rng.take(1)[0] % crypto.SIG_LEN
             signature = bytearray(good.signature)

@@ -148,14 +148,11 @@ SHA256_VECTORS = [
 def test_ed25519_known_answers(secret, public, message, signature):
     secret, public = bytes.fromhex(secret), bytes.fromhex(public)
     message, signature = bytes.fromhex(message), bytes.fromhex(signature)
-    pair = crypto.identity_keygen(FixedRng(secret))
+    pair = crypto.IdentityKeyPair(secret)
     assert pair.ivk == public
-    assert crypto.sign(secret, message) == signature
-    # a pair prepared at keygen and one built from raw bytes sign the same
     assert crypto.sign(pair, message) == signature
-    from_bytes = crypto.IdentityKeyPair(ivk=public, isk=secret)
-    for _ in range(2):
-        assert crypto.sign(from_bytes, message) == signature
+    # keygen over the same secret makes the same pair
+    assert crypto.identity_keygen(FixedRng(secret)) == pair
     assert crypto.verify(public, message, signature)
     # and the reference implementation lands on the same bytes
     assert oracles.ed25519_public(secret) == public
@@ -165,7 +162,7 @@ def test_ed25519_known_answers(secret, public, message, signature):
 @pytest.mark.parametrize("scalar,u_coord,expected", X25519_LADDER_VECTORS)
 def test_x25519_ladder_known_answers(scalar, u_coord, expected):
     scalar, u_coord = bytes.fromhex(scalar), bytes.fromhex(u_coord)
-    assert crypto.dh(scalar, u_coord) == bytes.fromhex(expected)
+    assert crypto.dh(crypto.EphemeralKeyPair(scalar), u_coord) == bytes.fromhex(expected)
     assert oracles.x25519(scalar, u_coord) == bytes.fromhex(expected)
 
 
@@ -175,12 +172,11 @@ def test_x25519_dh_known_answers():
     assert alice.epk == bytes.fromhex(X25519_ALICE_PK)
     assert bob.epk == bytes.fromhex(X25519_BOB_PK)
     shared = bytes.fromhex(X25519_SHARED)
-    assert crypto.dh(alice.esk, bob.epk) == shared
-    assert crypto.dh(bob.esk, alice.epk) == shared
-    # prepared at keygen, or built from raw bytes: the same secret
     assert crypto.dh(alice, bob.epk) == shared
     assert crypto.dh(bob, alice.epk) == shared
-    from_bytes = crypto.EphemeralKeyPair(epk=alice.epk, esk=alice.esk)
+    # a pair built from the raw scalar is the same pair, every time it is used
+    from_bytes = crypto.EphemeralKeyPair(bytes.fromhex(X25519_ALICE_SK))
+    assert from_bytes == alice
     for _ in range(2):
         assert crypto.dh(from_bytes, bob.epk) == shared
 
@@ -189,11 +185,12 @@ def test_x25519_dh_known_answers():
 def test_aes256gcm_known_answers(key, iv, plaintext, aad, ciphertext, tag):
     key, iv = bytes.fromhex(key), bytes.fromhex(iv)
     plaintext, aad = bytes.fromhex(plaintext), bytes.fromhex(aad)
-    box = crypto.aead_encrypt(key, iv, plaintext, aad)
+    prepared = crypto.AeadKey(key)
+    box = crypto.aead_encrypt(prepared, iv, plaintext, aad)
     assert box.ciphertext == bytes.fromhex(ciphertext)
     assert box.tag == bytes.fromhex(tag)
-    assert crypto.aead_decrypt(key, box, aad) == plaintext
-    prepared = crypto.AeadKey(key)
+    assert crypto.aead_decrypt(prepared, box, aad) == plaintext
+    # one prepared key seals and opens again and again alike
     assert crypto.aead_encrypt(prepared, iv, plaintext, aad) == box
     assert crypto.aead_decrypt(prepared, box, aad) == plaintext
     assert oracles.aes256gcm_encrypt(key, iv, plaintext, aad) == (
@@ -256,16 +253,16 @@ def test_dh_rejects_low_order_peer_keys():
     """X25519 itself gives the all-zero secret for every key of the table
     that the wire kind `crypto.EPK` refuses."""
     pair = crypto.ephemeral_keygen(DeterministicRng(5))
-    from_bytes = crypto.EphemeralKeyPair(epk=pair.epk, esk=pair.esk)
+    from_bytes = crypto.EphemeralKeyPair(pair.esk)
     for bad in SMALL_ORDER_KEYS:
-        for secret in (pair.esk, pair, from_bytes):
+        for secret in (pair, from_bytes):
             with pytest.raises(DegenerateSharedSecret):
                 crypto.dh(secret, bad)
 
 
 def test_verify_rejects_garbage_without_raising():
     pair = crypto.identity_keygen(DeterministicRng(6))
-    sig = crypto.sign(pair.isk, b"msg")
+    sig = crypto.sign(pair, b"msg")
     assert not crypto.verify(pair.ivk, b"msg", b"")
     assert not crypto.verify(pair.ivk, b"msg", bytes(64))
     assert not crypto.verify(bytes(31), b"msg", sig)
@@ -276,7 +273,7 @@ def test_verify_rejects_garbage_without_raising():
 @given(st.binary(max_size=200), st.integers(min_value=0, max_value=2**64 - 1))
 def test_sign_verify_roundtrip_and_tamper(message, seed):
     pair = crypto.identity_keygen(DeterministicRng(seed))
-    sig = crypto.sign(pair.isk, message)
+    sig = crypto.sign(pair, message)
     assert crypto.verify(pair.ivk, message, sig)
     assert not crypto.verify(pair.ivk, message + b"x", sig)
     flipped = bytes([sig[0] ^ 1]) + sig[1:]
@@ -290,8 +287,8 @@ def test_sign_verify_roundtrip_and_tamper(message, seed):
 def test_dh_is_symmetric(seed):
     rng = DeterministicRng(seed)
     a, b = crypto.ephemeral_keygen(rng), crypto.ephemeral_keygen(rng)
-    shared = crypto.dh(a.esk, b.epk)
-    assert shared == crypto.dh(b.esk, a.epk)
+    shared = crypto.dh(a, b.epk)
+    assert shared == crypto.dh(b, a.epk)
     assert shared == oracles.x25519(a.esk, b.epk)
 
 
@@ -303,11 +300,12 @@ def test_dh_is_symmetric(seed):
 )
 def test_aead_roundtrip_and_single_byte_tamper(plaintext, aad, seed):
     rng = DeterministicRng(seed)
-    key, nonce = rng.take(32), rng.take(12)
+    raw, nonce = rng.take(32), rng.take(12)
+    key = crypto.AeadKey(raw)
     box = crypto.aead_encrypt(key, nonce, plaintext, aad)
     assert crypto.aead_decrypt(key, box, aad) == plaintext
     assert (box.ciphertext, box.tag) == oracles.aes256gcm_encrypt(
-        key, nonce, plaintext, aad
+        raw, nonce, plaintext, aad
     )
     if box.ciphertext:
         pos = seed % len(box.ciphertext)

@@ -112,7 +112,7 @@ def test_signature_by_someone_else_rejected(rng):
     body = encode_identity_body("ada", "laptop", victim.ivk, PlainInfo(b""))
     draft = Transaction(TxTag.IDENTITY, body, bytes(64))
     forged = Transaction(
-        TxTag.IDENTITY, body, crypto.sign(attacker.isk, draft.signing_bytes)
+        TxTag.IDENTITY, body, crypto.sign(attacker, draft.signing_bytes)
     )
     with pytest.raises(InvalidTransaction) as err:
         validate_identity_tx(forged, ledger)

@@ -303,7 +303,7 @@ def test_verify_request_reasons():
         leader.meeting_id, "victim", "dev", mallory.keypair.ivk,
         crypto.ephemeral_keygen(world.rng).epk,
     )
-    tx = m.signed_tx(forged, mallory.keypair.isk)
+    tx = m.signed_tx(forged, mallory.keypair)
     assert m.verify_request_tx(tx, world.identity_ledger) == Reason.KEY_MISMATCH
     # admission lets it through; the leader is the one who catches it
     assert world.verdict(tx) is None
@@ -312,7 +312,7 @@ def test_verify_request_reasons():
         leader.meeting_id, "nobody", "dev", stranger.keypair.ivk,
         crypto.ephemeral_keygen(world.rng).epk,
     )
-    tx = m.signed_tx(unknown, stranger.keypair.isk)
+    tx = m.signed_tx(unknown, stranger.keypair)
     assert m.verify_request_tx(tx, world.identity_ledger) == Reason.UNKNOWN_IDENTITY
 
     honest = m.make_request(
@@ -337,7 +337,7 @@ def test_leader_review_rejects_forged_and_keeps_them_out():
         leader.meeting_id, "victim", "dev", mallory.keypair.ivk,
         crypto.ephemeral_keygen(world.rng).epk,
     )
-    world.commit(m.signed_tx(forged, mallory.keypair.isk))
+    world.commit(m.signed_tx(forged, mallory.keypair))
     outcomes = m.review_requests(leader, world.meeting_ledger)
     assert [(o.user, o.verdict, o.granted) for o in outcomes] == [
         ("victim", Reason.KEY_MISMATCH, False)
@@ -368,7 +368,7 @@ def test_review_looks_up_each_request_identity_once(monkeypatch):
         leader.meeting_id, "victim", "dev", mallory.keypair.ivk,
         crypto.ephemeral_keygen(world.rng).epk,
     )
-    world.commit(m.signed_tx(forged, mallory.keypair.isk))
+    world.commit(m.signed_tx(forged, mallory.keypair))
     lookups = []
     real = ident.find_identity
 
@@ -719,7 +719,7 @@ def test_request_for_missing_or_dismissed_meeting():
         request = m.MeetingRequest(
             meeting_id, "bob", "dev", bob.keypair.ivk, crypto.ephemeral_keygen(world.rng).epk
         )
-        return m.signed_tx(request, bob.keypair.isk)
+        return m.signed_tx(request, bob.keypair)
 
     def request(meeting_id):
         return lambda: m.make_request(bob, world.meeting_ledger, meeting_id, world.rng)
@@ -784,7 +784,7 @@ def test_forged_request_cannot_squat_the_victims_binding():
             leader.meeting_id, "victim", "dev", mallory.keypair.ivk,
             crypto.ephemeral_keygen(world.rng).epk,
         ),
-        mallory.keypair.isk,
+        mallory.keypair,
     )
     world.commit(forged)  # admission cannot resolve identities; this lands
     genuine = m.make_request(
@@ -932,7 +932,7 @@ def test_leave_by_outsider_rejected():
     zed = world.actor("zed")
     crafted = m.signed_tx(
         m.MeetingLeave(leader.meeting_id, "zed", "dev", zed.keypair.ivk),
-        zed.keypair.isk,
+        zed.keypair,
     )
     assert world.verdict(crafted) == Reason.NOT_A_MEMBER
     assert_refused_like(world, crafted, lambda: m.make_leave(zed))
@@ -943,12 +943,12 @@ def test_key_distribution_admission():
     leader, (bob, _), _ = standard_meeting(world)
     # non-leader distribution attempt
     fake = m.KeyDistribution(leader.meeting_id, 1, bob.ephemeral.epk, ())
-    tx = m.signed_tx(fake, bob.keypair.isk)
+    tx = m.signed_tx(fake, bob.keypair)
     assert world.verdict(tx) == Reason.NOT_CURRENT_LEADER
     # leader-signed but epoch out of sequence
     skipped = m.signed_tx(
         m.KeyDistribution(leader.meeting_id, 5, leader.ephemeral.epk, ()),
-        leader.keypair.isk,
+        leader.keypair,
     )
     assert world.verdict(skipped) == Reason.BAD_EPOCH
 
@@ -1319,9 +1319,9 @@ def test_designation_with_forged_prev_signature_rejected():
         prev_leader_ivk=alice.keypair.ivk,
         new_leader_ivk=bob.keypair.ivk,
         new_leader_epk=crypto.ephemeral_keygen(world.rng).epk,
-        prev_leader_sig=crypto.sign(carol.keypair.isk, b"not the handover"),
+        prev_leader_sig=crypto.sign(carol.keypair, b"not the handover"),
     )
-    tx = m.signed_tx(payload, bob.keypair.isk)
+    tx = m.signed_tx(payload, bob.keypair)
     assert world.verdict(tx) == Reason.BAD_SIGNATURE
 
 
@@ -1432,13 +1432,13 @@ def test_reassign_from_non_leader_refused():
 def test_dismiss_only_by_leader_then_everything_stops():
     world = World()
     leader, (bob, _), _ = standard_meeting(world)
-    crafted = m.signed_tx(m.MeetingDismiss(leader.meeting_id), bob.keypair.isk)
+    crafted = m.signed_tx(m.MeetingDismiss(leader.meeting_id), bob.keypair)
     assert world.verdict(crafted) == Reason.NOT_CURRENT_LEADER
     assert_refused_like(world, crafted, lambda: m.dismiss_meeting(bob, world.meeting_ledger))
     world.commit(m.dismiss_meeting(leader, world.meeting_ledger))
     late_leave = m.signed_tx(
         m.MeetingLeave(leader.meeting_id, "bob", "dev", bob.keypair.ivk),
-        bob.keypair.isk,
+        bob.keypair,
     )
     assert world.verdict(late_leave) == Reason.MEETING_DISMISSED
 

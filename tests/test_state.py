@@ -164,7 +164,7 @@ def test_block_of_consistent_transactions_lands_whole():
     request = m.signed_tx(
         m.MeetingRequest(alice.meeting_id, "bob", "dev", bob.keypair.ivk,
                          crypto.ephemeral_keygen(rng).epk),
-        bob.keypair.isk,
+        bob.keypair,
     )
     meeting_ledger.append_block([publish, request], timestamp=1)
     view = m.build_view(meeting_ledger, alice.meeting_id)
