@@ -16,7 +16,7 @@ from typing import Optional
 from . import crypto, identity as identity_mod, meeting as m, sim
 from .encoding import U64_MAX, u32
 from .errors import ChainmeetError, EncodingError, InvalidTransaction
-from .ledger import LedgerKind, TxTag, dump_hex_lines, load_hex_lines
+from .ledger import TxTag, dump_hex_lines, load_hex_lines
 from .rng import DeterministicRng
 
 VECTOR_SEED = 7  # fixed so the emitted vectors never drift between runs
@@ -78,25 +78,22 @@ def cmd_inspect(args) -> int:
     # each ledger is re-admitted as it loads, the meeting ledger against the
     # identity ledger loaded before it; the first refusal is named and exits 2
     state = identity_mod.IdentityState()
-    for filename, kind in (
-        (IDENTITY_FILE, LedgerKind.IDENTITY),
-        (MEETING_FILE, LedgerKind.MEETING),
-    ):
+    for filename in (IDENTITY_FILE, MEETING_FILE):
         path = os.path.join(args.persist, filename)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 lines = handle.readlines()
         except UnicodeDecodeError:
-            raise EncodingError(f"{kind.value} ledger: not UTF-8 text") from None
+            raise EncodingError(f"{state.KIND} ledger: not UTF-8 text") from None
         try:
-            ledger = load_hex_lines(kind, lines, state)
+            ledger = load_hex_lines(lines, state)
         except InvalidTransaction as exc:
             block, pos = exc.at
             detail = f" {exc.detail}" if exc.detail else ""
-            print(f"ledger={kind.value} block={block} pos={pos} reason={exc.reason}{detail}",
+            print(f"ledger={state.KIND} block={block} pos={pos} reason={exc.reason}{detail}",
                   file=sys.stderr)
             return 2  # the files are input, and they do not re-admit
-        print(f"ledger={kind.value} blocks={len(ledger.blocks)}")
+        print(f"ledger={state.KIND} blocks={len(ledger.blocks)}")
         for block_index, _, tx in ledger.iter_txs():
             print(
                 f"block={block_index} tag={TxTag(tx.tag).name}"

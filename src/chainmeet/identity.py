@@ -18,7 +18,7 @@ from typing import Optional, Union
 from . import crypto
 from .encoding import Kind, Reader, Wire, fixed, lp, utf8, wire
 from .errors import EncodingError, InvalidTransaction, Reason
-from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger, signed_tx
+from .ledger import Ledger, Transaction, TxTag, new_ledger, signed_tx
 
 MAX_NAME_BYTES = 64
 MAX_INFO_BYTES = 1024
@@ -81,10 +81,6 @@ class IdentityRecord(Wire):
     info: UserInfo = wire(USER_INFO)
 
 
-def encode_identity_body(user: str, device: str, ivk: bytes, info: UserInfo) -> bytes:
-    return IdentityRecord(user, device, ivk, info).encode()
-
-
 def parse_identity_body(body: bytes) -> IdentityRecord:
     return IdentityRecord.parse(body)
 
@@ -119,6 +115,9 @@ def verify_userinfo(commitment: CommittedInfo, plaintext: bytes, blinding: bytes
 class IdentityState:
     """The identity ledger's bindings: (user, device) -> record, and each
     registered ivk -> the binding that registered it first."""
+
+    KIND = "identity"
+    TAGS = frozenset({IdentityRecord.TAG})
 
     def __init__(self) -> None:
         self.records: dict[tuple[str, str], IdentityRecord] = {}
@@ -173,4 +172,4 @@ def validate_identity_tx(tx: Transaction, ledger: Ledger) -> IdentityRecord:
 
 
 def new_identity_ledger() -> Ledger:
-    return new_ledger(LedgerKind.IDENTITY, state=IdentityState())
+    return new_ledger(IdentityState())

@@ -3,10 +3,11 @@
 Two instances of the same machinery: the identity ledger (one transaction
 kind) and the meeting ledger (control traffic). Both keep their whole
 history. Blocks bind to their predecessor by hash; any byte of history that
-changes breaks verification. Each ledger also keeps a state (ChainState)
-that only admission writes: append_block has it admit each block whole, so
-nothing has to fold the chain from genesis to answer a question, and a
-reloaded ledger decides what a live one would.
+changes breaks verification. Each ledger keeps a state (ChainState) that
+names the ledger and the transaction tags it takes, and that only admission
+writes: append_block has it admit each block whole, so nothing has to fold
+the chain from genesis to answer a question, and a reloaded ledger decides
+what a live one would.
 
 The field tables of `Block` and `Transaction` below are their canonical
 bytes (see encoding). A signature is always taken over kind_tag || body.
@@ -38,26 +39,6 @@ class TxTag(enum.IntEnum):
     MEETING_LEAVE = 5
     LEADER_REASSIGN = 6
     MEETING_DISMISS = 7
-
-
-class LedgerKind(enum.Enum):
-    IDENTITY = "identity"
-    MEETING = "meeting"
-
-
-ALLOWED_TAGS = {
-    LedgerKind.IDENTITY: frozenset({TxTag.IDENTITY}),
-    LedgerKind.MEETING: frozenset(
-        {
-            TxTag.MEETING_PUBLISH,
-            TxTag.MEETING_REQUEST,
-            TxTag.KEY_DISTRIBUTION,
-            TxTag.MEETING_LEAVE,
-            TxTag.LEADER_REASSIGN,
-            TxTag.MEETING_DISMISS,
-        }
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -116,7 +97,8 @@ def parse_block(data: bytes, stored_hash: Optional[bytes] = None) -> Block:
 
 class ChainState(Protocol):
     """What a ledger's admitted transactions add up to; `admit` is its only
-    writer.
+    writer. `KIND` names the ledger and `TAGS` are the transaction tags it
+    takes.
 
     `admit` judges each transaction of a block against the state, with the
     earlier ones of the block already folded in, and folds it in, recording
@@ -125,16 +107,17 @@ class ChainState(Protocol):
     lands whole or not at all.
     """
 
+    KIND: str
+    TAGS: frozenset[int]
+
     def admit(self, txs: list[Transaction], ledger: "Ledger", block_index: int) -> None: ...
 
 
 @dataclass
 class Ledger:
-    kind: LedgerKind
-    blocks: list[Block] = field(default_factory=list)
-    # written only by its own admit, which append_block calls; None keeps no
-    # state and judges nothing beyond the ledger kind
-    state: Optional[ChainState] = None
+    # written only by its own admit, which append_block calls
+    state: ChainState
+    blocks: list[Block]
 
     @property
     def head(self) -> Block:
@@ -145,17 +128,16 @@ class Ledger:
             raise NonMonotonicTimestamp(
                 f"{timestamp} < head timestamp {self.head.timestamp}"
             )
-        allowed = ALLOWED_TAGS[self.kind]
+        allowed = self.state.TAGS
         index = self.head.index + 1
         for pos, tx in enumerate(txs):
             if tx.tag not in allowed:
                 raise InvalidTransaction(
                     Reason.WRONG_LEDGER_KIND,
-                    f"tag {tx.tag} not allowed on {self.kind.value} ledger",
+                    f"tag {tx.tag} not allowed on {self.state.KIND} ledger",
                     at=(index, pos),
                 )
-        if self.state is not None:
-            self.state.admit(txs, self, index)
+        self.state.admit(txs, self, index)
         block = make_block(
             index=index,
             prev_hash=self.head.block_hash,
@@ -168,7 +150,7 @@ class Ledger:
     def verify_chain(self) -> bool:
         if not self.blocks:
             return False
-        allowed = ALLOWED_TAGS[self.kind]
+        allowed = self.state.TAGS
         for pos, block in enumerate(self.blocks):
             try:
                 recomputed = crypto.sha256(block.encode())
@@ -198,9 +180,9 @@ class Ledger:
                 yield block.index, pos, tx
 
 
-def new_ledger(kind: LedgerKind, state: Optional[ChainState] = None) -> Ledger:
+def new_ledger(state: ChainState) -> Ledger:
     genesis = make_block(0, GENESIS_PREV_HASH, 0, ())
-    return Ledger(kind=kind, blocks=[genesis], state=state)
+    return Ledger(state, [genesis])
 
 
 def dump_hex_lines(ledger: Ledger) -> list[str]:
@@ -208,16 +190,13 @@ def dump_hex_lines(ledger: Ledger) -> list[str]:
     return [block.encode().hex() for block in ledger.blocks]
 
 
-def load_hex_lines(
-    kind: LedgerKind, lines: list[str], state: Optional[ChainState] = None
-) -> Ledger:
+def load_hex_lines(lines: list[str], state: ChainState) -> Ledger:
     """Re-admit persisted blocks into a new ledger that keeps `state`.
 
     The blocks replay from the genesis block through append_block, and each
     replayed block must equal the loaded one, so a loaded ledger is judged as
-    the live one was. With no state only the ledger kind, the timestamps, the
-    links and the hashes are checked. Each block is hashed once, by its
-    replay; the replay's bytes are compared with the stored line's.
+    the live one was. Each block is hashed once, by its replay; the replay's
+    bytes are compared with the stored line's.
 
     A meeting ledger is judged against its state's identity ledger as fully
     loaded. The two chains do not record how they interleave, so a
@@ -233,15 +212,15 @@ def load_hex_lines(
             data = bytes.fromhex(line)
             blocks.append((data, Block.parse(data)))
         except ValueError as exc:
-            raise EncodingError(f"{kind.value} ledger: bad hex block line: {exc}") from None
+            raise EncodingError(f"{state.KIND} ledger: bad hex block line: {exc}") from None
     if not blocks:
-        raise EncodingError(f"{kind.value} ledger: no blocks in ledger file")
-    ledger = new_ledger(kind, state)
+        raise EncodingError(f"{state.KIND} ledger: no blocks in ledger file")
+    ledger = new_ledger(state)
     if blocks[0][0] != ledger.head.encode():
-        raise EncodingError(f"{kind.value} ledger: the first block is not the genesis block")
+        raise EncodingError(f"{state.KIND} ledger: the first block is not the genesis block")
     for data, block in blocks[1:]:
         if ledger.append_block(list(block.txs), block.timestamp).encode() != data:
             raise EncodingError(
-                f"{kind.value} ledger: block {block.index} does not replay to its stored bytes"
+                f"{state.KIND} ledger: block {block.index} does not replay to its stored bytes"
             )
     return ledger

@@ -34,7 +34,7 @@ from .errors import (
     NoMeetingKey,
     Reason,
 )
-from .ledger import Ledger, LedgerKind, Transaction, TxTag, new_ledger, signed_tx
+from .ledger import Ledger, Transaction, TxTag, new_ledger, signed_tx
 from .rng import Rng
 
 MEETING_ID_LEN = 16
@@ -400,6 +400,9 @@ class MeetingState:
     """The meeting ledger's state: one view per meeting id, each advanced by
     every transaction of that meeting as it is admitted."""
 
+    KIND = "meeting"
+    TAGS = frozenset(_PAYLOADS)
+
     def __init__(self, identity_ledger: Ledger) -> None:
         self.identity_ledger = identity_ledger
         self.views: dict[bytes, MeetingView] = {}
@@ -590,7 +593,7 @@ def _leader_signed(view: MeetingView, tx: Transaction) -> bool:
 
 
 def new_meeting_ledger(identity_ledger: Ledger) -> Ledger:
-    return new_ledger(LedgerKind.MEETING, state=MeetingState(identity_ledger))
+    return new_ledger(MeetingState(identity_ledger))
 
 
 # ---------------------------------------------------------------------------

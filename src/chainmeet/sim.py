@@ -82,6 +82,10 @@ class ScriptedEvent(NamedTuple):
     args: tuple  # as the action's handler takes them
 
 
+# each `rule` line's word for the reassignment rule it names
+RULES = {"designation": m.ReassignRule.DESIGNATION, "timeorder": m.ReassignRule.TIME_ORDER}
+
+
 @dataclass(frozen=True)
 class Scenario:
     seed: int
@@ -163,13 +167,9 @@ def parse_scenario(text: str) -> Scenario:
             if seed >= 2**64:
                 raise fail(lineno, "seed does not fit in 64 bits")
         elif keyword == "rule":
-            if len(parts) != 2 or parts[1] not in ("designation", "timeorder"):
-                raise fail(lineno, "rule is 'designation' or 'timeorder'")
-            rule = (
-                m.ReassignRule.DESIGNATION
-                if parts[1] == "designation"
-                else m.ReassignRule.TIME_ORDER
-            )
+            if len(parts) != 2 or parts[1] not in RULES:
+                raise fail(lineno, f"rule is {' or '.join(map(repr, RULES))}")
+            rule = RULES[parts[1]]
         elif keyword == "actor":
             if len(parts) not in (3, 4):
                 raise fail(lineno, "actor wants: user device [adversary]")
@@ -1062,7 +1062,7 @@ ACTIONS = {
 
 
 def render_transcript(sim: Simulation) -> str:
-    rule = "designation" if sim.rule is m.ReassignRule.DESIGNATION else "timeorder"
+    rule = next(name for name, value in RULES.items() if value is sim.rule)
     lines = [f"# seed={sim.scenario.seed} rule={rule} actors={len(sim.actors)}"]
     lines.extend(event.render() for event in sim.transcript)
     return "\n".join(lines) + "\n"

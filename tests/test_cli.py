@@ -8,9 +8,10 @@ import pytest
 import oracles
 from chainmeet import cli, crypto, identity as ident, meeting as m, sim
 from chainmeet.ledger import (
-    LedgerKind, TxTag, dump_hex_lines, load_hex_lines, make_block, parse_block,
+    TxTag, dump_hex_lines, load_hex_lines, make_block, parse_block,
 )
 from chainmeet.rng import DeterministicRng
+from test_ledger import AdmitAll
 from test_state import forged
 
 FAILING_SCENARIO = """\
@@ -135,12 +136,8 @@ def test_run_persist_and_inspect(tmp_path, capsys):
         )
         == 0
     )
-    identity = load_hex_lines(
-        LedgerKind.IDENTITY, (store / "identity.ledger").read_text().splitlines()
-    )
-    meeting = load_hex_lines(
-        LedgerKind.MEETING, (store / "meeting.ledger").read_text().splitlines()
-    )
+    identity = load_hex_lines((store / "identity.ledger").read_text().splitlines(), AdmitAll())
+    meeting = load_hex_lines((store / "meeting.ledger").read_text().splitlines(), AdmitAll())
     assert identity.verify_chain() and meeting.verify_chain()
 
     assert cli.main(["inspect", "--persist", str(store)]) == 0
@@ -191,6 +188,22 @@ def test_inspect_names_the_binding_a_duplicate_registration_claims(tmp_path, cap
         f"ledger=identity block={duplicate.index} pos=0"
         " reason=duplicate_binding (alice, laptop)"
     ) in capsys.readouterr().err
+
+
+def test_inspect_refuses_ledger_files_swapped(tmp_path, capsys):
+    store = tmp_path / "ledgers"
+    assert cli.main(["run", "--scenario", "honest", "--out",
+                     str(tmp_path / "t.txt"), "--persist", str(store)]) == 0
+    identity, meeting = store / "identity.ledger", store / "meeting.ledger"
+    identity_text, meeting_text = identity.read_text(), meeting.read_text()
+    identity.write_text(meeting_text)
+    meeting.write_text(identity_text)
+    capsys.readouterr()
+    assert cli.main(["inspect", "--persist", str(store)]) == 2
+    assert capsys.readouterr().err == (
+        "ledger=identity block=1 pos=0 reason=wrong_ledger_kind"
+        " tag 2 not allowed on identity ledger\n"
+    )
 
 
 def test_goals_reports_each_goal(capsys):

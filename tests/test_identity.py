@@ -10,9 +10,9 @@ from chainmeet.encoding import lp
 from chainmeet.errors import EncodingError, InvalidTransaction, Reason
 from chainmeet.identity import (
     CommittedInfo,
+    IdentityRecord,
     PlainInfo,
     commit_userinfo,
-    encode_identity_body,
     find_identity,
     ivk_registered,
     new_identity_ledger,
@@ -40,7 +40,7 @@ def registered(rng, ledger, user, device, info=None):
 def test_body_layout_matches_manual_assembly(rng):
     pair = crypto.identity_keygen(rng)
     info = PlainInfo(b"cardiology")
-    body = encode_identity_body("ada", "laptop", pair.ivk, info)
+    body = IdentityRecord("ada", "laptop", pair.ivk, info).encode()
     manual = (
         len(b"ada").to_bytes(4, "big") + b"ada"
         + len(b"laptop").to_bytes(4, "big") + b"laptop"
@@ -109,7 +109,7 @@ def test_signature_by_someone_else_rejected(rng):
     ledger = new_identity_ledger()
     victim = crypto.identity_keygen(rng)
     attacker = crypto.identity_keygen(rng)
-    body = encode_identity_body("ada", "laptop", victim.ivk, PlainInfo(b""))
+    body = IdentityRecord("ada", "laptop", victim.ivk, PlainInfo(b"")).encode()
     draft = Transaction(TxTag.IDENTITY, body, bytes(64))
     forged = Transaction(
         TxTag.IDENTITY, body, crypto.sign(attacker, draft.signing_bytes)
@@ -137,24 +137,24 @@ def test_malformed_body_rejected(rng):
 
 def test_name_length_limits(rng):
     pair = crypto.identity_keygen(rng)
-    encode_identity_body("x" * 64, "d", pair.ivk, PlainInfo(b""))
+    IdentityRecord("x" * 64, "d", pair.ivk, PlainInfo(b"")).encode()
     for user, device in (("", "d"), ("x" * 65, "d"), ("u", ""), ("u", "y" * 65)):
         with pytest.raises(EncodingError):
-            encode_identity_body(user, device, pair.ivk, PlainInfo(b""))
+            IdentityRecord(user, device, pair.ivk, PlainInfo(b"")).encode()
     # multi-byte characters count in bytes, not characters
     with pytest.raises(EncodingError):
-        encode_identity_body("é" * 33, "d", pair.ivk, PlainInfo(b""))
+        IdentityRecord("é" * 33, "d", pair.ivk, PlainInfo(b"")).encode()
 
 
 def test_userinfo_size_cap(rng):
     pair = crypto.identity_keygen(rng)
-    encode_identity_body("u", "d", pair.ivk, PlainInfo(b"a" * 1024))
+    IdentityRecord("u", "d", pair.ivk, PlainInfo(b"a" * 1024)).encode()
     with pytest.raises(EncodingError):
-        encode_identity_body("u", "d", pair.ivk, PlainInfo(b"a" * 1025))
+        IdentityRecord("u", "d", pair.ivk, PlainInfo(b"a" * 1025)).encode()
     with pytest.raises(EncodingError):
         commit_userinfo(b"a" * 1025, bytes(32))
     with pytest.raises(EncodingError):  # only a UserInfo encodes as one
-        encode_identity_body("u", "d", pair.ivk, b"a")
+        IdentityRecord("u", "d", pair.ivk, b"a").encode()
 
 
 def test_commitment_matches_hmac_oracle_and_verifies(rng):
@@ -179,7 +179,7 @@ def test_commitment_registration_roundtrip(rng):
 
 def test_parse_is_strict(rng):
     pair = crypto.identity_keygen(rng)
-    body = encode_identity_body("u", "d", pair.ivk, PlainInfo(b"x"))
+    body = IdentityRecord("u", "d", pair.ivk, PlainInfo(b"x")).encode()
     with pytest.raises(EncodingError):
         parse_identity_body(body + b"\x00")
     with pytest.raises(EncodingError):

@@ -13,9 +13,9 @@ from chainmeet.errors import (
     NonMonotonicTimestamp,
     Reason,
 )
+from chainmeet.identity import new_identity_ledger
 from chainmeet.ledger import (
     Block,
-    LedgerKind,
     Transaction,
     TxTag,
     dump_hex_lines,
@@ -23,7 +23,19 @@ from chainmeet.ledger import (
     new_ledger,
     parse_block,
 )
+from chainmeet.meeting import new_meeting_ledger
 from chainmeet.rng import DeterministicRng
+
+
+class AdmitAll:
+    """A chain state that takes every tag and admits every transaction, for
+    tests of the hash chain alone."""
+
+    KIND = "test"
+    TAGS = frozenset(TxTag)
+
+    def admit(self, txs, ledger, block_index):
+        pass
 
 
 def manual_block_bytes(index, prev_hash, timestamp, txs):
@@ -39,16 +51,16 @@ def some_tx(rng, tag=TxTag.IDENTITY, size=20):
     return Transaction(tag=tag, body=rng.take(size), signature=rng.take(64))
 
 
-def small_chain(n_blocks=3, kind=LedgerKind.IDENTITY, tag=TxTag.IDENTITY):
+def small_chain(n_blocks=3, tag=TxTag.IDENTITY):
     rng = DeterministicRng(1234)
-    ledger = new_ledger(kind)
+    ledger = new_ledger(AdmitAll())
     for i in range(n_blocks):
         ledger.append_block([some_tx(rng, tag), some_tx(rng, tag)], timestamp=i + 1)
     return ledger
 
 
 def test_genesis_layout_and_hash():
-    ledger = new_ledger(LedgerKind.IDENTITY)
+    ledger = new_ledger(AdmitAll())
     genesis = ledger.blocks[0]
     assert genesis.index == 0
     assert genesis.prev_hash == bytes(32)
@@ -62,7 +74,7 @@ def test_genesis_layout_and_hash():
 
 def test_block_bytes_and_hash_match_manual_assembly():
     rng = DeterministicRng(7)
-    ledger = new_ledger(LedgerKind.IDENTITY)
+    ledger = new_ledger(AdmitAll())
     tx1, tx2 = some_tx(rng, size=33), some_tx(rng, size=0)
     block = ledger.append_block([tx1, tx2], timestamp=9)
     expected = manual_block_bytes(
@@ -131,25 +143,37 @@ def test_timestamps_must_not_decrease():
     assert ledger.verify_chain()
 
 
-def test_wrong_kind_tag_is_refused():
-    ledger = new_ledger(LedgerKind.IDENTITY)
-    rng = DeterministicRng(6)
-    with pytest.raises(InvalidTransaction) as err:
-        ledger.append_block([some_tx(rng, tag=TxTag.MEETING_PUBLISH)], timestamp=1)
-    assert err.value.reason == Reason.WRONG_LEDGER_KIND
-    assert len(ledger.blocks) == 1
+# the tags each ledger takes, written out here as the independent route
+LEDGER_TAGS = {
+    "identity": {TxTag.IDENTITY},
+    "meeting": set(TxTag) - {TxTag.IDENTITY},
+}
 
-    meeting = new_ledger(LedgerKind.MEETING)
-    with pytest.raises(InvalidTransaction):
-        meeting.append_block([some_tx(rng, tag=TxTag.IDENTITY)], timestamp=1)
+
+@pytest.mark.parametrize("tag", list(TxTag), ids=lambda tag: tag.name)
+@pytest.mark.parametrize("kind", sorted(LEDGER_TAGS))
+def test_wrong_kind_tag_is_refused(kind, tag):
+    identity = new_identity_ledger()
+    ledger = identity if kind == "identity" else new_meeting_ledger(identity)
+    assert ledger.state.KIND == kind
+    with pytest.raises(InvalidTransaction) as err:
+        ledger.append_block([some_tx(DeterministicRng(6), tag=tag)], timestamp=1)
+    if tag in LEDGER_TAGS[kind]:
+        # past the kind check, the state refuses the random body itself
+        assert err.value.reason != Reason.WRONG_LEDGER_KIND
+    else:
+        assert err.value.reason == Reason.WRONG_LEDGER_KIND
+        assert err.value.at == (1, 0)
+        assert err.value.detail == f"tag {int(tag)} not allowed on {kind} ledger"
+    assert len(ledger.blocks) == 1
 
 
 def test_validator_hook_blocks_append():
-    class Refuse:
+    class Refuse(AdmitAll):
         def admit(self, txs, ledger, block_index):
             raise InvalidTransaction(Reason.BAD_SIGNATURE, "refused by test")
 
-    ledger = new_ledger(LedgerKind.IDENTITY, state=Refuse())
+    ledger = new_ledger(Refuse())
     with pytest.raises(InvalidTransaction) as err:
         ledger.append_block([some_tx(DeterministicRng(8))], timestamp=1)
     assert err.value.reason == Reason.BAD_SIGNATURE
@@ -187,7 +211,7 @@ def test_persistence_roundtrip():
     ledger = small_chain(3)
     lines = dump_hex_lines(ledger)
     assert len(lines) == 4 and all(bytes.fromhex(line) for line in lines)
-    loaded = load_hex_lines(LedgerKind.IDENTITY, lines)
+    loaded = load_hex_lines(lines, AdmitAll())
     assert loaded.verify_chain()
     assert loaded.blocks == ledger.blocks
 
@@ -196,7 +220,7 @@ def test_loading_replays_from_genesis_and_refuses_a_broken_link():
     lines = dump_hex_lines(small_chain(3))
     for broken in (lines[2:], lines[:2] + lines[3:]):  # no genesis; a gap
         with pytest.raises(EncodingError):
-            load_hex_lines(LedgerKind.IDENTITY, broken)
+            load_hex_lines(broken, AdmitAll())
 
 
 def test_parse_block_is_strict():
@@ -224,9 +248,9 @@ def test_reader_rejects_overrun():
 )
 def test_roundtrip_property(seed, bodies):
     rng = DeterministicRng(seed)
-    ledger = new_ledger(LedgerKind.MEETING)
+    ledger = new_ledger(AdmitAll())
     for i, body in enumerate(bodies):
         tx = Transaction(TxTag.MEETING_REQUEST, body, rng.take(64))
         ledger.append_block([tx], timestamp=i)
-    loaded = load_hex_lines(LedgerKind.MEETING, dump_hex_lines(ledger))
+    loaded = load_hex_lines(dump_hex_lines(ledger), AdmitAll())
     assert loaded.blocks == ledger.blocks and loaded.verify_chain()

@@ -2,6 +2,8 @@
 
 import hashlib
 import hmac as stdlib_hmac
+import typing
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -19,7 +21,7 @@ from chainmeet.errors import (
     NoMeetingKey,
     Reason,
 )
-from chainmeet.encoding import lp
+from chainmeet.encoding import Reader, Wire, lp
 from chainmeet.ledger import Transaction, TxTag, dump_hex_lines
 from chainmeet.rng import DeterministicRng, FixedRng
 from test_state import load_both, view_facts
@@ -1087,6 +1089,77 @@ def test_records_read_per_step_do_not_grow_with_history(monkeypatch):
     # admission reads no record, a review only the one rejoined request it
     # grants, and a distribution the members present: two, or three
     assert short == {"admit": {0}, "review": {0, 1}, "distribute": {2, 3}}
+
+
+def work_per_step(monkeypatch, registered):
+    """The signature checks, body decodes, `Reader.take` calls and identity
+    lookups of the block that registers `registered` identities, and of each
+    step of one meeting among four of them."""
+    rng = DeterministicRng(4242)
+    pairs = [crypto.identity_keygen(rng) for _ in range(registered)]
+    block = [ident.register_identity(f"user{i}", "dev", pair) for i, pair in enumerate(pairs)]
+    identity_ledger = ident.new_identity_ledger()
+    meeting_ledger = m.new_meeting_ledger(identity_ledger)
+    alice, bob, carol, dave = (
+        m.ParticipantState(user=f"user{i}", device="dev", keypair=pairs[i])
+        for i in (0, registered // 3, 2 * registered // 3, registered - 1)
+    )
+    counts = Counter()
+    bodies = set(typing.get_args(m.MeetingTx))
+    read = Wire.read.__func__
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    def counted_read(cls, reader):
+        counts["meeting_decode"] += cls in bodies
+        counts["record_decode"] += cls is ident.IdentityRecord
+        return read(cls, reader)
+
+    monkeypatch.setattr(crypto, "verify", counted("verify", crypto.verify))
+    monkeypatch.setattr(Reader, "take", counted("take", Reader.take))
+    monkeypatch.setattr(ident, "find_identity", counted("find", ident.find_identity))
+    monkeypatch.setattr(Wire, "read", classmethod(counted_read))
+    identity_ledger.append_block(block, timestamp=0)
+    steps = [("register", dict(counts))]
+
+    def step(name, action):
+        counts.clear()
+        action()
+        steps.append((name, dict(counts)))
+
+    def commit(tx):
+        meeting_ledger.append_block([tx], timestamp=len(meeting_ledger.blocks))
+
+    def distribute():
+        tx, key = m.distribute_key(alice, meeting_ledger, rng)
+        commit(tx)
+        alice.known_mk = key
+
+    step("publish", lambda: commit(m.publish_meeting(alice, "sync", rng)))
+    for member in (bob, carol, dave):
+        step("request", lambda: commit(
+            m.make_request(member, meeting_ledger, alice.meeting_id, rng)
+        ))
+    step("review", lambda: m.review_requests(alice, meeting_ledger))
+    step("distribute", distribute)
+    step("leave", lambda: commit(m.make_leave(carol)))
+    step("rekey", distribute)
+    monkeypatch.undo()
+    return steps
+
+
+def test_meeting_steps_cost_the_same_however_many_identities_are_registered(monkeypatch):
+    runs = {n: work_per_step(monkeypatch, n) for n in (100, 1000, 4000)}
+    for n, ((_, register), *meeting) in runs.items():
+        assert register["verify"] == register["record_decode"] == n
+        # each admitted meeting transaction is checked and decoded once
+        admitted = [counts for name, counts in meeting if name != "review"]
+        assert all(c["verify"] == c["meeting_decode"] == 1 for c in admitted)
+    assert runs[100][1:] == runs[1000][1:] == runs[4000][1:]
 
 
 def test_epoch_space_cap(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from chainmeet import crypto, meeting as m, rng as rng_mod, sim
 from chainmeet.encoding import Wire
 from chainmeet.errors import InvalidTransaction, MalformedScenario, Reason
-from chainmeet.ledger import Ledger, LedgerKind, dump_hex_lines
+from chainmeet.ledger import Ledger, dump_hex_lines
 from chainmeet.meeting import ReassignRule
 from chainmeet.rng import DeterministicRng
 from test_cli import late_error_script
@@ -74,6 +74,12 @@ def test_parse_scenario_full_grammar():
 def test_parse_scenario_rejects_malformed(text):
     with pytest.raises(MalformedScenario):
         sim.parse_scenario(text)
+
+
+def test_an_unknown_rule_names_the_rules_there_are():
+    with pytest.raises(MalformedScenario) as err:
+        sim.parse_scenario("actor alice laptop\nrule dictatorship")
+    assert str(err.value) == "line 2: rule is 'designation' or 'timeorder'"
 
 
 @pytest.mark.parametrize(
@@ -944,7 +950,7 @@ def test_one_body_decode_per_meeting_transaction_offered(name, monkeypatch):
 
     def counted_append(ledger, txs, timestamp):
         nonlocal offered
-        if ledger.kind is LedgerKind.MEETING:
+        if ledger.state.KIND == "meeting":
             offered += len(txs)
         return append(ledger, txs, timestamp)
 

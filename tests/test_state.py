@@ -11,9 +11,10 @@ import pytest
 from chainmeet import crypto, identity as ident, meeting as m, sim
 from chainmeet.errors import InvalidTransaction, Reason
 from chainmeet.ledger import (
-    LedgerKind, TxTag, dump_hex_lines, load_hex_lines, make_block, parse_block,
+    TxTag, dump_hex_lines, load_hex_lines, make_block, parse_block,
 )
 from chainmeet.rng import DeterministicRng
+from test_ledger import AdmitAll
 
 
 def registered(rng, identity_ledger, user, device="dev"):
@@ -295,8 +296,8 @@ def test_undoing_a_refused_block_costs_the_live_meeting_not_its_history():
 
 
 def load_both(identity_lines, meeting_lines):
-    identity = load_hex_lines(LedgerKind.IDENTITY, identity_lines, ident.IdentityState())
-    meeting = load_hex_lines(LedgerKind.MEETING, meeting_lines, m.MeetingState(identity))
+    identity = load_hex_lines(identity_lines, ident.IdentityState())
+    meeting = load_hex_lines(meeting_lines, m.MeetingState(identity))
     return identity, meeting
 
 
@@ -319,9 +320,7 @@ def test_loaded_ledgers_readmit_to_the_state_they_were_saved_with(name):
 
 def test_reloading_hashes_each_block_once(monkeypatch):
     simulation = sim.run_scenario_text(sim.load_scenario_text("honest"))
-    identity = load_hex_lines(
-        LedgerKind.IDENTITY, dump_hex_lines(simulation.identity_ledger), ident.IdentityState()
-    )
+    identity = load_hex_lines(dump_hex_lines(simulation.identity_ledger), ident.IdentityState())
     meeting_lines = dump_hex_lines(simulation.meeting_ledger)
     hashes = 0
     real = crypto.sha256
@@ -332,7 +331,7 @@ def test_reloading_hashes_each_block_once(monkeypatch):
         return real(data)
 
     monkeypatch.setattr(crypto, "sha256", counted)
-    meeting = load_hex_lines(LedgerKind.MEETING, meeting_lines, m.MeetingState(identity))
+    meeting = load_hex_lines(meeting_lines, m.MeetingState(identity))
     assert meeting.blocks == simulation.meeting_ledger.blocks
     assert hashes == len(meeting_lines) == 7
 
@@ -344,8 +343,8 @@ def test_loading_with_a_state_refuses_a_forged_body_in_a_relinked_chain():
         dump_hex_lines(simulation.meeting_ledger), TxTag.MEETING_PUBLISH,
         lambda body: body[:-1] + bytes([body[-1] ^ 1]),
     )
-    # hashes and links hold, so a stateless load cannot tell
-    assert load_hex_lines(LedgerKind.MEETING, meeting_lines).verify_chain()
+    # hashes and links hold, so a load that admits everything cannot tell
+    assert load_hex_lines(meeting_lines, AdmitAll()).verify_chain()
     with pytest.raises(InvalidTransaction) as err:
         load_both(identity_lines, meeting_lines)
     assert err.value.reason == Reason.BAD_SIGNATURE
