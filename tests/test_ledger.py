@@ -51,11 +51,11 @@ def some_tx(rng, tag=TxTag.IDENTITY, size=20):
     return Transaction(tag=tag, body=rng.take(size), signature=rng.take(64))
 
 
-def small_chain(n_blocks=3, tag=TxTag.IDENTITY):
+def small_chain(n_blocks=3):
     rng = DeterministicRng(1234)
     ledger = new_ledger(AdmitAll())
     for i in range(n_blocks):
-        ledger.append_block([some_tx(rng, tag), some_tx(rng, tag)], timestamp=i + 1)
+        ledger.append_block([some_tx(rng), some_tx(rng)], timestamp=i + 1)
     return ledger
 
 
